@@ -60,7 +60,7 @@ def main() -> int:
     for qubits in (7, 20):
         run(["sweep", "--qubits", qubits, "--state", "plus_y" if qubits == 7 else "zero",
              "--kicks", opts.kicks, "--kappa0-start", 0.2, "--kappa0-stop", 6.0,
-             "--kappa0-steps", 30, "--threads", 4,
+             "--kappa0-steps", 30,
              "--out", out / f"sweep_{qubits}q_large.csv"])
 
     # Husimi grids of the parity-adapted basis states

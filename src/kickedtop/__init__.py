@@ -22,11 +22,13 @@ from .symspace import (
 )
 from .measures import (
     concurrence,
+    concurrences,
     entanglement_series,
     fidelity,
     haar_symmetric_sample,
     linear_entropy,
     reduced_state,
+    reduced_states,
     rmt_average,
     time_average,
 )

@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,6 +23,13 @@ NAMED_STATES = {
     "plus_y": (math.pi / 2.0, -math.pi / 2.0),
     "minus_y": (math.pi / 2.0, math.pi / 2.0),
 }
+
+
+# Kicks per trajectory block of a sweep point: one block of amplitudes
+# (SWEEP_BLOCK_KICKS + 1 rows) is held at a time.
+SWEEP_BLOCK_KICKS = 512
+# Largest tunnel time: kick counts above 2**53 are not exact as doubles.
+MAX_TUNNEL_TIME = 2**53
 
 
 class CliError(Exception):
@@ -144,24 +150,23 @@ def cmd_evolve(args) -> int:
 
 
 def _sweep_point(two_j: int, point, kappa0: float, kicks: int) -> float:
+    """Mean single-qubit linear entropy over kicks 1..kicks, taken block by
+    block so that memory stays bounded in kicks."""
     params = symspace.KickedTopParams(j=two_j / 2.0, kappa0=kappa0)
     u = symspace.floquet(params)
     psi = symspace.coherent_state(params.j, point)
-    matrix = u.matrix
-    vec = psi.amps.copy()
     total = 0.0
-    for _ in range(kicks):
-        vec = matrix @ vec
-        total += measures.linear_entropy(
-            measures.reduced_state(symspace.SymState(params.j, vec), 1)
-        )
+    for start in range(0, kicks, SWEEP_BLOCK_KICKS):
+        if start:
+            psi = symspace.SymState(params.j, states[-1])
+        states = symspace.trajectory(u, psi, min(SWEEP_BLOCK_KICKS, kicks - start))
+        total += measures.linear_entropy(measures.reduced_states(states[1:], 1)).sum()
     return total / kicks
 
 
 def cmd_sweep(args) -> int:
     _require(args.qubits >= 2, "--qubits must be >= 2")
     _require(args.kicks >= 1, "--kicks must be >= 1")
-    _require(args.threads >= 1, "--threads must be >= 1")
     name, point = _parse_state(args.state)
     if args.kappa0_list:
         try:
@@ -171,13 +176,7 @@ def cmd_sweep(args) -> int:
     else:
         _require(args.kappa0_steps >= 1, "--kappa0-steps must be >= 1")
         grid = list(np.linspace(args.kappa0_start, args.kappa0_stop, args.kappa0_steps))
-    worker = lambda k: _sweep_point(args.qubits, point, k, args.kicks)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            averages = list(pool.map(worker, grid))
-    else:
-        averages = [worker(k) for k in grid]
-    averages = np.array(averages)
+    averages = np.array([_sweep_point(args.qubits, point, k, args.kicks) for k in grid])
     columns: dict[str, np.ndarray] = {
         "kappa0": np.array(grid),
         "S_avg_numeric": averages,
@@ -193,14 +192,24 @@ def cmd_sweep(args) -> int:
 def cmd_tunnel(args) -> int:
     _require(args.kappa0 > 0, "--kappa0 must be > 0 for the tunneling analysis")
     report = exact4.tunneling(args.kappa0)
+    _require(
+        math.isfinite(report.n_star) and math.isfinite(report.n_star_asymptotic),
+        f"--kappa0 {args.kappa0!r} is too small: the tunneling time is not a finite number",
+    )
     if args.times:
         try:
             times = [int(tok) for tok in args.times.split(",")]
         except ValueError as exc:
             raise CliError(f"bad --times {args.times!r}") from exc
         _require(all(t >= 0 for t in times), "--times must be non-negative")
+        _require(all(t <= MAX_TUNNEL_TIME for t in times), "--times entries must be <= 2**53")
     else:
         horizon = max(2, int(round(2.0 * report.n_star)))
+        _require(
+            horizon <= MAX_TUNNEL_TIME,
+            f"--kappa0 {args.kappa0!r} is too small: the default horizon 2 n_star = {horizon}"
+            " exceeds 2**53 kicks; pass --times",
+        )
         times = sorted({int(t) for t in np.linspace(0, horizon, 257)})
     overlaps = exact4.tunneling_overlap_series(args.kappa0, times)
     ghz = exact4.ghz_fidelity_series(args.kappa0, times)
@@ -363,7 +372,6 @@ _DEFAULTS = {
         "qubits": 3,
         "state": "zero",
         "kicks": 1000,
-        "threads": 1,
         "kappa0_start": 0.1,
         "kappa0_stop": 4.5,
         "kappa0_steps": 45,
@@ -387,7 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--config", help="JSON file with flag defaults (flags win)")
         p.add_argument("--seed", type=int, default=0, help="RNG seed for stochastic options")
-        p.add_argument("--threads", type=int, default=None, help="worker pool size")
 
     p = sub.add_parser("evolve", help="entanglement time series, numeric vs closed form")
     add_common(p)

@@ -174,9 +174,10 @@ class TunnelingReport:
 
     gamma_minus is the eigenphase of the positive-block eigenvector that is
     degenerate with phi1+ (eigenphase pi) at kappa0 = 0; the splitting
-    Delta = |pi - gamma_minus| sets the tunneling time n_star = pi/Delta, with
-    small-kappa0 asymptotic 128 pi / kappa0^3, and a GHZ-like superposition
-    appears at n_star/2.
+    Delta = |pi - gamma_minus| (taken modulo 2 pi) sets the tunneling time
+    n_star = pi/Delta, with small-kappa0 asymptotic 128 pi / kappa0^3, and a
+    GHZ-like superposition appears at n_star/2.  Where Delta or kappa0^3
+    underflows to zero the times are inf.
     """
 
     kappa0: float
@@ -189,17 +190,25 @@ class TunnelingReport:
 
 def tunneling(kappa0: float) -> TunnelingReport:
     """Exact eigenphase splitting and tunneling time for four qubits."""
-    if kappa0 <= 0:
-        raise ValueError("kappa0 must be > 0")
-    gamma_minus = kappa0 / 4.0 + math.pi - math.asin(0.5 * math.sin(kappa0 / 2.0))
-    splitting = abs(math.pi - gamma_minus)
-    n_star = math.pi / splitting
+    if not kappa0 > 0 or not math.isfinite(kappa0):
+        raise ValueError("kappa0 must be finite and > 0")
+    a = kappa0 / 4.0
+    b = math.asin(0.5 * math.sin(2.0 * a))
+    gamma_minus = a + math.pi - b
+    # pi - gamma_minus = b - a cancels at small kappa0; with sin b = sin a cos a
+    # its sine and cosine have cancellation-free forms.
+    sin_a, cos_a, cos_b = math.sin(a), math.cos(a), math.cos(b)
+    splitting = abs(
+        math.atan2(sin_a**3 / (cos_b + cos_a**2), cos_a * cos_b + sin_a**2 * cos_a)
+    )
+    cube = kappa0**3
+    n_star = math.pi / splitting if splitting > 0.0 else math.inf
     return TunnelingReport(
         kappa0=kappa0,
         gamma_minus=gamma_minus,
         splitting=splitting,
         n_star=n_star,
-        n_star_asymptotic=128.0 * math.pi / kappa0**3,
+        n_star_asymptotic=128.0 * math.pi / cube if cube > 0.0 else math.inf,
         ghz_time=n_star / 2.0,
     )
 

@@ -1,19 +1,26 @@
 """Entanglement and comparison metrics for symmetric (and general) qubit states.
 
 Reduced density matrices of permutation-symmetric pure states are computed
-from Dicke coefficients directly, which scales to hundreds of qubits; the
-brute-force register partial trace is kept to the test suite as an oracle.
+from Dicke coefficients directly, which scales to hundreds of qubits: one
+batched kernel, reduced_states(), takes a whole (n, 2j+1) stack of states (a
+trajectory, say) and forms every entry of the one- or two-qubit reduced states
+as a binomially weighted band sum over neighbouring Dicke amplitudes, with the
+weights built once per call in log space.  Each row's norm is checked against
+the state tolerance of symspace, so a drifted or malformed state raises
+ValueError instead of giving a silently wrong entropy.  Linear entropy and
+concurrence take the same stacks; the single-state functions are one-row calls
+of the batched ones.  The brute-force register partial trace is kept to the
+test suite as an oracle.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from scipy.special import gammaln
 
-from .symspace import SymState, UnitaryMatrix, _two_j, trajectory
+from .symspace import _STATE_NORM_TOL, SymState, UnitaryMatrix, _two_j, trajectory
 
 # Eigenvalues in [-PSD_CLIP_TOL, 0) are treated as exact zeros: tomography and
 # round-off routinely produce tiny negatives.
@@ -23,105 +30,142 @@ _X_STATE_TOL = 1e-12
 _SY_SY = np.kron(
     np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.array([[0.0, -1.0j], [1.0j, 0.0]])
 )
+_X_MASK = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+# Excitation counts of the kept two-qubit patterns 00, 01, 10, 11.
+_PATTERN_WEIGHT = [0, 1, 1, 2]
 
 
-def _ln_binom(n: int, k) -> np.ndarray:
-    k = np.asarray(k, dtype=float)
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+def reduced_states(amps: np.ndarray, keep: int) -> np.ndarray:
+    """Reduced density matrices of `keep` qubits (1 or 2) for a stack of
+    symmetric states.
 
-
-def _dicke_split_matrix(amps: np.ndarray, two_j: int, keep: int) -> np.ndarray:
-    """Coefficient matrix A with rows indexed by kept-qubit patterns and columns
-    by the excitation count of the remaining 2j - keep qubits; the reduced
-    density matrix is A A^dagger."""
-    n_rest = two_j - keep
-    patterns = [(p, p.bit_count()) for p in range(2**keep)]
-    a = np.zeros((2**keep, n_rest + 1), dtype=complex)
-    r = np.arange(n_rest + 1)
-    ln_rest = _ln_binom(n_rest, r)
-    for p, w in patterns:
-        ratio = np.exp(0.5 * (ln_rest - _ln_binom(two_j, r + w)))
-        a[p] = amps[r + w] * ratio
-    return a
+    `amps` is an (n, 2j+1) array of Dicke amplitudes, one state per row (a
+    trajectory, say); the result is the (n, 2**keep, 2**keep) stack of reduced
+    states.  Entry (p, q) depends only on the excitation counts a, b of the
+    kept patterns p, q and is the band sum sum_r w_r c[r+a] c*[r+b] with
+    w_r = C(2j-keep, r) / sqrt(C(2j, r+a) C(2j, r+b)); the weights are built
+    once per call in log space, so large 2j stays finite, and memory stays
+    O(n (2j+1)).  Every row must be normalized to _STATE_NORM_TOL.
+    """
+    if keep not in (1, 2):
+        raise ValueError("keep must be 1 or 2")
+    amps = np.asarray(amps, dtype=complex)
+    if amps.ndim != 2 or amps.shape[1] < 2:
+        raise ValueError(f"expected an (n, 2j+1) amplitude array, got shape {amps.shape}")
+    two_j = amps.shape[1] - 1
+    if two_j < keep:
+        raise ValueError(f"cannot keep {keep} qubits of a {two_j}-qubit register")
+    prob = amps.real**2 + amps.imag**2
+    drift = np.abs(prob.sum(axis=1) - 1.0)
+    bad = np.flatnonzero(~(drift <= _STATE_NORM_TOL))
+    if bad.size:
+        raise ValueError(
+            f"state is not normalized (row {bad[0]}: |norm^2 - 1| = {drift[bad[0]]:.2e})"
+        )
+    width = two_j - keep + 1
+    ln_fact = gammaln(np.arange(1.0, two_j + 2.0))  # ln k! for k = 0..2j
+    half_ln_binom = 0.5 * (ln_fact[two_j] - ln_fact - ln_fact[::-1])  # ln C(2j, k) / 2
+    r = np.arange(width)
+    ln_rest = ln_fact[width - 1] - ln_fact[r] - ln_fact[width - 1 - r]  # ln C(2j-keep, r)
+    bands = np.empty((amps.shape[0], keep + 1, keep + 1), dtype=complex)
+    for a in range(keep + 1):
+        for b in range(a, keep + 1):
+            w = np.exp(ln_rest - half_ln_binom[a : a + width] - half_ln_binom[b : b + width])
+            if a == b:
+                bands[:, a, a] = prob[:, a : a + width] @ w
+            else:
+                bands[:, a, b] = (amps[:, a : a + width] * amps[:, b : b + width].conj()) @ w
+                bands[:, b, a] = bands[:, a, b].conj()
+    if keep == 1:
+        return bands
+    return bands[:, _PATTERN_WEIGHT][:, :, _PATTERN_WEIGHT]
 
 
 def reduced_state(psi: SymState, keep: int) -> np.ndarray:
     """Reduced density matrix of `keep` qubits (1 or 2) of a symmetric state.
 
-    By permutation symmetry any choice of kept qubits is equivalent.  Works
-    directly from Dicke coefficients, so large 2j is fine.
+    By permutation symmetry any choice of kept qubits is equivalent.  One row
+    of reduced_states().
     """
-    if keep not in (1, 2):
-        raise ValueError("keep must be 1 or 2")
-    two_j = _two_j(psi.j)
-    if two_j < keep:
-        raise ValueError(f"cannot keep {keep} qubits of a {two_j}-qubit register")
-    a = _dicke_split_matrix(np.asarray(psi.amps), two_j, keep)
-    rho = a @ a.conj().T
-    return 0.5 * (rho + rho.conj().T)
+    return reduced_states(psi.amps[None, :], keep)[0]
 
 
-def linear_entropy(rho: np.ndarray) -> float:
-    """1 - Tr(rho^2), in [0, 1 - 1/dim]."""
+def linear_entropy(rho: np.ndarray):
+    """1 - Tr(rho^2), in [0, 1 - 1/dim]; a float for one matrix, an array for
+    a (..., dim, dim) stack."""
     rho = np.asarray(rho)
-    return float(1.0 - np.einsum("ij,ji->", rho, rho).real)
+    entropy = 1.0 - np.einsum("...ij,...ji->...", rho, rho).real
+    return float(entropy) if rho.ndim == 2 else entropy
 
 
-def _is_x_state(rho: np.ndarray) -> bool:
-    mask = np.zeros((4, 4), dtype=bool)
-    idx = np.arange(4)
-    mask[idx, idx] = True
-    mask[idx, 3 - idx] = True
-    return bool(np.max(np.abs(rho[~mask])) <= _X_STATE_TOL)
-
-
-def concurrence_x_state(rho: np.ndarray) -> float:
-    """Closed-form concurrence for an X-shaped two-qubit density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    c1 = abs(rho[0, 3]) - math.sqrt(max(rho[1, 1].real * rho[2, 2].real, 0.0))
-    c2 = abs(rho[1, 2]) - math.sqrt(max(rho[0, 0].real * rho[3, 3].real, 0.0))
-    return 2.0 * max(0.0, c1, c2)
-
-
-def concurrence(rho12: np.ndarray, method: str = "auto") -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def concurrences(rhos: np.ndarray, method: str = "auto") -> np.ndarray:
+    """Wootters concurrence of each two-qubit density matrix of an (n, 4, 4)
+    stack.
 
     Eigenvalues of (sy x sy) rho* (sy x sy) rho are sorted in decreasing order
     and combined as max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)); the
-    conjugation is taken in the computational (sigma_z product) basis.  X-shaped
-    inputs are routed through the closed form, which avoids the sqrt noise of
-    the general path near exact zeros.
+    conjugation is taken in the computational (sigma_z product) basis.  With
+    method "auto", X-shaped rows (off-X entries <= _X_STATE_TOL) take the
+    closed form, which avoids the sqrt noise of the general path near exact
+    zeros; "x" and "general" force one path for every row.
     """
-    rho12 = np.asarray(rho12, dtype=complex)
-    if rho12.shape != (4, 4):
-        raise ValueError("concurrence expects a 4x4 density matrix")
-    evals = np.linalg.eigvalsh(0.5 * (rho12 + rho12.conj().T))
-    if evals.min() < -PSD_CLIP_TOL:
+    rhos = np.asarray(rhos, dtype=complex)
+    if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
+        raise ValueError("concurrence expects 4x4 density matrices")
+    if method not in ("auto", "x", "general"):
+        raise ValueError(f"unknown method {method!r}")
+    evals = np.linalg.eigvalsh(0.5 * (rhos + rhos.conj().swapaxes(1, 2)))
+    if evals.size and evals.min() < -PSD_CLIP_TOL:
         raise ValueError(f"input is not positive semidefinite (min eig {evals.min():.2e})")
     if method == "auto":
-        method = "x" if _is_x_state(rho12) else "general"
-    if method == "x":
-        return concurrence_x_state(rho12)
-    if method != "general":
-        raise ValueError(f"unknown method {method!r}")
+        x_rows = np.max(np.abs(rhos[:, ~_X_MASK]), axis=1) <= _X_STATE_TOL
+    else:
+        x_rows = np.full(rhos.shape[0], method == "x")
+    out = np.empty(rhos.shape[0])
+    if x_rows.any():
+        out[x_rows] = _concurrence_x(rhos[x_rows])
+    if not x_rows.all():
+        out[~x_rows] = _concurrence_general(rhos[~x_rows])
+    return out
+
+
+def _concurrence_x(rhos: np.ndarray) -> np.ndarray:
+    """Closed-form concurrence of X-shaped two-qubit density matrices."""
+    diag = rhos.diagonal(axis1=1, axis2=2).real
+    c1 = np.abs(rhos[:, 0, 3]) - np.sqrt(np.maximum(diag[:, 1] * diag[:, 2], 0.0))
+    c2 = np.abs(rhos[:, 1, 2]) - np.sqrt(np.maximum(diag[:, 0] * diag[:, 3], 0.0))
+    return 2.0 * np.maximum(0.0, np.maximum(c1, c2))
+
+
+def _concurrence_general(rhos: np.ndarray) -> np.ndarray:
     # sqrt(lam_i) of rho rho_tilde are the singular values of
     # sqrt(rho_tilde) sqrt(rho): the same spectrum without the catastrophic
     # sqrt of near-zero eigenvalues (exact-rank-deficient inputs stay exact
     # thanks to the numerical-rank clip inside the matrix square roots).
-    root = _psd_sqrt(rho12, rank_clip=True)
+    root = _psd_sqrt(rhos, rank_clip=True)
     root_tilde = _SY_SY @ root.conj() @ _SY_SY
     sigma = np.linalg.svd(root_tilde @ root, compute_uv=False)
-    return max(0.0, 2.0 * sigma[0] - sigma.sum())
+    return np.maximum(0.0, 2.0 * sigma[:, 0] - sigma.sum(axis=1))
+
+
+def concurrence(rho12: np.ndarray, method: str = "auto") -> float:
+    """Wootters concurrence of one two-qubit density matrix; one row of
+    concurrences()."""
+    rho12 = np.asarray(rho12, dtype=complex)
+    if rho12.shape != (4, 4):
+        raise ValueError("concurrence expects a 4x4 density matrix")
+    return float(concurrences(rho12[None], method)[0])
 
 
 def _psd_sqrt(rho: np.ndarray, rank_clip: bool = False) -> np.ndarray:
+    """Matrix square root of one PSD matrix or of a (..., d, d) stack."""
     evals, evecs = np.linalg.eigh(rho)
     evals = np.clip(evals, 0.0, None)
     if rank_clip:
         # Eigenvalues at round-off scale are true zeros of a rank-deficient
         # state; zeroing them keeps sqrt() from turning 1e-16 into 1e-8.
-        evals[evals < 16.0 * np.finfo(float).eps * evals.max()] = 0.0
-    return (evecs * np.sqrt(evals)) @ evecs.conj().T
+        evals[evals < 16.0 * np.finfo(float).eps * evals.max(axis=-1, keepdims=True)] = 0.0
+    return (evecs * np.sqrt(evals)[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
 
 
 def fidelity(rho_t: np.ndarray, rho_e: np.ndarray) -> float:
@@ -187,32 +231,20 @@ def haar_symmetric_sample(j: float, count: int, seed: int) -> float:
     the (2j+1)-dimensional symmetric subspace.  Deterministic given seed."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    two_j = _two_j(j)
-    dim = two_j + 1
+    dim = _two_j(j) + 1
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    k = np.arange(dim)
-    w_up = (two_j - k) / two_j
-    od_w = np.sqrt((two_j - k[:-1]) * (k[:-1] + 1)) / two_j
-    prob = np.abs(psi) ** 2
-    r = prob @ w_up
-    off = np.einsum("sk,k,sk->s", psi[:, :-1], od_w, psi[:, 1:].conj())
-    purity = r**2 + (1.0 - r) ** 2 + 2.0 * np.abs(off) ** 2
-    return float(np.mean(1.0 - purity))
+    return float(np.mean(linear_entropy(reduced_states(psi, 1))))
 
 
 def entanglement_series(
     u: UnitaryMatrix, psi0: SymState, n_max: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Numeric (linear entropy, pairwise concurrence) series for n = 0..n_max."""
+    """Numeric (linear entropy, pairwise concurrence) series for n = 0..n_max;
+    the concurrence is NaN throughout for a single qubit."""
     states = trajectory(u, psi0, n_max)
-    two_j = _two_j(psi0.j)
-    entropies = np.empty(n_max + 1)
-    concurrences = np.full(n_max + 1, np.nan)
-    for n in range(n_max + 1):
-        psi = SymState(psi0.j, states[n])
-        entropies[n] = linear_entropy(reduced_state(psi, 1))
-        if two_j >= 2:
-            concurrences[n] = concurrence(reduced_state(psi, 2))
-    return entropies, concurrences
+    entropies = linear_entropy(reduced_states(states, 1))
+    if _two_j(psi0.j) < 2:
+        return entropies, np.full(n_max + 1, np.nan)
+    return entropies, concurrences(reduced_states(states, 2))

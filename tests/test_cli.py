@@ -82,13 +82,16 @@ class TestSweep:
         assert np.max(np.abs(data[:, 1] - data[:, 2])) < 5e-3
         assert np.allclose(data[:, 3], data[:, 1] / (1.0 / 3.0), atol=1e-12)
 
-    def test_threaded_matches_serial(self, tmp_path):
-        serial, threaded = tmp_path / "s.csv", tmp_path / "t.csv"
-        base = ["sweep", "--qubits", "4", "--state", "plus_y", "--kicks", "500",
+    def test_rerun_is_byte_identical(self, tmp_path):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        base = ["sweep", "--qubits", "4", "--state", "plus_y", "--kicks", "1100",
                 "--kappa0-list", "0.5,1.5,2.5,3.5"]
-        assert main(base + ["--out", str(serial)]) == 0
-        assert main(base + ["--threads", "4", "--out", str(threaded)]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
+        assert main(base + ["--out", str(first)]) == 0
+        assert main(base + ["--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
+        with pytest.raises(SystemExit) as exc:  # the worker pool flag is gone
+            main(base + ["--threads", "4", "--out", str(second)])
+        assert exc.value.code == 2
 
     def test_nonpositive_kicks_exits_2(self, tmp_path):
         assert main(["sweep", "--qubits", "3", "--kicks", "0",
@@ -130,6 +133,29 @@ class TestTunnel:
 
     def test_rejects_nonpositive_kappa0(self, tmp_path):
         assert main(["tunnel", "--kappa0", "-0.5", "--out", str(tmp_path / "x.json")]) == 2
+
+    @pytest.mark.parametrize("kappa0", ["1e-9", "1e-300", "5e-324"])
+    def test_tiny_kappa0_exits_cleanly(self, kappa0, tmp_path, capsys):
+        out = tmp_path / "tunnel.json"
+        code = main(["tunnel", "--kappa0", kappa0, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: ") and not out.exists()
+
+    def test_default_horizon_beyond_2_53_exits_2(self, tmp_path, capsys):
+        # n_star(1e-5) is about 4e17 kicks: finite, but its default horizon
+        # 2 n_star is past 2**53, where kick counts stop being exact doubles
+        assert main(["tunnel", "--kappa0", "1e-5", "--out", str(tmp_path / "x.json")]) == 2
+        assert "2**53" in capsys.readouterr().err
+
+    def test_times_beyond_2_53_exit_2(self, tmp_path):
+        out = tmp_path / "x.json"
+        assert main(["tunnel", "--kappa0", "1e-5", "--times", f"0,{2**53 + 1}",
+                     "--out", str(out)]) == 2
+        assert main(["tunnel", "--kappa0", "1e-5", "--times", f"0,{2**53}",
+                     "--out", str(out)]) == 0
 
 
 class TestHusimi:

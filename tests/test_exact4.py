@@ -234,6 +234,26 @@ class TestTunneling:
         with pytest.raises(ValueError):
             exact4.tunneling(0.0)
 
+    def test_splitting_matches_mpmath(self):
+        # pi - gamma_minus = asin(sin(kappa0/2)/2) - kappa0/4, evaluated at 50
+        # digits, so the reference has no cancellation of its own
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for kappa0 in np.geomspace(1e-8, 2.0 * math.pi, 200):
+                k = mpmath.mpf(float(kappa0))
+                exact = abs(mpmath.asin(mpmath.sin(k / 2) / 2) - k / 4)
+                got = exact4.tunneling(float(kappa0)).splitting
+                assert abs(got - exact) <= 1e-12 * exact
+
+    def test_tiny_torsion_times_are_finite_or_inf(self):
+        rep = exact4.tunneling(1e-9)
+        assert rep.splitting == pytest.approx(1e-27 / 128.0, rel=1e-12)
+        assert rep.n_star == pytest.approx(rep.n_star_asymptotic, rel=1e-12)
+        for kappa0 in (1e-300, 5e-324):
+            rep = exact4.tunneling(kappa0)
+            assert rep.splitting == 0.0
+            assert rep.n_star == math.inf and rep.n_star_asymptotic == math.inf
+
 
 class TestTunnelingOverlap:
     def test_initial_overlap_vanishes(self):

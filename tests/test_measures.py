@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kickedtop import measures, symspace
+from kickedtop import cli, measures, symspace
 from kickedtop.symspace import BlochPoint, KickedTopParams, SymState
 
-from conftest import random_symmetric_amps, register_reduced
+from conftest import random_symmetric_amps, register_floquet, register_reduced
 
 GHZ_3Q = SymState(1.5, np.array([1.0, 0.0, 0.0, 1.0j]) / math.sqrt(2.0))
 W_3Q = SymState(1.5, np.array([0.0, 1.0, 0.0, 0.0]))
@@ -253,3 +254,130 @@ class TestMonogamy:
         saturated = entropies > 0.5 - 1e-9
         assert saturated.any()
         assert np.max(concurrences[saturated]) < 1e-10
+
+
+_X_MASK = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+
+
+def _initial_state(two_j: int, kind: str, rng) -> SymState:
+    if kind == "zero":
+        return symspace.coherent_state(two_j / 2.0, BlochPoint(0.0, 0.0))
+    if kind == "plus_y":
+        return symspace.coherent_state(two_j / 2.0, BlochPoint(math.pi / 2.0, -math.pi / 2.0))
+    return SymState(two_j / 2.0, random_symmetric_amps(rng, two_j + 1))
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("kind", ["zero", "plus_y", "general"])
+    @pytest.mark.parametrize("kappa0", [0.3, 2.0 * math.pi, 3.0 * math.pi])
+    @pytest.mark.parametrize("two_j", [1, 2, 3, 4, 7])
+    def test_matches_register_oracle(self, two_j, kappa0, kind, rng):
+        psi0 = _initial_state(two_j, kind, rng)
+        u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=kappa0))
+        states = symspace.trajectory(u, psi0, 12)
+        singles = measures.reduced_states(states, 1)
+        pairs = measures.reduced_states(states, 2) if two_j >= 2 else None
+        register_u = register_floquet(two_j, kappa0)
+        vec = symspace.symmetric_to_qubits(psi0)
+        expected_pairs = []
+        for n in range(states.shape[0]):
+            assert np.max(np.abs(singles[n] - register_reduced(vec, two_j, (0,)))) <= 1e-12
+            if pairs is not None:
+                expected_pairs.append(register_reduced(vec, two_j, (0, 1)))
+                assert np.max(np.abs(pairs[n] - expected_pairs[-1])) <= 1e-12
+            vec = register_u @ vec
+        if pairs is None:
+            return
+        expected = [measures.concurrence(rho) for rho in expected_pairs]
+        assert np.max(np.abs(measures.concurrences(pairs) - expected)) <= 1e-12
+        if kind == "zero":
+            # |0...0> stays X-shaped at even n, so one batch takes both routes
+            off_x = np.max(np.abs(pairs[:, ~_X_MASK]), axis=1)
+            assert np.all(off_x[::2] <= 1e-12) and np.any(off_x > 1e-3)
+
+    @pytest.mark.parametrize("kappa0", [0.3, 2.0 * math.pi, 3.0 * math.pi])
+    def test_large_spin_matches_one_row_api(self, kappa0):
+        psi0 = symspace.coherent_state(25.0, BlochPoint(1.1, 0.4))
+        u = symspace.floquet(KickedTopParams(j=25.0, kappa0=kappa0))
+        states = symspace.trajectory(u, psi0, 20)
+        for keep in (1, 2):
+            batch = measures.reduced_states(states, keep)
+            rows = [measures.reduced_state(SymState(25.0, amps), keep) for amps in states]
+            assert np.max(np.abs(batch - np.array(rows))) <= 1e-12
+        pairs = measures.reduced_states(states, 2)
+        one_row = [measures.concurrence(rho) for rho in pairs]
+        assert np.max(np.abs(measures.concurrences(pairs) - one_row)) <= 1e-12
+
+    def test_entanglement_series_is_one_batch(self):
+        psi0 = symspace.coherent_state(3.5, BlochPoint(1.1, 0.4))
+        u = symspace.floquet(KickedTopParams(j=3.5, kappa0=2.1))
+        entropies, concurrences = measures.entanglement_series(u, psi0, 30)
+        for n in (0, 7, 30):
+            psi = symspace.evolve(u, psi0, n)
+            assert entropies[n] == pytest.approx(
+                measures.linear_entropy(measures.reduced_state(psi, 1)), abs=1e-12
+            )
+            assert concurrences[n] == pytest.approx(
+                measures.concurrence(measures.reduced_state(psi, 2)), abs=1e-12
+            )
+
+    def test_single_qubit_series_has_nan_concurrence(self):
+        psi0 = symspace.coherent_state(0.5, BlochPoint(1.0, 0.2))
+        u = symspace.floquet(KickedTopParams(j=0.5, kappa0=1.0))
+        entropies, concurrences = measures.entanglement_series(u, psi0, 5)
+        assert np.allclose(entropies, 0.0, atol=1e-13)
+        assert np.all(np.isnan(concurrences))
+
+    def test_rejects_row_off_normalization(self, rng):
+        states = np.array([random_symmetric_amps(rng, 6) for _ in range(5)])
+        states[3] *= math.sqrt(1.0 + 1e-6)
+        with pytest.raises(ValueError, match="row 3"):
+            measures.reduced_states(states, 1)
+
+    def test_rejects_non_finite_row(self, rng):
+        states = np.array([random_symmetric_amps(rng, 6) for _ in range(3)])
+        states[1, 2] = np.nan
+        with pytest.raises(ValueError, match="not normalized"):
+            measures.reduced_states(states, 2)
+
+    def test_rejects_bad_shapes_and_keep(self, rng):
+        amps = random_symmetric_amps(rng, 4)
+        with pytest.raises(ValueError):
+            measures.reduced_states(amps, 1)  # one state must still be a row
+        with pytest.raises(ValueError):
+            measures.reduced_states(amps[None], 3)
+        with pytest.raises(ValueError):
+            measures.reduced_states(np.array([[0.0, 1.0]]), 2)  # 2j = 1 < keep
+        with pytest.raises(ValueError):
+            measures.concurrences(np.eye(4)[None, :2])
+        with pytest.raises(ValueError):
+            measures.concurrences(np.eye(4)[None] / 4.0, method="fast")
+
+    def test_large_spin_stays_finite(self, rng):
+        states = np.array([random_symmetric_amps(rng, 401) for _ in range(3)])
+        pairs = measures.reduced_states(states, 2)
+        assert np.all(np.isfinite(pairs))
+        assert np.allclose(np.trace(pairs, axis1=1, axis2=2), 1.0, atol=1e-12)
+
+
+class TestSweepBlocks:
+    @pytest.mark.parametrize(
+        "kicks", [1, cli.SWEEP_BLOCK_KICKS, 2 * cli.SWEEP_BLOCK_KICKS + 37]
+    )
+    def test_blocked_mean_equals_unblocked(self, kicks):
+        point = BlochPoint(1.1, 0.4)
+        u = symspace.floquet(KickedTopParams(j=2.0, kappa0=2.1))
+        states = symspace.trajectory(u, symspace.coherent_state(2.0, point), kicks)
+        unblocked = float(np.mean(measures.linear_entropy(measures.reduced_states(states[1:], 1))))
+        assert cli._sweep_point(4, point, 2.1, kicks) == pytest.approx(unblocked, abs=1e-12)
+
+    def test_sweep_point_never_holds_the_trajectory(self):
+        kicks, dim = 20_000, 101
+        full_trajectory = (kicks + 1) * dim * 16  # bytes of complex128 amplitudes
+        tracemalloc.start()
+        try:
+            cli._sweep_point(dim - 1, BlochPoint(1.1, 0.4), 2.1, kicks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full_trajectory / 4
