@@ -30,6 +30,8 @@ class ClassicalPoint:
     z: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
+            raise ValueError("point coordinates must be finite")
         r2 = self.x**2 + self.y**2 + self.z**2
         if abs(r2 - 1.0) > _SPHERE_TOL:
             raise ValueError(f"point is off the unit sphere (|r|^2 = {r2!r})")
@@ -64,6 +66,8 @@ def trajectory_array(point: ClassicalPoint, kappa0: float, n: int) -> np.ndarray
     loop, no per-step validation."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    if not math.isfinite(kappa0):
+        raise ValueError("kappa0 must be finite")
     out = np.empty((n + 1, 3))
     x, y, z = point.x, point.y, point.z
     out[0] = (x, y, z)

@@ -177,7 +177,8 @@ class TunnelingReport:
     Delta = |pi - gamma_minus| (taken modulo 2 pi) sets the tunneling time
     n_star = pi/Delta, with small-kappa0 asymptotic 128 pi / kappa0^3, and a
     GHZ-like superposition appears at n_star/2.  Where Delta or kappa0^3
-    underflows to zero the times are inf.
+    underflows to zero the times are inf; where kappa0^3 overflows,
+    n_star_asymptotic is 0.0.
     """
 
     kappa0: float
@@ -201,7 +202,10 @@ def tunneling(kappa0: float) -> TunnelingReport:
     splitting = abs(
         math.atan2(sin_a**3 / (cos_b + cos_a**2), cos_a * cos_b + sin_a**2 * cos_a)
     )
-    cube = kappa0**3
+    try:
+        cube = kappa0**3
+    except OverflowError:
+        cube = math.inf
     n_star = math.pi / splitting if splitting > 0.0 else math.inf
     return TunnelingReport(
         kappa0=kappa0,

@@ -22,6 +22,7 @@ _HALF_INT_TOL = 1e-9
 _STATE_NORM_TOL = 1e-7  # loose: evolved states are allowed monitored drift
 _UNITARY_TOL = 1e-10
 QUBIT_EXPANSION_LIMIT = 14  # largest 2j for which full-register expansion is allowed
+MAX_BINOMIAL_TWO_J = 1029  # largest 2j whose C(2j, k) all fit a double; C(1030, 515) overflows
 
 
 def _two_j(j: float) -> int:
@@ -33,6 +34,16 @@ def _two_j(j: float) -> int:
     if two_j < 1:
         raise ValueError(f"j must be >= 1/2, got {j!r}")
     return two_j
+
+
+def _binomials(two_j: int) -> np.ndarray:
+    """C(2j, k) for k = 0..2j as doubles; ValueError above MAX_BINOMIAL_TWO_J."""
+    if two_j > MAX_BINOMIAL_TWO_J:
+        raise ValueError(
+            f"2j = {two_j} is too large: C(2j, j) overflows a double"
+            f" for 2j > {MAX_BINOMIAL_TWO_J}"
+        )
+    return np.array([math.comb(two_j, k) for k in range(two_j + 1)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -131,8 +142,7 @@ def coherent_state(j: float, point: BlochPoint) -> SymState:
     c = math.cos(point.theta0 / 2.0)
     s = math.sin(point.theta0 / 2.0)
     k = np.arange(two_j + 1)
-    binom = np.array([math.comb(two_j, int(kk)) for kk in k], dtype=float)
-    amps = np.sqrt(binom) * c ** (two_j - k) * (s * np.exp(-1j * point.phi0)) ** k
+    amps = np.sqrt(_binomials(two_j)) * c ** (two_j - k) * (s * np.exp(-1j * point.phi0)) ** k
     amps /= np.linalg.norm(amps)
     return SymState(j, amps)
 
@@ -180,7 +190,7 @@ def evolve(u: UnitaryMatrix, psi0: SymState, n: int) -> SymState:
     vec = psi0.amps.copy()
     matrix = u.matrix
     for _ in range(n):
-        vec = matrix @ vec
+        vec = np.dot(matrix, vec)
     return SymState(psi0.j, vec)
 
 
@@ -197,7 +207,7 @@ def trajectory(u: UnitaryMatrix, psi0: SymState, n: int) -> np.ndarray:
     out[0] = psi0.amps
     matrix = u.matrix
     for k in range(1, n + 1):
-        out[k] = matrix @ out[k - 1]
+        np.dot(matrix, out[k - 1], out=out[k])
     return out
 
 

@@ -21,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from .measures import concurrence, fidelity, linear_entropy
+from .measures import concurrences, fidelity, linear_entropy
 
 logger = logging.getLogger(__name__)
 
@@ -207,9 +207,10 @@ def pipeline_metrics(rho_e: np.ndarray, rho_t: np.ndarray) -> PipelineMetrics:
     singles = tuple(
         linear_entropy(partial_trace_3q(rho_e, (q,))) for q in range(3)
     )
-    pairs = tuple(
-        concurrence(partial_trace_3q(rho_e, pair)) for pair in ((0, 1), (1, 2), (0, 2))
+    pair_states = np.stack(
+        [partial_trace_3q(rho_e, pair) for pair in ((0, 1), (1, 2), (0, 2))]
     )
+    pairs = tuple(concurrences(pair_states).tolist())
     return PipelineMetrics(
         fidelity=fidelity(rho_t, rho_e),
         linear_entropies=singles,

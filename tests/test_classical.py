@@ -104,6 +104,18 @@ class TestStep:
         assert drift < 1e-9
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("coords", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.6, 0.8, math.nan)])
+    def test_point_rejects_non_finite(self, coords):
+        with pytest.raises(ValueError):
+            cl.ClassicalPoint(*coords)
+
+    @pytest.mark.parametrize("kappa0", [math.nan, math.inf, -math.inf])
+    def test_trajectory_rejects_non_finite_kappa0(self, kappa0):
+        with pytest.raises(ValueError):
+            cl.portrait([cl.FIXED_POINT], kappa0, 3)
+
+
 class TestPortrait:
     def test_row_count(self):
         rows = cl.portrait([cl.FIXED_POINT], 0.7, 10)

@@ -1,10 +1,19 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from kickedtop import symspace, tomo
+import kickedtop
+from kickedtop import cli, symspace, tomo
 from kickedtop.cli import main
 from kickedtop.symspace import BlochPoint, KickedTopParams
 
@@ -14,6 +23,88 @@ def read_csv(path):
     header = lines[0].split(",")
     data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     return header, data
+
+
+def per_cell_write_table(path, columns):
+    """Reference writer: one format(float(v), ".17g") call per cell."""
+    names = list(columns)
+    length = len(next(iter(columns.values())))
+    lines = [",".join(names)]
+    for i in range(length):
+        lines.append(",".join(format(float(columns[name][i]), ".17g") for name in names))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def assert_table_bytes_match(directory, columns):
+    fast, reference = Path(directory) / "fast.csv", Path(directory) / "reference.csv"
+    cli._write_table(str(fast), columns)
+    per_cell_write_table(str(reference), columns)
+    assert fast.read_bytes() == reference.read_bytes()
+
+
+class TestWriteTable:
+    EDGE_VALUES = np.array([
+        np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+        1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 0.1, 1.0 / 3.0, 1e16,
+        123456789012345678.0,
+    ])
+
+    def test_edge_values_and_integer_columns(self, tmp_path):
+        v = self.EDGE_VALUES
+        assert_table_bytes_match(tmp_path, {
+            "value": v,
+            "reversed": v[::-1],
+            "n": np.arange(v.size),
+            "big_int": np.arange(v.size, dtype=np.int64) * (2**53 + 1),
+            "integer_valued": np.arange(v.size, dtype=float) * 1e6,
+        })
+
+    def test_one_column(self, tmp_path):
+        assert_table_bytes_match(tmp_path, {"only": self.EDGE_VALUES})
+        assert (tmp_path / "fast.csv").read_text().splitlines()[:5] == [
+            "only", "nan", "inf", "-inf", "-0"]
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    def test_block_boundaries(self, tmp_path, offset):
+        rows = 1 if offset is None else cli.TABLE_BLOCK_ROWS + offset
+        rng = np.random.default_rng(rows)
+        assert_table_bytes_match(tmp_path, {
+            "i": np.arange(rows), "x": rng.standard_normal(rows), "y": rng.random(rows) * 1e-300,
+        })
+        assert len((tmp_path / "fast.csv").read_text().splitlines()) == rows + 1
+
+    def test_zero_rows_is_header_only(self, tmp_path):
+        assert_table_bytes_match(tmp_path, {"a": np.array([]), "b": np.array([])})
+        assert (tmp_path / "fast.csv").read_bytes() == b"a,b\n"
+
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 40), st.integers(1, 5))))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_cell_writer(self, table):
+        columns = {f"c{i}": table[:, i] for i in range(table.shape[1])}
+        with tempfile.TemporaryDirectory() as directory:
+            assert_table_bytes_match(directory, columns)
+
+
+class TestParserCache:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_in_process_calls_match_fresh_processes(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"qubits": 4, "state": "plus_y", "kicks": 30}))
+        runs = [
+            ["sweep", "--config", str(config), "--kappa0-list", "0.7,2.1"],
+            ["evolve", "--kappa0", "1.3", "--steps", "12"],
+            ["sweep", "--kappa0-list", "0.7,2.1", "--kicks", "40"],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(kickedtop.__file__).parents[1]))
+        for i, argv in enumerate(runs):
+            in_process, fresh = tmp_path / f"in{i}.csv", tmp_path / f"fresh{i}.csv"
+            assert main([*argv, "--out", str(in_process)]) == 0
+            subprocess.run([sys.executable, "-m", "kickedtop", *argv, "--out", str(fresh)],
+                           env=env, check=True)
+            assert in_process.read_bytes() == fresh.read_bytes()
 
 
 class TestEvolve:
@@ -291,3 +382,36 @@ class TestTomo:
     def test_both_modes_exits_2(self, tmp_path):
         assert main(["tomo", "--populations", "a.csv", "--expectations", "b.csv",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+
+class TestEdgeInputs:
+    """Inputs that used to end in a traceback exit 0 or 2 with a message."""
+
+    def test_header_only_populations(self, tmp_path):
+        path = tmp_path / "populations.csv"
+        path.write_text("step," + ",".join(f"p{i:03b}" for i in range(8)) + "\n")
+        out = tmp_path / "corrected.csv"
+        assert main(["tomo", "--populations", str(path), "--readout", "bundled",
+                     "--out", str(out)]) == 0
+        assert out.read_text() == "step," + ",".join(f"p{i:03b}" for i in range(8)) + "\n"
+
+    def test_overflowing_tunnel_kappa0(self, tmp_path):
+        out = tmp_path / "tunnel.json"
+        assert main(["tunnel", "--kappa0", "1e308", "--times", "0,1", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["n_star_asymptotic"] == 0.0
+        assert math.isfinite(payload["n_star"])
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--qubits", "1030", "--kappa0", "1.0"],
+        ["evolve", "--qubits", "100000", "--kappa0", "1.0"],
+        ["sweep", "--qubits", "1030", "--kicks", "5", "--kappa0-list", "1.0"],
+        ["husimi", "--qubits", "1030"],
+        ["classical", "--kappa0", "nan"],
+        ["classical", "--kappa0", "1.0", "--seeds", "nan,0,0"],
+    ])
+    def test_exits_2_with_message(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()

@@ -254,6 +254,12 @@ class TestTunneling:
             assert rep.splitting == 0.0
             assert rep.n_star == math.inf and rep.n_star_asymptotic == math.inf
 
+    def test_huge_torsion_asymptotic_time_is_zero(self):
+        for kappa0 in (1e103, 1e308, 1.7976931348623157e308):
+            rep = exact4.tunneling(kappa0)
+            assert rep.n_star_asymptotic == 0.0
+            assert 0.0 < rep.splitting <= math.pi
+
 
 class TestTunnelingOverlap:
     def test_initial_overlap_vanishes(self):

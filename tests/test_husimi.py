@@ -45,6 +45,13 @@ class TestGrid:
             assert grid.phis[jx] == pytest.approx(phi_peak, abs=0.02)
             assert grid.values[i, jx] == pytest.approx(0.75, abs=1e-3)
 
+    def test_rejects_two_j_past_binomial_limit(self):
+        two_j = symspace.MAX_BINOMIAL_TWO_J + 1
+        amps = np.zeros(two_j + 1)
+        amps[0] = 1.0
+        with pytest.raises(ValueError, match="overflows a double"):
+            husimi.husimi_grid(SymState(two_j / 2.0, amps), 3, 3)
+
     def test_values_in_unit_interval(self):
         psi = SymState(2.0, exact4.parity_basis_states4()["phi3_plus"])
         grid = husimi.husimi_grid(psi)

@@ -91,6 +91,15 @@ class TestCoherentState:
         with pytest.raises(ValueError):
             symspace.coherent_state(0.6, BlochPoint(0.1, 0.1))
 
+    def test_binomial_limit(self):
+        limit = symspace.MAX_BINOMIAL_TWO_J
+        float(math.comb(limit, limit // 2))
+        with pytest.raises(OverflowError):
+            float(math.comb(limit + 1, (limit + 1) // 2))
+        assert symspace.coherent_state(limit / 2.0, BlochPoint(1.0, 0.5)).norm_error() < 1e-12
+        with pytest.raises(ValueError, match="overflows a double"):
+            symspace.coherent_state((limit + 1) / 2.0, BlochPoint(1.0, 0.5))
+
 
 class TestCollectiveOps:
     def test_spin_half_is_half_pauli(self):
@@ -184,6 +193,18 @@ class TestEvolve:
         psi = symspace.coherent_state(2.0, BlochPoint(0.3, 0.4))
         with pytest.raises(ValueError):
             symspace.evolve(u, psi, 1)
+
+    @pytest.mark.parametrize("two_j", [1, 3, 4, 20, 200])
+    def test_bit_identical_to_matmul_loop(self, two_j):
+        params = KickedTopParams(j=two_j / 2.0, kappa0=1.7)
+        u = symspace.floquet(params)
+        psi = symspace.coherent_state(params.j, BlochPoint(0.8, -1.3))
+        steps = 300
+        reference = [psi.amps.copy()]
+        for _ in range(steps):
+            reference.append(u.matrix @ reference[-1])
+        assert np.array_equal(symspace.trajectory(u, psi, steps), np.array(reference))
+        assert np.array_equal(symspace.evolve(u, psi, steps).amps, reference[-1])
 
     def test_norm_preserved_million_steps(self):
         u = symspace.floquet(KickedTopParams(j=1.5, kappa0=2.5))

@@ -217,6 +217,17 @@ class TestPipelineMetrics:
         with pytest.raises(ValueError):
             tomo.pipeline_metrics(np.eye(4) / 4.0, np.eye(8) / 8.0)
 
+    def test_pair_concurrences_equal_one_row_calls(self, rng):
+        for rank in (1, 2, 3, 8) * 10:
+            vecs = rng.standard_normal((8, rank)) + 1j * rng.standard_normal((8, rank))
+            rho = vecs @ vecs.conj().T
+            rho /= np.trace(rho).real
+            metrics = tomo.pipeline_metrics(rho, rho)
+            assert metrics.concurrences == tuple(
+                measures.concurrence(tomo.partial_trace_3q(rho, pair))
+                for pair in ((0, 1), (1, 2), (0, 2))
+            )
+
 
 class TestCsvIo:
     def test_populations_round_trip(self, tmp_path):
