@@ -16,7 +16,6 @@ from .symspace import (
     collective_ops,
     evolve,
     floquet,
-    parity_op,
     symmetric_to_qubits,
     trajectory,
 )
@@ -30,7 +29,6 @@ from .measures import (
     reduced_state,
     reduced_states,
     rmt_average,
-    time_average,
 )
 from .exact3 import (
     GeneralState3,

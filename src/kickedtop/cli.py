@@ -26,9 +26,13 @@ NAMED_STATES = {
 }
 
 
-# Kicks per trajectory block of a sweep point: one block of amplitudes
-# (SWEEP_BLOCK_KICKS + 1 rows) is held at a time.
+# A sweep steps a chunk of kappa0 points together in blocks of SWEEP_BLOCK_KICKS
+# kicks; a block holds at most SWEEP_BLOCK_AMPS amplitudes (one point for
+# 2j+1 > 64, where stacking stops paying off), and one floquet call builds at
+# most SWEEP_FLOQUET_ENTRIES entries, so memory is bounded in --kicks and grid.
 SWEEP_BLOCK_KICKS = 512
+SWEEP_BLOCK_AMPS = 2**16
+SWEEP_FLOQUET_ENTRIES = 2**17
 # Largest tunnel time: kick counts above 2**53 are not exact as doubles.
 MAX_TUNNEL_TIME = 2**53
 # Table rows formatted per % operation in _write_table; formatting a whole
@@ -155,19 +159,36 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def _sweep_point(two_j: int, point, kappa0: float, kicks: int) -> float:
-    """Mean single-qubit linear entropy over kicks 1..kicks, taken block by
-    block so that memory stays bounded in kicks."""
-    params = symspace.KickedTopParams(j=two_j / 2.0, kappa0=kappa0)
-    psi = symspace.coherent_state(params.j, point)  # before floquet, as in _numeric_series
-    u = symspace.floquet(params)
-    total = 0.0
-    for start in range(0, kicks, SWEEP_BLOCK_KICKS):
-        if start:
-            psi = symspace.SymState(params.j, states[-1])
-        states = symspace.trajectory(u, psi, min(SWEEP_BLOCK_KICKS, kicks - start))
-        total += measures.linear_entropy(measures.reduced_states(states[1:], 1)).sum()
-    return total / kicks
+def _sweep_averages(two_j: int, point, grid: list[float], kicks: int) -> np.ndarray:
+    """Mean single-qubit linear entropy over kicks 1..kicks for each kappa0 of
+    the grid, from one floquet call per SWEEP_FLOQUET_ENTRIES matrix entries."""
+    j = two_j / 2.0
+    psi = symspace.coherent_state(j, point)  # before floquet, as in _numeric_series
+    per_floquet = max(1, SWEEP_FLOQUET_ENTRIES // (two_j + 1) ** 2)
+    totals = []
+    for first in range(0, len(grid), per_floquet):
+        params = [symspace.KickedTopParams(j=j, kappa0=k) for k in grid[first : first + per_floquet]]
+        totals.append(_sweep_totals(symspace.floquet(params), psi.amps, kicks))
+    return np.concatenate(totals) / kicks
+
+
+def _sweep_totals(stack: symspace.UnitaryMatrix, start: np.ndarray, kicks: int) -> np.ndarray:
+    """Single-qubit linear entropy summed over kicks 1..kicks from `start` for
+    each operator of a Floquet stack, per point and block by block in kick
+    order, so no sum depends on the chunk its point is stepped in."""
+    per_chunk = max(1, SWEEP_BLOCK_AMPS // (SWEEP_BLOCK_KICKS * stack.dim))
+    totals = np.zeros(len(stack.matrix))
+    for lo in range(0, len(totals), per_chunk):
+        u = stack[lo : lo + per_chunk]
+        amps = np.tile(start, (len(u.matrix), 1))
+        for first_kick in range(0, kicks, SWEEP_BLOCK_KICKS):
+            states = symspace.trajectory(u, amps, min(SWEEP_BLOCK_KICKS, kicks - first_kick))
+            for i in range(len(amps)):
+                entropies = measures.linear_entropy(measures.reduced_states(states[1:, i], 1))
+                totals[lo + i] += entropies.sum()
+            amps = states[-1].copy()
+            del states  # free this block before the next one is allocated
+    return totals
 
 
 def cmd_sweep(args) -> int:
@@ -182,7 +203,7 @@ def cmd_sweep(args) -> int:
     else:
         _require(args.kappa0_steps >= 1, "--kappa0-steps must be >= 1")
         grid = list(np.linspace(args.kappa0_start, args.kappa0_stop, args.kappa0_steps))
-    averages = np.array([_sweep_point(args.qubits, point, k, args.kicks) for k in grid])
+    averages = _sweep_averages(args.qubits, point, grid, args.kicks)
     columns: dict[str, np.ndarray] = {
         "kappa0": np.array(grid),
         "S_avg_numeric": averages,
@@ -327,12 +348,17 @@ def cmd_classical(args) -> int:
     return 0
 
 
-def _theory_register_state(kappa0: float, point, step: int) -> np.ndarray:
-    params = symspace.KickedTopParams(j=1.5, kappa0=kappa0)
-    u = symspace.floquet(params)
-    psi = symspace.evolve(u, symspace.coherent_state(1.5, point), step)
-    vec = symspace.symmetric_to_qubits(psi)
-    return np.outer(vec, vec.conj())
+def _theory_register_states(kappa0: float, point, steps: list[int]) -> list[np.ndarray]:
+    """Register density matrices of U^step psi0 for ascending steps: one
+    Floquet matrix, and one evolve pass carried from step to step."""
+    u = symspace.floquet(symspace.KickedTopParams(j=1.5, kappa0=kappa0))
+    psi, done = symspace.coherent_state(1.5, point), 0
+    rhos = []
+    for step in steps:
+        psi, done = symspace.evolve(u, psi, step - done), step
+        vec = symspace.symmetric_to_qubits(psi)
+        rhos.append(np.outer(vec, vec.conj()))
+    return rhos
 
 
 def cmd_tomo(args) -> int:
@@ -360,11 +386,10 @@ def cmd_tomo(args) -> int:
     _, point = _parse_state(args.state)
     tables = tomo.read_expectations_csv(args.expectations)
     steps = sorted(tables)
+    theory = _theory_register_states(args.kappa0, point, steps)
     out = {"step": [], "fidelity": [], "mean_linear_entropy": [], "mean_concurrence": []}
-    for step in steps:
-        rho_e = tomo.reconstruct(tables[step])
-        rho_t = _theory_register_state(args.kappa0, point, step)
-        metrics = tomo.pipeline_metrics(rho_e, rho_t)
+    for step, rho_t in zip(steps, theory):
+        metrics = tomo.pipeline_metrics(tomo.reconstruct(tables[step]), rho_t)
         out["step"].append(float(step))
         out["fidelity"].append(metrics.fidelity)
         out["mean_linear_entropy"].append(metrics.mean_linear_entropy)

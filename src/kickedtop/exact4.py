@@ -172,9 +172,9 @@ def avg_entropy4(state_id: str, kappa0: float) -> AvgEntropy:
 class TunnelingReport:
     """Two-level tunneling data for the +y/-y coherent pair at small kappa0.
 
-    gamma_minus is the eigenphase of the positive-block eigenvector that is
-    degenerate with phi1+ (eigenphase pi) at kappa0 = 0; the splitting
-    Delta = |pi - gamma_minus| (taken modulo 2 pi) sets the tunneling time
+    gamma_minus is the eigenphase, an angle in [0, 2 pi), of the positive-block
+    eigenvector that is degenerate with phi1+ (eigenphase pi) at kappa0 = 0;
+    the splitting Delta = |pi - gamma_minus| in [0, pi] sets the tunneling time
     n_star = pi/Delta, with small-kappa0 asymptotic 128 pi / kappa0^3, and a
     GHZ-like superposition appears at n_star/2.  Where Delta or kappa0^3
     underflows to zero the times are inf; where kappa0^3 overflows,
@@ -195,7 +195,9 @@ def tunneling(kappa0: float) -> TunnelingReport:
         raise ValueError("kappa0 must be finite and > 0")
     a = kappa0 / 4.0
     b = math.asin(0.5 * math.sin(2.0 * a))
-    gamma_minus = a + math.pi - b
+    # a enters only as an angle; above pi it is reduced exactly through sin and cos
+    a_angle = a if a < math.pi else math.atan2(math.sin(a), math.cos(a))
+    gamma_minus = (a_angle + math.pi - b) % math.tau
     # pi - gamma_minus = b - a cancels at small kappa0; with sin b = sin a cos a
     # its sine and cosine have cancellation-free forms.
     sin_a, cos_a, cos_b = math.sin(a), math.cos(a), math.cos(b)

@@ -15,8 +15,6 @@ test suite as an oracle.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
-
 import numpy as np
 from scipy.special import gammaln
 
@@ -180,42 +178,6 @@ def fidelity(rho_t: np.ndarray, rho_e: np.ndarray) -> float:
     if evals.max() > 0.0:
         evals[evals < 16.0 * np.finfo(float).eps * evals.max()] = 0.0
     return float(min(1.0, np.sum(np.sqrt(evals))))
-
-
-def time_average(series: np.ndarray, count: int | None = None) -> float:
-    """Arithmetic mean of the first `count` entries (all of them by default)."""
-    series = np.asarray(series, dtype=float)
-    if count is None:
-        count = series.size
-    if count < 1 or series.size < count:
-        raise ValueError("need at least one entry to average")
-    return float(series[:count].mean())
-
-
-def streaming_average(
-    values: Iterable[float] | Iterator[float],
-    count: int,
-    index_filter: Callable[[int], bool] | None = None,
-) -> float:
-    """Mean of the first `count` generated values, O(1) memory.
-
-    `index_filter(n)` selects which indices enter the average (n starts at 0);
-    this is how even-time subsequences are averaged where step-wise dynamics
-    repeats values at odd times.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    total = 0.0
-    used = 0
-    it = iter(values)
-    for n in range(count):
-        value = next(it)
-        if index_filter is None or index_filter(n):
-            total += value
-            used += 1
-    if used == 0:
-        raise ValueError("index filter selected no entries")
-    return total / used
 
 
 def rmt_average(n_qubits: int) -> float:

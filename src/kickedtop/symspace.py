@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -117,22 +118,36 @@ class SymState:
 
 @dataclass(frozen=True)
 class UnitaryMatrix:
-    """A dim x dim unitary, checked to _UNITARY_TOL in Frobenius norm."""
+    """A dim x dim unitary, or a (K, dim, dim) stack of them, each checked to
+    _UNITARY_TOL in Frobenius norm."""
 
     matrix: np.ndarray
     dim: int = field(init=False)
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=complex).copy()
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("matrix must be square")
-        dim = matrix.shape[0]
-        defect = np.linalg.norm(matrix.conj().T @ matrix - np.eye(dim))
-        if defect > _UNITARY_TOL:
-            raise ValueError(f"matrix is not unitary (defect {defect:.2e})")
+        matrix = np.asarray(self.matrix, dtype=complex)
+        if matrix.flags.writeable or not matrix.flags.owndata:
+            matrix = matrix.copy()  # a frozen array that owns its data is taken over as is
+        if matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2]:
+            raise ValueError("matrix must be square, or a stack of square matrices")
+        dim = matrix.shape[-1]
+        eye = np.eye(dim)
+        for one in matrix.reshape(-1, dim, dim):  # one at a time: no stack-sized temporaries
+            defect = np.linalg.norm(one.conj().T @ one - eye)
+            if defect > _UNITARY_TOL:
+                raise ValueError(f"matrix is not unitary (defect {defect:.2e})")
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "dim", dim)
+
+    def __getitem__(self, index: slice) -> UnitaryMatrix:
+        """Sub-stack of a stack; it shares the already checked matrices."""
+        if self.matrix.ndim != 3 or not isinstance(index, slice):
+            raise TypeError("only a stack can be sliced, and only by a slice")
+        sub = object.__new__(UnitaryMatrix)
+        object.__setattr__(sub, "matrix", self.matrix[index])
+        object.__setattr__(sub, "dim", self.dim)
+        return sub
 
 
 def coherent_state(j: float, point: BlochPoint) -> SymState:
@@ -163,19 +178,33 @@ def collective_ops(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return jx, jy, jz
 
 
-def floquet(params: KickedTopParams) -> UnitaryMatrix:
+def floquet(params: KickedTopParams | Sequence[KickedTopParams]) -> UnitaryMatrix:
     """One-period evolution operator exp(-i (kappa0/2j) Jz^2) exp(-i p Jy).
 
-    The torsion is applied as diagonal phases; the rotation comes from a single
-    Hermitian eigendecomposition of Jy, exact to machine precision at any p.
+    One parameter set gives one dim x dim operator; a sequence of K sets that
+    share j and p (a kappa0 grid) gives the (K, dim, dim) stack, entry k equal
+    to floquet(params[k]).  The rotation is built once per call; each kappa0
+    then only adds its diagonal torsion phases.
     """
-    two_j = _two_j(params.j)
-    _, jy, _ = collective_ops(params.j)
+    single = isinstance(params, KickedTopParams)
+    grid = [params] if single else list(params)
+    if not grid or any(q.j != grid[0].j or q.p != grid[0].p for q in grid):
+        raise ValueError("a Floquet stack needs one or more parameter sets with one j and one p")
+    two_j = _two_j(grid[0].j)
     m = two_j / 2.0 - np.arange(two_j + 1)
+    kappa0 = np.array([q.kappa0 for q in grid])
+    torsions = np.exp(-1j * (kappa0[:, None] / two_j) * m**2)
+    stack = torsions[:, :, None] * _rotation(grid[0].j, grid[0].p)
+    stack.flags.writeable = False  # UnitaryMatrix takes it over without a copy
+    return UnitaryMatrix(stack[0] if single else stack)
+
+
+def _rotation(j: float, p: float) -> np.ndarray:
+    """exp(-i p Jy) from a single Hermitian eigendecomposition of Jy, exact to
+    machine precision at any p."""
+    _, jy, _ = collective_ops(j)
     evals, evecs = np.linalg.eigh(jy)
-    rotation = (evecs * np.exp(-1j * params.p * evals)) @ evecs.conj().T
-    torsion = np.exp(-1j * (params.kappa0 / two_j) * m**2)
-    return UnitaryMatrix(torsion[:, None] * rotation)
+    return (evecs * np.exp(-1j * p * evals)) @ evecs.conj().T
 
 
 def evolve(u: UnitaryMatrix, psi0: SymState, n: int) -> SymState:
@@ -185,6 +214,8 @@ def evolve(u: UnitaryMatrix, psi0: SymState, n: int) -> SymState:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if u.matrix.ndim != 2:
+        raise ValueError("evolve takes one operator, not a stack")
     if u.dim != psi0.dim:
         raise ValueError(f"dimension mismatch: U is {u.dim}, state is {psi0.dim}")
     vec = psi0.amps.copy()
@@ -194,34 +225,34 @@ def evolve(u: UnitaryMatrix, psi0: SymState, n: int) -> SymState:
     return SymState(psi0.j, vec)
 
 
-def trajectory(u: UnitaryMatrix, psi0: SymState, n: int) -> np.ndarray:
-    """Amplitudes of U^k psi0 for k = 0..n as an (n+1, dim) array.
+def trajectory(u: UnitaryMatrix, psi0: SymState | np.ndarray, n: int) -> np.ndarray:
+    """Amplitudes of U^k psi0 for k = 0..n.
 
-    Storage is opt-in through this function; evolve() itself keeps O(1) memory.
+    One operator and a SymState give an (n+1, dim) array.  A (K, dim, dim)
+    stack (floquet of K parameter sets) and a (K, dim) array of start rows, one
+    per operator and each normalized to _STATE_NORM_TOL, give (n+1, K, dim).
+    Every kick is one np.matmul over the stack (np.dot for one point), which
+    is bit-identical to stepping each point on its own.  Storage is opt-in
+    through this function; evolve() itself keeps O(1) memory.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if u.dim != psi0.dim:
-        raise ValueError(f"dimension mismatch: U is {u.dim}, state is {psi0.dim}")
-    out = np.empty((n + 1, psi0.dim), dtype=complex)
-    out[0] = psi0.amps
-    matrix = u.matrix
+    single = isinstance(psi0, SymState)
+    matrices = u.matrix[None] if u.matrix.ndim == 2 else u.matrix
+    starts = psi0.amps[None] if single else np.asarray(psi0, dtype=complex)
+    if starts.shape != matrices.shape[:2]:
+        raise ValueError(f"dimension mismatch: operators {matrices.shape}, starts {starts.shape}")
+    if not np.all(np.abs((starts.real**2 + starts.imag**2).sum(axis=1) - 1.0) <= _STATE_NORM_TOL):
+        raise ValueError("start state is not normalized")
+    out = np.empty((n + 1, *starts.shape), dtype=complex)
+    out[0] = starts
+    if len(starts) == 1:  # np.dot has less call overhead than np.matmul
+        step, matrix, rows = np.dot, matrices[0], out[:, 0]
+    else:
+        step, matrix, rows = np.matmul, matrices, out[..., None]
     for k in range(1, n + 1):
-        np.dot(matrix, out[k - 1], out=out[k])
-    return out
-
-
-def parity_op(j: float) -> np.ndarray:
-    """The parity operator (tensor power of sigma_y over all 2j qubits) in the
-    Dicke basis; it maps m -> -m with phase (-1)^(j-m) i^(2j) and commutes with
-    the Floquet operator."""
-    two_j = _two_j(j)
-    dim = two_j + 1
-    op = np.zeros((dim, dim), dtype=complex)
-    global_phase = 1j**two_j
-    for i in range(dim):
-        op[two_j - i, i] = global_phase * (-1) ** i
-    return op
+        step(matrix, rows[k - 1], out=rows[k])
+    return out[:, 0] if single else out
 
 
 def symmetric_to_qubits(psi: SymState) -> np.ndarray:
@@ -242,16 +273,3 @@ def symmetric_to_qubits(psi: SymState) -> np.ndarray:
     for s in range(2**two_j):
         vec[s] = scale[s.bit_count()]
     return vec
-
-
-def qubits_to_symmetric(vec: np.ndarray, j: float) -> np.ndarray:
-    """Project a full-register vector onto the Dicke basis (unnormalized amps)."""
-    two_j = _two_j(j)
-    vec = np.asarray(vec, dtype=complex)
-    if vec.shape != (2**two_j,):
-        raise ValueError(f"expected a 2^{two_j}-dimensional register vector")
-    amps = np.zeros(two_j + 1, dtype=complex)
-    for s in range(2**two_j):
-        k = s.bit_count()
-        amps[k] += vec[s] / math.sqrt(math.comb(two_j, k))
-    return amps

@@ -142,18 +142,6 @@ def pauli_product(label: str) -> np.ndarray:
     return out
 
 
-def expectations_of(rho: np.ndarray) -> dict[str, float]:
-    """Exact Pauli-product expectation table of a 3-qubit density matrix
-    (used to build synthetic fixtures)."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (8, 8):
-        raise ValueError("expected an 8x8 density matrix")
-    return {
-        label: float(np.trace(pauli_product(label) @ rho).real)
-        for label in PAULI_LABELS_3Q
-    }
-
-
 def reconstruct(expectations) -> np.ndarray:
     """Density matrix from a complete table of 64 Pauli-product expectations:
     rho_raw = (1/8) sum <P> P, then projection to the nearest density matrix."""

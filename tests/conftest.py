@@ -2,13 +2,18 @@
 
 These deliberately avoid the Dicke-basis code paths in the package: the
 register Floquet operator is assembled from explicit Pauli strings, so it
-provides an independent check of symspace/measures/exact modules.
+provides an independent check of symspace/measures/exact modules.  The
+helpers at the end (averages, register projection, parity, Pauli tables) are
+used only by the tests, so they live here rather than in the package.
 """
 
 import math
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 import pytest
+
+from kickedtop.tomo import PAULI_LABELS_3Q, pauli_product
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -56,3 +61,72 @@ def rng():
 def random_symmetric_amps(rng, dim: int) -> np.ndarray:
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return amps / np.linalg.norm(amps)
+
+
+def time_average(series: np.ndarray, count: int | None = None) -> float:
+    """Arithmetic mean of the first `count` entries (all of them by default)."""
+    series = np.asarray(series, dtype=float)
+    if count is None:
+        count = series.size
+    if count < 1 or series.size < count:
+        raise ValueError("need at least one entry to average")
+    return float(series[:count].mean())
+
+
+def streaming_average(
+    values: Iterable[float] | Iterator[float],
+    count: int,
+    index_filter: Callable[[int], bool] | None = None,
+) -> float:
+    """Mean of the first `count` generated values, O(1) memory; `index_filter(n)`
+    selects which indices enter the average (n starts at 0)."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    total = 0.0
+    used = 0
+    it = iter(values)
+    for n in range(count):
+        value = next(it)
+        if index_filter is None or index_filter(n):
+            total += value
+            used += 1
+    if used == 0:
+        raise ValueError("index filter selected no entries")
+    return total / used
+
+
+def qubits_to_symmetric(vec: np.ndarray, j: float) -> np.ndarray:
+    """Project a full-register vector onto the Dicke basis (unnormalized amps)."""
+    two_j = round(2 * j)
+    vec = np.asarray(vec, dtype=complex)
+    if vec.shape != (2**two_j,):
+        raise ValueError(f"expected a 2^{two_j}-dimensional register vector")
+    amps = np.zeros(two_j + 1, dtype=complex)
+    for s in range(2**two_j):
+        k = s.bit_count()
+        amps[k] += vec[s] / math.sqrt(math.comb(two_j, k))
+    return amps
+
+
+def parity_op(j: float) -> np.ndarray:
+    """The parity operator (tensor power of sigma_y over all 2j qubits) in the
+    Dicke basis; it maps m -> -m with phase (-1)^(j-m) i^(2j) and commutes with
+    the Floquet operator."""
+    two_j = round(2 * j)
+    dim = two_j + 1
+    op = np.zeros((dim, dim), dtype=complex)
+    global_phase = 1j**two_j
+    for i in range(dim):
+        op[two_j - i, i] = global_phase * (-1) ** i
+    return op
+
+
+def expectations_of(rho: np.ndarray) -> dict[str, float]:
+    """Exact Pauli-product expectation table of a 3-qubit density matrix."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (8, 8):
+        raise ValueError("expected an 8x8 density matrix")
+    return {
+        label: float(np.trace(pauli_product(label) @ rho).real)
+        for label in PAULI_LABELS_3Q
+    }

@@ -28,6 +28,8 @@ from kickedtop import exact3, exact4, measures, symspace, tomo
 from kickedtop.exact3 import STATE_PLUS_Y, STATE_ZERO
 from kickedtop.symspace import BlochPoint, KickedTopParams, SymState
 
+from conftest import expectations_of
+
 ZERO = BlochPoint(0.0, 0.0)
 PLUS_Y = BlochPoint(math.pi / 2.0, -math.pi / 2.0)
 MINUS_Y = BlochPoint(math.pi / 2.0, math.pi / 2.0)
@@ -289,7 +291,7 @@ def test_criterion_11_tomography():
     psi = symspace.evolve(u, symspace.coherent_state(1.5, ZERO), 5)
     vec = symspace.symmetric_to_qubits(psi)
     rho = np.outer(vec, vec.conj())
-    rebuilt = tomo.reconstruct(tomo.expectations_of(rho))
+    rebuilt = tomo.reconstruct(expectations_of(rho))
     fid = measures.fidelity(rho, rebuilt)
     assert abs(fid - 1.0) <= 1e-10
     _report(11, time.perf_counter() - start, 1.0,

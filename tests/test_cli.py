@@ -17,6 +17,8 @@ from kickedtop import cli, symspace, tomo
 from kickedtop.cli import main
 from kickedtop.symspace import BlochPoint, KickedTopParams
 
+from conftest import expectations_of
+
 
 def read_csv(path):
     lines = path.read_text().strip().splitlines()
@@ -351,7 +353,7 @@ class TestTomo:
         lines = ["step,label,value"]
         for step in steps:
             vec = symspace.symmetric_to_qubits(symspace.evolve(u, psi0, step))
-            table = tomo.expectations_of(np.outer(vec, vec.conj()))
+            table = expectations_of(np.outer(vec, vec.conj()))
             for label, value in table.items():
                 lines.append(f"{step},{label},{format(value, '.17g')}")
         path = tmp_path / "expectations.csv"
@@ -374,6 +376,36 @@ class TestTomo:
         header, data = read_csv(out)
         assert header == ["step", "fidelity", "mean_linear_entropy", "mean_concurrence"]
         assert np.allclose(data[:, 1], 1.0, atol=1e-8)
+
+    def test_unsorted_steps_with_gaps_match_per_step_evolve(self, tmp_path):
+        # the table lists steps 7, 0, 3 of another torsion than the theory's,
+        # so every metric column carries non-trivial values
+        path = self._write_expectation_fixture(tmp_path, kappa0=0.9, steps=(7, 0, 3))
+        out = tmp_path / "metrics.csv"
+        assert main(["tomo", "--expectations", str(path), "--kappa0", "0.5",
+                     "--state", "plus_y", "--out", str(out)]) == 0
+        u = symspace.floquet(KickedTopParams(j=1.5, kappa0=0.5))
+        psi0 = symspace.coherent_state(1.5, BlochPoint(math.pi / 2.0, -math.pi / 2.0))
+        tables = tomo.read_expectations_csv(path)
+        columns = {"step": [], "fidelity": [], "mean_linear_entropy": [], "mean_concurrence": []}
+        for step in (0, 3, 7):
+            vec = symspace.symmetric_to_qubits(symspace.evolve(u, psi0, step))
+            metrics = tomo.pipeline_metrics(tomo.reconstruct(tables[step]), np.outer(vec, vec.conj()))
+            columns["step"].append(step)
+            columns["fidelity"].append(metrics.fidelity)
+            columns["mean_linear_entropy"].append(metrics.mean_linear_entropy)
+            columns["mean_concurrence"].append(metrics.mean_concurrence)
+        reference = tmp_path / "reference.csv"
+        cli._write_table(str(reference), {k: np.array(v) for k, v in columns.items()})
+        assert out.read_bytes() == reference.read_bytes()
+        assert np.min(read_csv(out)[1][:, 1]) < 0.99
+
+    def test_negative_step_exits_2(self, tmp_path, capsys):
+        path = self._write_expectation_fixture(tmp_path, steps=(0, 1))
+        path.write_text(path.read_text().replace("\n1,", "\n-1,"))
+        assert main(["tomo", "--expectations", str(path), "--kappa0", "0.5",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_input_exits_3(self, tmp_path):
         assert main(["tomo", "--expectations", str(tmp_path / "absent.csv"),
@@ -401,11 +433,16 @@ class TestEdgeInputs:
         payload = json.loads(out.read_text())
         assert payload["n_star_asymptotic"] == 0.0
         assert math.isfinite(payload["n_star"])
+        assert 0.0 <= payload["gamma_minus"] < 2.0 * math.pi
+        assert abs(math.pi - payload["gamma_minus"]) == pytest.approx(payload["splitting"], abs=1e-12)
 
     @pytest.mark.parametrize("argv", [
         ["evolve", "--qubits", "1030", "--kappa0", "1.0"],
         ["evolve", "--qubits", "100000", "--kappa0", "1.0"],
         ["sweep", "--qubits", "1030", "--kicks", "5", "--kappa0-list", "1.0"],
+        ["sweep", "--qubits", "3", "--kicks", "5", "--kappa0-list", "1.0,nan"],
+        ["sweep", "--qubits", "3", "--kicks", "5", "--kappa0-list", "inf,1.0"],
+        ["sweep", "--qubits", "50", "--kicks", "5", "--kappa0-list", "0.5,2.0,-inf"],
         ["husimi", "--qubits", "1030"],
         ["classical", "--kappa0", "nan"],
         ["classical", "--kappa0", "1.0", "--seeds", "nan,0,0"],

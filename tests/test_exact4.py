@@ -214,6 +214,13 @@ class TestTunneling:
             13.0 * math.pi / 12.0, abs=1e-12
         )
 
+    @pytest.mark.parametrize("kappa0", [0.1, math.pi, 4.0 * math.pi, 20.0, 1e3, 1e308])
+    def test_gamma_minus_is_an_angle(self, kappa0):
+        rep = exact4.tunneling(kappa0)
+        assert 0.0 <= rep.gamma_minus < 2.0 * math.pi
+        assert 0.0 <= rep.splitting <= math.pi
+        assert abs(math.pi - rep.gamma_minus) == pytest.approx(rep.splitting, abs=1e-12)
+
     def test_small_torsion_splitting_asymptotics(self):
         for kappa0 in (0.05, 0.1, 0.2):
             rep = exact4.tunneling(kappa0)

@@ -7,7 +7,13 @@ import pytest
 from kickedtop import cli, measures, symspace
 from kickedtop.symspace import BlochPoint, KickedTopParams, SymState
 
-from conftest import random_symmetric_amps, register_floquet, register_reduced
+from conftest import (
+    random_symmetric_amps,
+    register_floquet,
+    register_reduced,
+    streaming_average,
+    time_average,
+)
 
 GHZ_3Q = SymState(1.5, np.array([1.0, 0.0, 0.0, 1.0j]) / math.sqrt(2.0))
 W_3Q = SymState(1.5, np.array([0.0, 1.0, 0.0, 0.0]))
@@ -166,11 +172,11 @@ class TestFidelity:
 
 class TestAverages:
     def test_constant_series(self):
-        assert measures.time_average(np.full(100, 0.3)) == pytest.approx(0.3, abs=1e-15)
+        assert time_average(np.full(100, 0.3)) == pytest.approx(0.3, abs=1e-15)
 
     def test_empty_series(self):
         with pytest.raises(ValueError):
-            measures.time_average(np.array([]))
+            time_average(np.array([]))
 
     def test_sin_squared_powers(self):
         # <sin^2(2 m g)> = 1/2 and <sin^4(2 m g)> = 3/8 for g incommensurate
@@ -178,25 +184,25 @@ class TestAverages:
         g = 1.0
         m = np.arange(10**6)
         s2 = np.sin(2.0 * m * g) ** 2
-        assert measures.time_average(s2) == pytest.approx(0.5, abs=1e-4)
-        assert measures.time_average(s2**2) == pytest.approx(3.0 / 8.0, abs=1e-4)
+        assert time_average(s2) == pytest.approx(0.5, abs=1e-4)
+        assert time_average(s2**2) == pytest.approx(3.0 / 8.0, abs=1e-4)
 
     def test_streaming_matches_batch(self):
         values = np.sin(np.arange(1000) * 0.7) ** 2
-        batch = measures.time_average(values)
-        stream = measures.streaming_average(iter(values), 1000)
+        batch = time_average(values)
+        stream = streaming_average(iter(values), 1000)
         assert stream == pytest.approx(batch, abs=1e-15)
 
     def test_streaming_index_filter(self):
         values = np.arange(10.0)
-        even_mean = measures.streaming_average(iter(values), 10, lambda n: n % 2 == 0)
+        even_mean = streaming_average(iter(values), 10, lambda n: n % 2 == 0)
         assert even_mean == pytest.approx(np.mean(values[::2]), abs=1e-15)
 
     def test_streaming_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            measures.streaming_average(iter([1.0]), 0)
+            streaming_average(iter([1.0]), 0)
         with pytest.raises(ValueError):
-            measures.streaming_average(iter([1.0, 2.0]), 2, lambda n: False)
+            streaming_average(iter([1.0, 2.0]), 2, lambda n: False)
         with pytest.raises(ValueError):
             measures.haar_symmetric_sample(1.5, 0, seed=1)
 
@@ -360,23 +366,62 @@ class TestBatchedKernel:
         assert np.allclose(np.trace(pairs, axis1=1, axis2=2), 1.0, atol=1e-12)
 
 
+def per_point_sweep(two_j, point, kappa0, kicks):
+    """The earlier per-point sweep algorithm: its own Floquet matrix and its
+    own np.dot loop, with the entropies of each 512-kick block summed."""
+    u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=kappa0)).matrix
+    vec = symspace.coherent_state(two_j / 2.0, point).amps
+    total = 0.0
+    for start in range(0, kicks, 512):
+        states = np.empty((min(512, kicks - start) + 1, two_j + 1), dtype=complex)
+        states[0] = vec
+        for k in range(1, len(states)):
+            np.dot(u, states[k - 1], out=states[k])
+        total += measures.linear_entropy(measures.reduced_states(states[1:], 1)).sum()
+        vec = states[-1]
+    return total / kicks
+
+
 class TestSweepBlocks:
+    GRID = [0.3, 2.1, 2.0 * math.pi, 3.0 * math.pi, 4.0 * math.pi, 11.0]
+
     @pytest.mark.parametrize(
         "kicks", [1, cli.SWEEP_BLOCK_KICKS, 2 * cli.SWEEP_BLOCK_KICKS + 37]
     )
     def test_blocked_mean_equals_unblocked(self, kicks):
+        assert cli.SWEEP_BLOCK_KICKS == 512  # the block length of per_point_sweep
         point = BlochPoint(1.1, 0.4)
         u = symspace.floquet(KickedTopParams(j=2.0, kappa0=2.1))
         states = symspace.trajectory(u, symspace.coherent_state(2.0, point), kicks)
         unblocked = float(np.mean(measures.linear_entropy(measures.reduced_states(states[1:], 1))))
-        assert cli._sweep_point(4, point, 2.1, kicks) == pytest.approx(unblocked, abs=1e-12)
+        averages = cli._sweep_averages(4, point, self.GRID, kicks)
+        assert averages[1] == pytest.approx(unblocked, abs=1e-12)
+        reference = [per_point_sweep(4, point, k, kicks) for k in self.GRID]
+        assert np.array_equal(averages, reference)
+
+    @pytest.mark.parametrize("two_j", [3, 20, 50])
+    @pytest.mark.parametrize("chunk,per_floquet", [(None, None), (2, 3), (1, 1)])
+    def test_chunks_do_not_move_a_bit(self, two_j, chunk, per_floquet, monkeypatch):
+        # the chunk of points stepped together and the points per floquet
+        # call change the grouping, never a cell
+        dim = two_j + 1
+        if chunk is not None:
+            monkeypatch.setattr(cli, "SWEEP_BLOCK_AMPS", chunk * cli.SWEEP_BLOCK_KICKS * dim)
+            monkeypatch.setattr(cli, "SWEEP_FLOQUET_ENTRIES", per_floquet * dim**2)
+        point, kicks = BlochPoint(0.7, -2.0), 600
+        averages = cli._sweep_averages(two_j, point, self.GRID, kicks)
+        reference = [per_point_sweep(two_j, point, k, kicks) for k in self.GRID]
+        assert np.array_equal(averages, reference)
 
     def test_sweep_point_never_holds_the_trajectory(self):
+        # 30 points at 2j = 100 over 20 000 kicks stay below a quarter of one
+        # point's full trajectory: bounded in both the grid size and --kicks
         kicks, dim = 20_000, 101
         full_trajectory = (kicks + 1) * dim * 16  # bytes of complex128 amplitudes
+        grid = list(np.linspace(0.5, 9.0, 30))
         tracemalloc.start()
         try:
-            cli._sweep_point(dim - 1, BlochPoint(1.1, 0.4), 2.1, kicks)
+            cli._sweep_averages(dim - 1, BlochPoint(1.1, 0.4), grid, kicks)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

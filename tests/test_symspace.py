@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kickedtop import exact3, measures, symspace
 from kickedtop.symspace import BlochPoint, KickedTopParams, SymState
 
-from conftest import random_symmetric_amps, register_floquet
+from conftest import parity_op, qubits_to_symmetric, random_symmetric_amps, register_floquet
 
 JS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.5, 10.0]
 
@@ -227,7 +227,7 @@ class TestEvolve:
 
     @pytest.mark.parametrize("two_j", [3, 4])
     def test_parity_conserved(self, two_j, rng):
-        parity = symspace.parity_op(two_j / 2.0)
+        parity = parity_op(two_j / 2.0)
         params = KickedTopParams(j=two_j / 2.0, kappa0=1.9)
         u = symspace.floquet(params)
         amps = random_symmetric_amps(rng, two_j + 1)
@@ -245,6 +245,111 @@ class TestEvolve:
         psi = symspace.coherent_state(j, BlochPoint(0.9, 1.1))
         entropies, _ = measures.entanglement_series(u, psi, 25)
         assert np.max(entropies) < 1e-10
+
+
+class TestFloquetStack:
+    KAPPAS = [0.3, 1.7, 2.0 * math.pi, 3.0 * math.pi, 4.0 * math.pi, -5.2, 40.0]
+
+    @pytest.mark.parametrize("two_j", [1, 3, 4, 7, 20, 100, 200])
+    def test_entries_equal_scalar_calls(self, two_j):
+        j = two_j / 2.0
+        stack = symspace.floquet([KickedTopParams(j=j, kappa0=k) for k in self.KAPPAS])
+        assert stack.matrix.shape == (len(self.KAPPAS), two_j + 1, two_j + 1)
+        assert stack.dim == two_j + 1
+        for k, kappa0 in enumerate(self.KAPPAS):
+            single = symspace.floquet(KickedTopParams(j=j, kappa0=kappa0))
+            assert np.array_equal(stack.matrix[k], single.matrix)
+
+    def test_one_element_sequence_is_a_stack(self):
+        params = KickedTopParams(j=1.5, kappa0=0.9, p=1.1)
+        stack = symspace.floquet([params])
+        assert stack.matrix.shape == (1, 4, 4)
+        assert np.array_equal(stack.matrix[0], symspace.floquet(params).matrix)
+
+    def test_rejects_mixed_or_empty_grids(self):
+        with pytest.raises(ValueError, match="one j and one p"):
+            symspace.floquet([KickedTopParams(j=1.5, kappa0=1.0), KickedTopParams(j=2.0, kappa0=1.0)])
+        with pytest.raises(ValueError, match="one j and one p"):
+            symspace.floquet([KickedTopParams(j=1.5, kappa0=1.0), KickedTopParams(j=1.5, kappa0=1.0, p=1.0)])
+        with pytest.raises(ValueError):
+            symspace.floquet([])
+
+    def test_every_matrix_of_a_stack_is_checked(self):
+        good = symspace.floquet(KickedTopParams(j=1.0, kappa0=0.4)).matrix
+        with pytest.raises(ValueError, match="not unitary"):
+            symspace.UnitaryMatrix(np.stack([good, good, 1.01 * good]))
+        with pytest.raises(ValueError):
+            symspace.UnitaryMatrix(np.ones((2, 3, 4)))
+        with pytest.raises(ValueError):
+            symspace.UnitaryMatrix(np.ones((1, 1, 2, 2)))
+
+    def test_copies_unless_handed_a_frozen_owner(self):
+        mine = symspace.floquet(KickedTopParams(j=1.0, kappa0=0.4)).matrix.copy()
+        u = symspace.UnitaryMatrix(mine)
+        assert u.matrix is not mine and mine.flags.writeable  # the caller's array stays theirs
+        frozen = mine.copy()
+        frozen.flags.writeable = False
+        assert symspace.UnitaryMatrix(frozen).matrix is frozen
+        assert symspace.UnitaryMatrix(frozen[None][0]).matrix is not frozen  # a view is copied
+
+    def test_slices_share_the_checked_matrices(self):
+        stack = symspace.floquet([KickedTopParams(j=1.5, kappa0=k) for k in self.KAPPAS])
+        sub = stack[2:5]
+        assert sub.dim == 4 and np.array_equal(sub.matrix, stack.matrix[2:5])
+        assert not sub.matrix.flags.writeable
+        with pytest.raises(TypeError):
+            stack[1]
+        with pytest.raises(TypeError):
+            symspace.floquet(KickedTopParams(j=1.5, kappa0=0.3))[0:1]
+
+
+def stepped_point_by_point(matrices, starts, n):
+    """Reference for the stacked trajectory: every point on its own np.dot loop."""
+    out = np.empty((n + 1, *starts.shape), dtype=complex)
+    for i, (matrix, vec) in enumerate(zip(matrices, starts)):
+        out[0, i] = vec
+        for k in range(1, n + 1):
+            out[k, i] = np.dot(matrix, out[k - 1, i])
+    return out
+
+
+class TestStackedTrajectory:
+    @pytest.mark.parametrize("two_j", [1, 3, 4, 20, 200])
+    @pytest.mark.parametrize("count", [1, 2, 3, 31, 120])
+    def test_bit_identical_to_per_point_loop(self, two_j, count, rng):
+        j = two_j / 2.0
+        kappas = rng.uniform(0.05, 4.0 * math.pi, count)
+        stack = symspace.floquet([KickedTopParams(j=j, kappa0=k) for k in kappas])
+        starts = np.array([random_symmetric_amps(rng, two_j + 1) for _ in range(count)])
+        n = 40 if two_j < 200 else 5
+        got = symspace.trajectory(stack, starts, n)
+        assert got.shape == (n + 1, count, two_j + 1)
+        assert np.array_equal(got, stepped_point_by_point(stack.matrix, starts, n))
+
+    def test_single_point_keeps_its_shape(self):
+        u = symspace.floquet(KickedTopParams(j=2.0, kappa0=1.3))
+        psi = symspace.coherent_state(2.0, BlochPoint(0.5, 0.2))
+        single = symspace.trajectory(u, psi, 9)
+        assert single.shape == (10, 5)
+        stacked = symspace.trajectory(symspace.UnitaryMatrix(u.matrix[None]), psi.amps[None], 9)
+        assert np.array_equal(stacked[:, 0], single)
+
+    def test_rejects_mismatched_inputs(self, rng):
+        stack = symspace.floquet([KickedTopParams(j=1.5, kappa0=k) for k in (0.2, 0.4)])
+        starts = np.array([random_symmetric_amps(rng, 4) for _ in range(2)])
+        psi = SymState(1.5, starts[0])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            symspace.trajectory(stack, psi, 3)  # one start for two operators
+        with pytest.raises(ValueError):
+            symspace.trajectory(stack, starts[:, :3], 3)
+        with pytest.raises(ValueError):
+            symspace.trajectory(symspace.floquet(KickedTopParams(j=1.5, kappa0=0.2)), starts, 3)
+        with pytest.raises(ValueError, match="not normalized"):
+            symspace.trajectory(stack, starts * 1.001, 3)
+        with pytest.raises(ValueError):
+            symspace.trajectory(stack, starts, -1)
+        with pytest.raises(ValueError, match="stack"):
+            symspace.evolve(stack, psi, 3)
 
 
 class TestRegisterExpansion:
@@ -275,7 +380,7 @@ class TestRegisterExpansion:
         for two_j in (2, 3, 5):
             amps = random_symmetric_amps(rng, two_j + 1)
             psi = SymState(two_j / 2.0, amps)
-            back = symspace.qubits_to_symmetric(symspace.symmetric_to_qubits(psi), psi.j)
+            back = qubits_to_symmetric(symspace.symmetric_to_qubits(psi), psi.j)
             assert np.max(np.abs(back - amps)) < 1e-12
 
     def test_size_guard(self):
@@ -293,7 +398,7 @@ class TestRegisterExpansion:
 class TestParityOp:
     @pytest.mark.parametrize("two_j", [2, 3, 4, 5])
     def test_matches_register_sigma_y_product(self, two_j, rng):
-        parity = symspace.parity_op(two_j / 2.0)
+        parity = parity_op(two_j / 2.0)
         sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
         prod = np.array([[1.0]])
         for _ in range(two_j):

@@ -7,6 +7,8 @@ from kickedtop import measures, symspace, tomo
 from kickedtop.symspace import BlochPoint, KickedTopParams
 from kickedtop.tomo import ReadoutModel
 
+from conftest import expectations_of
+
 
 def kicked_top_register_state(kappa0: float, steps: int, point=BlochPoint(0.0, 0.0)):
     params = KickedTopParams(j=1.5, kappa0=kappa0)
@@ -145,13 +147,13 @@ class TestReconstruct:
             v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             v /= np.linalg.norm(v)
             rho = np.outer(v, v.conj())
-            rebuilt = tomo.reconstruct(tomo.expectations_of(rho))
+            rebuilt = tomo.reconstruct(expectations_of(rho))
             assert np.max(np.abs(rebuilt - rho)) < 1e-10
 
     def test_all_zeros_state(self):
         rho = np.zeros((8, 8), complex)
         rho[0, 0] = 1.0
-        rebuilt = tomo.reconstruct(tomo.expectations_of(rho))
+        rebuilt = tomo.reconstruct(expectations_of(rho))
         assert np.max(np.abs(rebuilt - rho)) < 1e-12
 
     def test_ghz_reduced_entropy(self):
@@ -159,13 +161,13 @@ class TestReconstruct:
         v[0] = 1.0 / math.sqrt(2.0)
         v[7] = 1.0j / math.sqrt(2.0)
         rho = np.outer(v, v.conj())
-        rebuilt = tomo.reconstruct(tomo.expectations_of(rho))
+        rebuilt = tomo.reconstruct(expectations_of(rho))
         rho1 = tomo.partial_trace_3q(rebuilt, (0,))
         assert measures.linear_entropy(rho1) == pytest.approx(0.5, abs=1e-10)
 
     def test_noisy_reconstruction_fidelity(self, rng):
         rho = kicked_top_register_state(2.5, 5)
-        table = tomo.expectations_of(rho)
+        table = expectations_of(rho)
         noisy = {
             label: (value if label == "III" else np.clip(value + 0.01 * rng.standard_normal(), -1, 1))
             for label, value in table.items()
@@ -174,13 +176,13 @@ class TestReconstruct:
         assert measures.fidelity(rho, rebuilt) >= 0.98
 
     def test_missing_labels_rejected(self):
-        table = tomo.expectations_of(np.eye(8) / 8.0)
+        table = expectations_of(np.eye(8) / 8.0)
         table.pop("XYZ")
         with pytest.raises(ValueError, match="missing"):
             tomo.reconstruct(table)
 
     def test_out_of_range_rejected(self):
-        table = tomo.expectations_of(np.eye(8) / 8.0)
+        table = expectations_of(np.eye(8) / 8.0)
         table["XXX"] = 1.5
         with pytest.raises(ValueError, match="XXX"):
             tomo.reconstruct(table)
