@@ -32,7 +32,7 @@ class ClassicalPoint:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
             raise ValueError("point coordinates must be finite")
-        r2 = self.x**2 + self.y**2 + self.z**2
+        r2 = self.x * self.x + self.y * self.y + self.z * self.z  # inf, not OverflowError, at 1e308
         if abs(r2 - 1.0) > _SPHERE_TOL:
             raise ValueError(f"point is off the unit sphere (|r|^2 = {r2!r})")
 
@@ -61,40 +61,49 @@ def step(point: ClassicalPoint, kappa0: float) -> ClassicalPoint:
     return ClassicalPoint(z * c + y * s, -z * s + y * c, -x)
 
 
+def _iterate(out, x, y, z, kappa0: float) -> None:
+    """Write the iterates 0..len(out)-1 of the map into out[i] = (X, Y, Z).
+
+    x, y, z are one seed's floats (math.cos/sin) or (S,) arrays of S seeds
+    stepped together (np.cos/sin); each seed sees the same operations either
+    way, so its orbit does not depend on the seeds stepped with it.
+    """
+    if not math.isfinite(kappa0):
+        raise ValueError("kappa0 must be finite")
+    cos, sin = (np.cos, np.sin) if isinstance(x, np.ndarray) else (math.cos, math.sin)
+    out[0] = x, y, z
+    for i in range(1, len(out)):
+        c = cos(kappa0 * x)
+        s = sin(kappa0 * x)
+        x, y, z = z * c + y * s, -z * s + y * c, -x
+        out[i] = x, y, z
+
+
 def trajectory_array(point: ClassicalPoint, kappa0: float, n: int) -> np.ndarray:
     """(n+1, 3) array of iterates including the seed; plain floats inside the
     loop, no per-step validation."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if not math.isfinite(kappa0):
-        raise ValueError("kappa0 must be finite")
     out = np.empty((n + 1, 3))
-    x, y, z = point.x, point.y, point.z
-    out[0] = (x, y, z)
-    cos, sin = math.cos, math.sin
-    for i in range(1, n + 1):
-        c = cos(kappa0 * x)
-        s = sin(kappa0 * x)
-        x, y, z = z * c + y * s, -z * s + y * c, -x
-        out[i] = (x, y, z)
+    _iterate(out, point.x, point.y, point.z, kappa0)
     return out
 
 
 def portrait(seeds, kappa0: float, n: int) -> np.ndarray:
     """Phase-portrait table: rows (seed_index, iteration, X, Y, Z), exactly
-    len(seeds) * (n+1) rows including iteration 0."""
+    len(seeds) * (n+1) rows including iteration 0; all seeds are stepped
+    together and written straight into their rows."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     if n < 1:
         raise ValueError("n must be >= 1")
     rows = np.empty((len(seeds) * (n + 1), 5))
-    for idx, seed in enumerate(seeds):
-        traj = trajectory_array(seed, kappa0, n)
-        block = rows[idx * (n + 1) : (idx + 1) * (n + 1)]
-        block[:, 0] = idx
-        block[:, 1] = np.arange(n + 1)
-        block[:, 2:] = traj
+    table = rows.reshape(len(seeds), n + 1, 5)
+    table[:, :, 0] = np.arange(len(seeds))[:, None]
+    table[:, :, 1] = np.arange(n + 1)
+    coords = np.array([(p.x, p.y, p.z) for p in seeds]).T
+    _iterate(table[:, :, 2:].transpose(1, 2, 0), *coords, kappa0)
     return rows
 
 

@@ -93,11 +93,8 @@ def _closed_entropy_series(
             return exact3.entropy3_series(exact3.STATE_ZERO, n_max, kappa0)
         if name == "plus_y":
             return exact3.entropy3_series(exact3.STATE_PLUS_Y, n_max, kappa0)
-        state = exact3.GeneralState3.from_bloch(point)
-        out = np.empty(n_max + 1)
-        out[0] = 0.0
-        for n in range(1, n_max + 1):
-            out[n] = exact3.general_entropy3(state, n, kappa0)
+        out = exact3.general_entropy3_series(exact3.GeneralState3.from_bloch(point), n_max, kappa0)
+        out[0] = 0.0  # a coherent state is a product state
         return out
     if two_j == 4 and name is not None:
         state_id = exact3.STATE_ZERO if name == "zero" else exact3.STATE_PLUS_Y

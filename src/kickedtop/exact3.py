@@ -6,8 +6,9 @@ sigma_y), so it splits into 2x2 blocks over the parity-adapted basis
     phi1_pm = (|000> -+ i |111>)/sqrt(2),   phi2_pm = (|W> +- i |Wbar>)/sqrt(2),
 
 and the n-th matrix power of each block is a Chebyshev polynomial expression
-in chi = sin(kappa0/3)/2.  Everything here is O(1) or O(n) scalar algebra; the
-numeric engine in symspace serves as the cross-check.
+in chi = sin(kappa0/3)/2.  Every closed form is written once, over an int or
+an int array of kick counts, and costs O(1) per kick through the trig
+Chebyshev form; the numeric engine in symspace serves as the cross-check.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ STATE_ZERO = "zero_state"  # coherent state at theta0 = 0: |000>
 STATE_PLUS_Y = "plus_y_state"  # coherent state at (pi/2, -pi/2): tensor |+>_y
 
 _STATE_IDS = (STATE_ZERO, STATE_PLUS_Y)
+_MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])  # (-i)^(n mod 4)
 
 
 class AvgEntropy(NamedTuple):
@@ -102,20 +104,28 @@ def _parity_sign(parity) -> int:
     raise ValueError(f"parity must be '+' or '-', got {parity!r}")
 
 
-def block_power3(kappa0: float, n: int, parity) -> BlockPower:
-    """Closed-form n-th power of the 3-qubit parity block.
+def block_alpha_beta(theta: float, n):
+    """Entries alpha_n, beta_n of the n-th power of a Chebyshev parity block.
 
-    alpha_n = T_n(chi) + (i/2) U_{n-1}(chi) cos(2 kappa) and
-    beta_n = (sqrt(3)/2) U_{n-1}(chi) e^{2 i kappa} with kappa = kappa0/6;
-    unitarity of the block is the Pell identity of the Chebyshev pair.
+    With chi = sin(theta)/2: alpha_n = T_n(chi) + (i/2) U_{n-1}(chi) cos(theta)
+    and beta_n = (sqrt(3)/2) U_{n-1}(chi) e^{i theta}; theta = kappa0/3 for
+    three qubits and kappa0/2 for four.  n is an int (complex results) or an
+    int array (complex arrays); unitarity is the Pell identity of the pair.
     """
+    t_n, u_nm1 = cheby.t_u_trig(n, math.sin(theta) / 2.0)
+    alpha = t_n + 0.5j * u_nm1 * math.cos(theta)
+    beta = (math.sqrt(3.0) / 2.0) * u_nm1 * cmath.exp(1j * theta)
+    return alpha, beta
+
+
+def block_power3(kappa0: float, n: int, parity) -> BlockPower:
+    """Closed-form n-th power of the 3-qubit parity block, from
+    block_alpha_beta at theta = 2 kappa = kappa0/3; O(1) in n."""
     if n < 0:
         raise ValueError("n must be >= 0")
     sign = _parity_sign(parity)
     spec = ParityBlockSpec3(kappa0)
-    t_n, u_nm1 = cheby.t_u_recurrence(n, spec.chi)
-    alpha = t_n + 0.5j * u_nm1 * math.cos(2.0 * spec.kappa)
-    beta = (math.sqrt(3.0) / 2.0) * u_nm1 * cmath.exp(2.0j * spec.kappa)
+    alpha, beta = block_alpha_beta(2.0 * spec.kappa, n)
     phase = sign**n * cmath.exp(-1j * n * (sign * math.pi / 4.0 + spec.kappa))
     return BlockPower(
         n=n, parity=sign, phase=phase, alpha_n=alpha, beta_n=beta, chi=spec.chi, gamma=spec.gamma
@@ -127,9 +137,28 @@ def _require_state_id(state_id: str):
         raise ValueError(f"unknown state_id {state_id!r}; expected one of {_STATE_IDS}")
 
 
-def _even_partner(n: int) -> int:
+def _even_partner(n):
     # Entanglement is constant across each odd->even pair of kicks.
     return n + (n % 2)
+
+
+def _kicks(n_max: int) -> np.ndarray:
+    """The kick counts 0..n_max of a series."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    return np.arange(n_max + 1)
+
+
+def _entropy3(state_id: str, n, kappa0: float):
+    """The formula of entropy3_closed over an int array n."""
+    chi = ParityBlockSpec3(kappa0).chi
+    if state_id == STATE_ZERO:
+        _, u = cheby.t_u_trig(_even_partner(n), chi)  # U_{2m-1}(chi)
+        lam = 0.5 * u * u
+        return 2.0 * lam * (1.0 - lam)
+    _, u = cheby.t_u_trig(n, chi)  # U_{n-1}(chi)
+    x = chi * chi * u * u
+    return 4.0 * x * (1.0 - 2.0 * x)
 
 
 def entropy3_closed(state_id: str, n: int, kappa0: float) -> float:
@@ -142,59 +171,32 @@ def entropy3_closed(state_id: str, n: int, kappa0: float) -> float:
     _require_state_id(state_id)
     if n < 1:
         raise ValueError("n must be >= 1 (the initial product state has S = 0)")
-    spec = ParityBlockSpec3(kappa0)
-    if state_id == STATE_ZERO:
-        _, u = cheby.t_u_recurrence(_even_partner(n), spec.chi)  # U_{2m-1}(chi)
-        lam = 0.5 * u * u
-        return 2.0 * lam * (1.0 - lam)
-    _, u = cheby.t_u_recurrence(n, spec.chi)  # U_{n-1}(chi)
-    x = spec.chi * spec.chi * u * u
-    return 4.0 * x * (1.0 - 2.0 * x)
+    return float(_entropy3(state_id, np.array([n]), kappa0)[0])
 
 
 def entropy3_series(state_id: str, n_max: int, kappa0: float) -> np.ndarray:
-    """Vectorized entropy3_closed for n = 0..n_max (S(0) = 0 by convention)."""
+    """entropy3_closed for n = 0..n_max; the formula gives S(0) = 0."""
     _require_state_id(state_id)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    spec = ParityBlockSpec3(kappa0)
-    n = np.arange(n_max + 1)
-    if state_id == STATE_ZERO:
-        n_arg = n + (n % 2)  # odd kicks share the following even kick's value
-        _, u_all = cheby.t_u_series(n_max + 1, spec.chi)  # u_all[k] = U_{k-1}(chi)
-        u = u_all[n_arg]
-        lam = 0.5 * u * u
-        out = 2.0 * lam * (1.0 - lam)
-    else:
-        _, u = cheby.t_u_series(n_max, spec.chi)  # u[n] = U_{n-1}(chi)
-        x = spec.chi * spec.chi * u * u
-        out = 4.0 * x * (1.0 - 2.0 * x)
-    out[0] = 0.0
-    return out
+    return _entropy3(state_id, _kicks(n_max), kappa0)
+
+
+def _concurrence3(n, kappa0: float):
+    """The formula of concurrence3_000 over an int array n."""
+    _, u = cheby.t_u_trig(_even_partner(n), ParityBlockSpec3(kappa0).chi)  # U_{2m-1}(chi)
+    u = np.abs(u)
+    return u * np.abs(0.5 * u - np.sqrt(np.clip(1.0 - 0.75 * u * u, 0.0, None)))
 
 
 def concurrence3_000(n: int, kappa0: float) -> float:
     """Two-qubit concurrence of the evolved |000> state, exact closed form."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    spec = ParityBlockSpec3(kappa0)
-    _, u = cheby.t_u_recurrence(_even_partner(n), spec.chi)  # U_{2m-1}(chi)
-    u = abs(u)
-    return u * abs(0.5 * u - math.sqrt(max(1.0 - 0.75 * u * u, 0.0)))
+    return float(_concurrence3(np.array([n]), kappa0)[0])
 
 
 def concurrence3_series(n_max: int, kappa0: float) -> np.ndarray:
-    """Vectorized concurrence3_000 for n = 0..n_max (C(0) = 0)."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    spec = ParityBlockSpec3(kappa0)
-    n = np.arange(n_max + 1)
-    n_arg = n + (n % 2)
-    _, u_all = cheby.t_u_series(n_max + 1, spec.chi)  # u_all[k] = U_{k-1}(chi)
-    u = np.abs(u_all[n_arg])
-    out = u * np.abs(0.5 * u - np.sqrt(np.clip(1.0 - 0.75 * u * u, 0.0, None)))
-    out[0] = 0.0
-    return out
+    """concurrence3_000 for n = 0..n_max; the formula gives C(0) = 0."""
+    return _concurrence3(_kicks(n_max), kappa0)
 
 
 def avg_entropy3(state_id: str, kappa0: float) -> AvgEntropy:
@@ -300,37 +302,54 @@ class GeneralState3:
         )
 
 
-def evolve_general3(state: GeneralState3, n: int, kappa0: float) -> GeneralState3:
-    """Parity-basis coefficients after n kicks, up to a global phase.
+def _evolved_coefficients(state: GeneralState3, n, kappa0: float):
+    """(a1, a2, b1, b2) after n kicks, up to a global phase, over an int array n.
 
     The negative-parity pair picks up the relative phase (-i)^n against the
     positive-parity pair (the two block phases differ by (-1)^n e^{i n pi/2}).
     """
+    alpha, beta = block_alpha_beta(2.0 * ParityBlockSpec3(kappa0).kappa, n)
+    rel = _MINUS_I_POWERS[n % 4]
+    return (
+        state.a1 * alpha - state.a2 * beta.conjugate(),
+        state.a1 * beta + state.a2 * alpha.conjugate(),
+        rel * (state.b1 * alpha + state.b2 * beta.conjugate()),
+        rel * (state.b2 * alpha.conjugate() - state.b1 * beta),
+    )
+
+
+def evolve_general3(state: GeneralState3, n: int, kappa0: float) -> GeneralState3:
+    """Parity-basis coefficients after n kicks, up to a global phase."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    block = block_power3(kappa0, n, "+")
-    alpha, beta = block.alpha_n, block.beta_n
-    rel = (-1j) ** (n % 4)
-    a1n = state.a1 * alpha - state.a2 * beta.conjugate()
-    a2n = state.a1 * beta + state.a2 * alpha.conjugate()
-    b1n = rel * (state.b1 * alpha + state.b2 * beta.conjugate())
-    b2n = rel * (state.b2 * alpha.conjugate() - state.b1 * beta)
-    return GeneralState3(a1n, a2n, b1n, b2n)
+    coefficients = _evolved_coefficients(state, np.array([n]), kappa0)
+    return GeneralState3(*(complex(c[0]) for c in coefficients))
 
 
-def general_entropy3(state: GeneralState3, n: int, kappa0: float) -> float:
-    """Single-qubit linear entropy of an arbitrary symmetric 3-qubit state
-    after n kicks: S = 2 [r (1 - r) - |s|^2] with the reduced matrix entries
-    r, s assembled from the evolved parity-basis coefficients."""
-    evolved = evolve_general3(state, n, kappa0)
-    a1n, a2n, b1n, b2n = evolved.a1, evolved.a2, evolved.b1, evolved.b2
+def _general_entropy3(state: GeneralState3, n, kappa0: float):
+    """The formula of general_entropy3 over an int array n."""
+    a1n, a2n, b1n, b2n = _evolved_coefficients(state, n, kappa0)
     r = 0.5 + (a1n * b1n.conjugate() + a2n * b2n.conjugate() / 3.0).real
     s = (
         (a1n * b2n.conjugate() + b1n * a2n.conjugate()).real / math.sqrt(3.0)
         + 1j * (a1n * a2n.conjugate() + b1n * b2n.conjugate()).imag / math.sqrt(3.0)
         - 1j / 3.0 * (a2n + b2n) * (a2n.conjugate() - b2n.conjugate())
     )
-    return 2.0 * (r * (1.0 - r) - abs(s) ** 2)
+    return 2.0 * (r * (1.0 - r) - np.abs(s) ** 2)
+
+
+def general_entropy3(state: GeneralState3, n: int, kappa0: float) -> float:
+    """Single-qubit linear entropy of an arbitrary symmetric 3-qubit state
+    after n kicks: S = 2 [r (1 - r) - |s|^2] with the reduced matrix entries
+    r, s assembled from the evolved parity-basis coefficients."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return float(_general_entropy3(state, np.array([n]), kappa0)[0])
+
+
+def general_entropy3_series(state: GeneralState3, n_max: int, kappa0: float) -> np.ndarray:
+    """general_entropy3 for n = 0..n_max."""
+    return _general_entropy3(state, _kicks(n_max), kappa0)
 
 
 def parity_basis_states3() -> dict[str, np.ndarray]:

@@ -20,7 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cheby
-from .exact3 import AvgEntropy, STATE_PLUS_Y, STATE_ZERO, _even_partner, _require_state_id
+from .exact3 import (
+    STATE_PLUS_Y,
+    STATE_ZERO,
+    AvgEntropy,
+    _even_partner,
+    _kicks,
+    _require_state_id,
+    block_alpha_beta,
+)
 
 SECTOR_PLUS = "plus"
 SECTOR_MINUS = "minus"
@@ -29,9 +37,6 @@ SECTOR_SINGLET = "singlet"
 _SQRT3 = math.sqrt(3.0)
 # {phi2+, phi3+} coordinates of phi23+ = (tensor(+y) + tensor(-y))/sqrt(2).
 _W23 = np.array([0.5, -_SQRT3 / 2.0])
-
-_COS_HALF_PI = (1.0, 0.0, -1.0, 0.0)
-_SIN_HALF_PI = (0.0, 1.0, 0.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -43,7 +48,6 @@ class ParityBlockSpec4:
     kappa0: float
     kappa: float = field(init=False)
     chi: float = field(init=False)
-    gamma: float = field(init=False)
 
     def __post_init__(self):
         if not math.isfinite(self.kappa0):
@@ -52,59 +56,52 @@ class ParityBlockSpec4:
         chi = math.sin(kappa) / 2.0
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "gamma", math.acos(chi))
 
     def delta(self, n: int) -> float:
         return n * (2.0 * math.pi - self.kappa0) / 4.0
 
 
-def _alpha_beta(spec: ParityBlockSpec4, n: int) -> tuple[complex, complex]:
-    t_n, u_nm1 = cheby.t_u_trig(n, spec.chi)
-    alpha = t_n + 0.5j * u_nm1 * math.cos(spec.kappa)
-    beta = (_SQRT3 / 2.0) * u_nm1 * cmath.exp(1j * spec.kappa)
-    return alpha, beta
-
-
-def block_power4(kappa0: float, n: int, sector: str):
+def block_power4(kappa0: float, n, sector: str):
     """n-th power of a 4-qubit parity block; O(1) in n.
 
     plus: exp(-i n (pi + kappa)/2) [[a_n, i b_n*], [i b_n, a_n*]] over
     {phi2+, phi3+}; minus: a period-2 rotation over {phi1-, phi2-} up to the
     dynamical phase exp(-3 i n kappa/4); singlet: the scalar (-1)^n on phi1+.
+    An int array n gives a stack of shape n.shape + (2, 2) (singlet: n.shape).
     """
-    if n < 0:
+    if np.any(np.asarray(n) < 0):
         raise ValueError("n must be >= 0")
     spec = ParityBlockSpec4(kappa0)
     if sector == SECTOR_SINGLET:
         return (-1.0) ** n
     if sector == SECTOR_PLUS:
-        alpha, beta = _alpha_beta(spec, n)
-        phase = cmath.exp(-0.5j * n * (math.pi + spec.kappa))
-        return phase * np.array(
-            [[alpha, 1j * beta.conjugate()], [1j * beta, alpha.conjugate()]]
-        )
-    if sector == SECTOR_MINUS:
-        c = _COS_HALF_PI[n % 4]
-        s = _SIN_HALF_PI[n % 4]
+        alpha, beta = block_alpha_beta(spec.kappa, n)
+        phase = np.exp(-0.5j * n * (math.pi + spec.kappa))
+        block = [[alpha, 1j * np.conj(beta)], [1j * beta, np.conj(alpha)]]
+    elif sector == SECTOR_MINUS:
+        c, s = cheby.t_u_trig(n, 0.0)  # cos(n pi/2), sin(n pi/2)
         edge = cmath.exp(0.75j * spec.kappa)
-        phase = cmath.exp(-0.75j * n * spec.kappa)
-        return phase * np.array([[c, edge * s], [-s / edge, c]])
-    raise ValueError(f"unknown sector {sector!r}")
+        phase = np.exp(-0.75j * n * spec.kappa)
+        block = [[c, edge * s], [-s / edge, c]]
+    else:
+        raise ValueError(f"unknown sector {sector!r}")
+    return np.asarray(phase)[..., None, None] * np.moveaxis(np.array(block), (0, 1), (-2, -1))
 
 
-def _xi_zero(spec: ParityBlockSpec4, n: int) -> float:
-    """Real overlap parameter of the evolved |0000> state at even n."""
-    t_n, u_nm1 = cheby.t_u_trig(n, spec.chi)
-    w = n * spec.kappa0 / 8.0
-    return t_n * math.cos(w) - 0.5 * u_nm1 * math.cos(spec.kappa0 / 2.0) * math.sin(w)
-
-
-def _xi_plus_y_sq(spec: ParityBlockSpec4, n: int) -> float:
-    """|xi'_n|^2 for the +y coherent state; valid at every n."""
-    t_n, u_nm1 = cheby.t_u_trig(n, spec.chi)
-    d = spec.delta(n)
-    val = t_n * math.cos(d) + u_nm1 * math.sin(d) * math.cos(spec.kappa0 / 2.0)
-    return val * val
+def _entropy4(state_id: str, n, kappa0: float):
+    """The formula of entropy4_closed over an int array n; xi is the real
+    overlap parameter of the evolved state."""
+    spec = ParityBlockSpec4(kappa0)
+    if state_id == STATE_ZERO:
+        n = _even_partner(n)
+        t_n, u_nm1 = cheby.t_u_trig(n, spec.chi)
+        w = n * (kappa0 / 8.0)
+        xi = t_n * np.cos(w) - 0.5 * u_nm1 * math.cos(kappa0 / 2.0) * np.sin(w)
+    else:
+        t_n, u_nm1 = cheby.t_u_trig(n, spec.chi)
+        d = spec.delta(n)
+        xi = t_n * np.cos(d) + u_nm1 * np.sin(d) * math.cos(kappa0 / 2.0)
+    return 0.5 * (1.0 - xi * xi)
 
 
 def entropy4_closed(state_id: str, n: int, kappa0: float) -> float:
@@ -116,35 +113,13 @@ def entropy4_closed(state_id: str, n: int, kappa0: float) -> float:
     _require_state_id(state_id)
     if n < 1:
         raise ValueError("n must be >= 1 (the initial product state has S = 0)")
-    spec = ParityBlockSpec4(kappa0)
-    if state_id == STATE_ZERO:
-        xi = _xi_zero(spec, _even_partner(n))
-        return 0.5 * (1.0 - xi * xi)
-    return 0.5 * (1.0 - _xi_plus_y_sq(spec, n))
+    return float(_entropy4(state_id, np.array([n]), kappa0)[0])
 
 
 def entropy4_series(state_id: str, n_max: int, kappa0: float) -> np.ndarray:
-    """Vectorized entropy4_closed for n = 0..n_max (S(0) = 0)."""
+    """entropy4_closed for n = 0..n_max; the formula gives S(0) = 0."""
     _require_state_id(state_id)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    spec = ParityBlockSpec4(kappa0)
-    n = np.arange(n_max + 1)
-    if state_id == STATE_ZERO:
-        n_arg = n + (n % 2)
-        t_all, u_all = cheby.t_u_series(n_max + 1, spec.chi)
-        w = n_arg * (spec.kappa0 / 8.0)
-        xi = t_all[n_arg] * np.cos(w) - 0.5 * u_all[n_arg] * math.cos(
-            spec.kappa0 / 2.0
-        ) * np.sin(w)
-        out = 0.5 * (1.0 - xi * xi)
-    else:
-        t_all, u_all = cheby.t_u_series(n_max, spec.chi)
-        d = n * (2.0 * math.pi - spec.kappa0) / 4.0
-        val = t_all * np.cos(d) + u_all * np.sin(d) * math.cos(spec.kappa0 / 2.0)
-        out = 0.5 * (1.0 - val * val)
-    out[0] = 0.0
-    return out
+    return _entropy4(state_id, _kicks(n_max), kappa0)
 
 
 def avg_entropy4(state_id: str, kappa0: float) -> AvgEntropy:
@@ -219,10 +194,12 @@ def tunneling(kappa0: float) -> TunnelingReport:
     )
 
 
-def _phi23_matrix_element(kappa0: float, n: int) -> complex:
-    """<phi23+| U_+^n |phi23+> via the closed block power; O(1) in n."""
-    block = block_power4(kappa0, n, SECTOR_PLUS)
-    return complex(_W23 @ block @ _W23)
+def _phi23_matrix_element(kappa0: float, n: np.ndarray) -> np.ndarray:
+    """<phi23+| U_+^n |phi23+> over an int array n, from the stack of closed
+    plus blocks of block_power4."""
+    if kappa0 <= 0:
+        raise ValueError("kappa0 must be > 0")
+    return _W23 @ block_power4(kappa0, n, SECTOR_PLUS) @ _W23
 
 
 def tunneling_overlap_series(kappa0: float, times) -> np.ndarray:
@@ -232,29 +209,18 @@ def tunneling_overlap_series(kappa0: float, times) -> np.ndarray:
     overlap follows from the singlet eigenvalue (-1)^n and one 2x2 block power
     per requested time.
     """
-    if kappa0 <= 0:
-        raise ValueError("kappa0 must be > 0")
-    out = np.empty(len(times))
-    for i, n in enumerate(times):
-        n = int(n)
-        amp = 0.5 * (_phi23_matrix_element(kappa0, n) - (-1.0) ** n)
-        out[i] = abs(amp) ** 2
-    return out
+    n = np.asarray(times, dtype=np.int64)
+    return np.abs(0.5 * (_phi23_matrix_element(kappa0, n) - (-1.0) ** n)) ** 2
 
 
 def ghz_fidelity_series(kappa0: float, times) -> np.ndarray:
     """Squared overlap of U^n tensor(+y) with the GHZ-like superposition
     (tensor(+y) - i tensor(-y))/sqrt(2) at the given times."""
-    if kappa0 <= 0:
-        raise ValueError("kappa0 must be > 0")
-    out = np.empty(len(times))
-    for i, n in enumerate(times):
-        n = int(n)
-        elem = _phi23_matrix_element(kappa0, n)
-        term_singlet = (-1.0) ** n * (1.0 - 1j) / (2.0 * math.sqrt(2.0))
-        term_block = (1.0 + 1j) * elem / (2.0 * math.sqrt(2.0))
-        out[i] = abs(term_singlet + term_block) ** 2
-    return out
+    n = np.asarray(times, dtype=np.int64)
+    element = _phi23_matrix_element(kappa0, n)
+    term_singlet = (-1.0) ** n * (1.0 - 1j) / (2.0 * math.sqrt(2.0))
+    term_block = (1.0 + 1j) * element / (2.0 * math.sqrt(2.0))
+    return np.abs(term_singlet + term_block) ** 2
 
 
 def parity_basis_states4() -> dict[str, np.ndarray]:

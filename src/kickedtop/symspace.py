@@ -162,16 +162,21 @@ def coherent_state(j: float, point: BlochPoint) -> SymState:
     return SymState(j, amps)
 
 
+def _raising_op(two_j: int) -> np.ndarray:
+    """J+ in the Dicke basis, J+ |j,m> = sqrt(j(j+1) - m(m+1)) |j,m+1>; m+1
+    sits one index above m."""
+    jj = two_j / 2.0
+    m = jj - np.arange(1, two_j + 1)
+    jp = np.zeros((two_j + 1, two_j + 1), dtype=complex)
+    jp[np.arange(two_j), np.arange(1, two_j + 1)] = np.sqrt(jj * (jj + 1.0) - m * (m + 1.0))
+    return jp
+
+
 def collective_ops(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Angular momentum matrices (Jx, Jy, Jz) in the Dicke basis."""
     two_j = _two_j(j)
-    jj = two_j / 2.0
-    m = jj - np.arange(two_j + 1)
-    jz = np.diag(m).astype(complex)
-    # J+ |j,m> = sqrt(j(j+1) - m(m+1)) |j,m+1>; m+1 sits one index above m.
-    raise_elem = np.sqrt(jj * (jj + 1.0) - m[1:] * (m[1:] + 1.0))
-    jp = np.zeros((two_j + 1, two_j + 1), dtype=complex)
-    jp[np.arange(two_j), np.arange(1, two_j + 1)] = raise_elem
+    jz = np.diag(two_j / 2.0 - np.arange(two_j + 1)).astype(complex)
+    jp = _raising_op(two_j)
     jm = jp.conj().T
     jx = (jp + jm) / 2.0
     jy = (jp - jm) / 2.0j
@@ -201,9 +206,10 @@ def floquet(params: KickedTopParams | Sequence[KickedTopParams]) -> UnitaryMatri
 
 def _rotation(j: float, p: float) -> np.ndarray:
     """exp(-i p Jy) from a single Hermitian eigendecomposition of Jy, exact to
-    machine precision at any p."""
-    _, jy, _ = collective_ops(j)
-    evals, evecs = np.linalg.eigh(jy)
+    machine precision at any p.  Only Jy = (J+ - J-)/2i is built, with the
+    entries collective_ops gives it (J+ is real, so J- is its transpose)."""
+    jp = _raising_op(_two_j(j))
+    evals, evecs = np.linalg.eigh((jp - jp.T) / 2.0j)
     return (evecs * np.exp(-1j * p * evals)) @ evecs.conj().T
 
 

@@ -143,8 +143,7 @@ def test_criterion_04_pell_and_block_unitarity():
     for kappa0, n in zip(rng.uniform(0.0, 4.0 * math.pi, size=1000), rng.integers(0, 201, size=1000)):
         block = exact3.block_power3(float(kappa0), int(n), "+")
         worst_block = max(worst_block, abs(abs(block.alpha_n) ** 2 + abs(block.beta_n) ** 2 - 1.0))
-        spec4 = exact4.ParityBlockSpec4(float(kappa0))
-        alpha, beta = exact4._alpha_beta(spec4, int(n))
+        alpha, beta = exact3.block_alpha_beta(float(kappa0) / 2.0, int(n))
         worst_block = max(worst_block, abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0))
     assert worst_block <= 1e-12
     _report(4, time.perf_counter() - start, 2.0,

@@ -146,6 +146,49 @@ class TestPortrait:
         assert chaotic > 0.1
         assert regular < 0.02
 
+    @pytest.mark.parametrize("kappa0", [0.5, 2.5])
+    def test_seeds_stepped_together_match_per_seed_scalar_loop(self, kappa0):
+        # the figures' portrait: two named seeds plus a 12 x 12 angle grid
+        seeds = [cl.FIXED_POINT, cl.PERIOD4_POINT] + [
+            cl.ClassicalPoint.from_angles(theta, phi)
+            for theta in np.linspace(0.15, math.pi - 0.15, 12)
+            for phi in np.linspace(-math.pi + 0.1, math.pi - 0.1, 12)
+        ]
+        steps = 500
+        rows = cl.portrait(seeds, kappa0, steps)
+        # on every host: a seed's rows do not depend on the seeds stepped with it
+        for idx, seed in enumerate(seeds):
+            alone = cl.portrait([seed], kappa0, steps)
+            block = rows[idx * (steps + 1) : (idx + 1) * (steps + 1)]
+            assert np.array_equal(block[:, 1:], alone[:, 1:])
+        # a math.cos/math.sin loop can only be bit-equal where numpy rounds
+        # cos and sin of the visited arguments like the C library does
+        args = kappa0 * rows[:, 2]
+        if not (
+            np.array_equal(np.cos(args), [math.cos(a) for a in args])
+            and np.array_equal(np.sin(args), [math.sin(a) for a in args])
+        ):
+            pytest.skip("numpy and math round cos/sin differently on this host")
+        expected = np.empty((len(seeds) * (steps + 1), 5))
+        for idx, seed in enumerate(seeds):
+            x, y, z = seed.x, seed.y, seed.z
+            for i in range(steps + 1):
+                expected[idx * (steps + 1) + i] = (idx, i, x, y, z)
+                c, s = math.cos(kappa0 * x), math.sin(kappa0 * x)
+                x, y, z = z * c + y * s, -z * s + y * c, -x
+        assert np.array_equal(rows, expected)
+        assert np.array_equal(cl.trajectory_array(seeds[7], kappa0, steps),
+                              expected[7 * (steps + 1) : 8 * (steps + 1), 2:])
+
+    def test_rejects_non_finite_kappa0_and_short_horizons(self):
+        for kappa0 in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                cl.portrait([cl.FIXED_POINT], kappa0, 3)
+        with pytest.raises(ValueError):
+            cl.portrait([cl.FIXED_POINT], 0.7, 0)
+        with pytest.raises(ValueError):
+            cl.trajectory_array(cl.FIXED_POINT, 0.7, -1)
+
 
 class TestTangentMap:
     def test_analytic_matches_finite_differences(self):

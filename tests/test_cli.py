@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -446,9 +448,73 @@ class TestEdgeInputs:
         ["husimi", "--qubits", "1030"],
         ["classical", "--kappa0", "nan"],
         ["classical", "--kappa0", "1.0", "--seeds", "nan,0,0"],
+        ["classical", "--kappa0", "1.0", "--seeds", "1e308,0,0"],
     ])
     def test_exits_2_with_message(self, argv, tmp_path, capsys):
         out = tmp_path / "out.csv"
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0, -1.3, 1.3, 3 * math.pi]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+EDGE_COUNTS = st.one_of(st.none(), st.integers(-3, 20))
+
+
+def run_edge_case(argv):
+    """Exit code and stderr of one in-process call; argparse's own rejections
+    surface as SystemExit."""
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
+        out = os.path.join(tmp, "out.csv")
+        try:
+            code = main([*argv, "--out", out])
+        except SystemExit as exc:
+            code = exc.code
+        if code == 0:
+            assert os.path.getsize(out) > 0
+    return code, stderr.getvalue()
+
+
+class TestEdgeFlagFuzz:
+    """Edge flag values for the subcommands on the closed-form and classical
+    routes exit 0, 2 or 3, never with a traceback."""
+
+    @given(
+        qubits=st.sampled_from([3, 4]),
+        kappa0=EDGE_FLOATS,
+        state=st.sampled_from(["zero", "plus_y", "minus_y", "1.1,0.4", "nan,0", "inf,1", "1e308,0",
+                               "-1,0", "0,-1e308", "0,0", "", ",", "1.1"]),
+        steps=st.integers(-3, 50),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_evolve(self, qubits, kappa0, state, steps):
+        code, err = run_edge_case(["evolve", f"--qubits={qubits}", f"--kappa0={kappa0!r}",
+                                   f"--state={state}", f"--steps={steps}"])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+
+    @given(
+        kappa0=EDGE_FLOATS,
+        steps=st.integers(-3, 50),
+        seeds=st.sampled_from([None, "", ";", "fixed_point", "period4", "0,0,1", "nan,0,0",
+                               "inf,0,0", "1e308,0,0", "-1e308,0,0", "0,0,-1", "1,1,1", "0,1",
+                               "fixed_point;0,1,0"]),
+        grid=EDGE_COUNTS,
+        random_seeds=EDGE_COUNTS,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_classical(self, kappa0, steps, seeds, grid, random_seeds):
+        argv = ["classical", f"--kappa0={kappa0!r}", f"--steps={steps}"]
+        if seeds is not None:
+            argv.append(f"--seeds={seeds}")
+        if grid is not None:
+            argv.append(f"--grid={grid}")
+        if random_seeds is not None:
+            argv.append(f"--random-seeds={random_seeds}")
+        code, err = run_edge_case(argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err

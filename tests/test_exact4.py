@@ -68,13 +68,22 @@ class TestBlockPower:
     @given(kappa0=st.floats(min_value=-20.0, max_value=20.0), n=st.integers(0, 300))
     @settings(max_examples=200, deadline=None)
     def test_unit_magnitude(self, kappa0, n):
-        spec = exact4.ParityBlockSpec4(kappa0)
-        alpha, beta = exact4._alpha_beta(spec, n)
+        alpha, beta = exact3.block_alpha_beta(kappa0 / 2.0, n)
         assert abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("sector", ["plus", "minus", "singlet"])
+    def test_kick_array_stacks_per_n_blocks(self, sector):
+        times = np.array([0, 1, 2, 3, 7, 40, 10**6])
+        stack = exact4.block_power4(1.3, times, sector)
+        for got, n in zip(stack, times):
+            expected = exact4.block_power4(1.3, int(n), sector)
+            assert np.max(np.abs(got - expected)) < 1e-15
 
     def test_rejects_negative_n_and_bad_sector(self):
         with pytest.raises(ValueError):
             exact4.block_power4(1.0, -1, "plus")
+        with pytest.raises(ValueError):
+            exact4.block_power4(1.0, np.array([3, -1]), "plus")
         with pytest.raises(ValueError):
             exact4.block_power4(1.0, 1, "both")
 
@@ -271,6 +280,13 @@ class TestTunneling:
 class TestTunnelingOverlap:
     def test_initial_overlap_vanishes(self):
         assert exact4.tunneling_overlap_series(0.1, [0])[0] == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("kappa0", [math.nan, math.inf, 0.0, -0.5])
+    def test_rejects_non_finite_and_non_positive_kappa0(self, kappa0):
+        with pytest.raises(ValueError):
+            exact4.tunneling_overlap_series(kappa0, [1, 2])
+        with pytest.raises(ValueError):
+            exact4.ghz_fidelity_series(kappa0, [1, 2])
 
     def test_matches_engine(self):
         kappa0 = 0.8

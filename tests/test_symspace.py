@@ -122,6 +122,16 @@ class TestCollectiveOps:
         assert np.allclose(jx @ jy - jy @ jx, 1j * jz, atol=1e-12)
 
 
+class TestRotation:
+    @pytest.mark.parametrize("two_j", [*range(1, 30), 50, 64, 100, 127, 200, 201, 400])
+    def test_matches_eigh_of_collective_jy(self, two_j):
+        _, jy, _ = symspace.collective_ops(two_j / 2.0)
+        evals, evecs = np.linalg.eigh(jy)
+        for p in (math.pi / 2.0, 0.3):
+            expected = (evecs * np.exp(-1j * p * evals)) @ evecs.conj().T
+            assert np.array_equal(symspace._rotation(two_j / 2.0, p), expected)
+
+
 class TestFloquet:
     def test_pure_rotation_spin_half(self):
         u = symspace.floquet(KickedTopParams(j=0.5, kappa0=0.0))
