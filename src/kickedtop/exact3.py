@@ -34,9 +34,9 @@ class AvgEntropy(NamedTuple):
     """Infinite-time averaged linear entropy plus a resonance marker.
 
     `resonant` flags torsion values where the ergodic phase averages behind the
-    closed form degenerate (kappa0 congruent to 0 mod 3pi for three qubits);
-    the value returned there is the continuity limit of the formula, except at
-    kappa0 = 0 exactly where the average is 0 for product initial states.
+    closed form degenerate (kappa0 in 3pi Z for three qubits, 2pi Z for four);
+    the value returned there is the true time average of the resonant
+    dynamics, not the continuity limit of the formula.
     """
 
     value: float
@@ -203,18 +203,18 @@ def avg_entropy3(state_id: str, kappa0: float) -> AvgEntropy:
     """Infinite-time averaged single-qubit linear entropy, closed form.
 
     With s = sin^2(kappa0/3):  |000>  ->  (5 - 2s)/(4 - s)^2  and
-    +y  ->  s (8 - 5s)/(4 - s)^2.  The |000> average is discontinuous at
-    kappa0 = 0 (limit 5/16, value 0); resonant torsions return the formula's
-    continuity value with the flag set.
+    +y  ->  s (8 - 5s)/(4 - s)^2.  At the resonant torsions, kappa0 in 3pi Z
+    (sin(kappa0/3) = 0 to 1e-12), the torsion is a global phase, every
+    coherent state stays a product state, and the time average 0 is returned
+    with the flag set; the |000> formula's continuity value 5/16 is not.
     """
     _require_state_id(state_id)
-    resonant = math.isclose(math.sin(kappa0 / 3.0), 0.0, abs_tol=1e-12)
-    if state_id == STATE_ZERO and kappa0 == 0.0:
+    if math.isclose(math.sin(kappa0 / 3.0), 0.0, abs_tol=1e-12):
         return AvgEntropy(0.0, True)
     s = math.sin(kappa0 / 3.0) ** 2
     if state_id == STATE_ZERO:
-        return AvgEntropy((5.0 - 2.0 * s) / (4.0 - s) ** 2, resonant)
-    return AvgEntropy(s * (8.0 - 5.0 * s) / (4.0 - s) ** 2, resonant)
+        return AvgEntropy((5.0 - 2.0 * s) / (4.0 - s) ** 2, False)
+    return AvgEntropy(s * (8.0 - 5.0 * s) / (4.0 - s) ** 2, False)
 
 
 def avg_entropy_3pi2(point: BlochPoint) -> float:

@@ -61,6 +61,16 @@ class ParityBlockSpec4:
         return n * (2.0 * math.pi - self.kappa0) / 4.0
 
 
+def _principal_kappa0(kappa0: float) -> float:
+    """kappa0 modulo 8 pi, the period of the 4-qubit Floquet operator, which
+    depends on kappa0 only through exp(-i kappa0/4).  Values with
+    |kappa0| <= 4 pi pass unchanged; larger finite ones are reduced through
+    sin and cos of kappa0/4 into [0, 8 pi), so the closed phases stay angles."""
+    if math.isfinite(kappa0) and abs(kappa0) > 4.0 * math.pi:
+        return 4.0 * (math.atan2(math.sin(kappa0 / 4.0), math.cos(kappa0 / 4.0)) % math.tau)
+    return kappa0
+
+
 def block_power4(kappa0: float, n, sector: str):
     """n-th power of a 4-qubit parity block; O(1) in n.
 
@@ -71,7 +81,7 @@ def block_power4(kappa0: float, n, sector: str):
     """
     if np.any(np.asarray(n) < 0):
         raise ValueError("n must be >= 0")
-    spec = ParityBlockSpec4(kappa0)
+    spec = ParityBlockSpec4(_principal_kappa0(kappa0))
     if sector == SECTOR_SINGLET:
         return (-1.0) ** n
     if sector == SECTOR_PLUS:
@@ -91,6 +101,7 @@ def block_power4(kappa0: float, n, sector: str):
 def _entropy4(state_id: str, n, kappa0: float):
     """The formula of entropy4_closed over an int array n; xi is the real
     overlap parameter of the evolved state."""
+    kappa0 = _principal_kappa0(kappa0)
     spec = ParityBlockSpec4(kappa0)
     if state_id == STATE_ZERO:
         n = _even_partner(n)
@@ -126,21 +137,19 @@ def avg_entropy4(state_id: str, kappa0: float) -> AvgEntropy:
     """Infinite-time averaged single-qubit linear entropy, closed form.
 
     With c2 = cos^2(kappa0/2):  |0000>  ->  (9 + 2 c2)/(8 (3 + c2))  and
-    +y  ->  (9 - c2)/(8 (3 + c2)).  At the resonant torsions kappa0 = 0 and
-    2pi the phase averages behind the formula degenerate: both initial states
-    are stationary at kappa0 = 0 (average 0); at 2pi the formula's continuity
-    value is returned with the flag set.
+    +y  ->  (9 - c2)/(8 (3 + c2)).  At the resonant torsions, kappa0 in 2pi Z
+    (sin(kappa0/2) = 0 to 1e-12), the phase averages behind the formula
+    degenerate and the true time average is returned with the flag set, for
+    both states: 0 for kappa0 in 4pi Z, where the torsion is a rotation about
+    z and coherent states stay unentangled, and 1/4 otherwise.
     """
     _require_state_id(state_id)
-    resonant = kappa0 in (0.0, 2.0 * math.pi)
-    if kappa0 == 0.0:
-        return AvgEntropy(0.0, True)
-    if state_id == STATE_ZERO and kappa0 == 2.0 * math.pi:
-        return AvgEntropy(0.0, True)
+    if math.isclose(math.sin(kappa0 / 2.0), 0.0, abs_tol=1e-12):
+        return AvgEntropy(0.0 if math.cos(kappa0 / 4.0) ** 2 > 0.5 else 0.25, True)
     c2 = math.cos(kappa0 / 2.0) ** 2
     if state_id == STATE_ZERO:
-        return AvgEntropy((9.0 + 2.0 * c2) / (8.0 * (3.0 + c2)), resonant)
-    return AvgEntropy((9.0 - c2) / (8.0 * (3.0 + c2)), resonant)
+        return AvgEntropy((9.0 + 2.0 * c2) / (8.0 * (3.0 + c2)), False)
+    return AvgEntropy((9.0 - c2) / (8.0 * (3.0 + c2)), False)
 
 
 @dataclass(frozen=True)

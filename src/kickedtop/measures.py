@@ -4,8 +4,8 @@ Reduced density matrices of permutation-symmetric pure states are computed
 from Dicke coefficients directly, which scales to hundreds of qubits: one
 batched kernel, reduced_states(), takes a whole (n, 2j+1) stack of states (a
 trajectory, say) and forms every entry of the one- or two-qubit reduced states
-as a binomially weighted band sum over neighbouring Dicke amplitudes, with the
-weights built once per call in log space.  Each row's norm is checked against
+as a binomially weighted band sum over neighbouring Dicke amplitudes, whose
+weights are exact ratios of integer products.  Each row's norm is checked against
 the state tolerance of symspace, so a drifted or malformed state raises
 ValueError instead of giving a silently wrong entropy.  Linear entropy and
 concurrence take the same stacks; the single-state functions are one-row calls
@@ -15,8 +15,9 @@ test suite as an oracle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 from .symspace import _STATE_NORM_TOL, SymState, UnitaryMatrix, _two_j, trajectory
 
@@ -41,9 +42,10 @@ def reduced_states(amps: np.ndarray, keep: int) -> np.ndarray:
     trajectory, say); the result is the (n, 2**keep, 2**keep) stack of reduced
     states.  Entry (p, q) depends only on the excitation counts a, b of the
     kept patterns p, q and is the band sum sum_r w_r c[r+a] c*[r+b] with
-    w_r = C(2j-keep, r) / sqrt(C(2j, r+a) C(2j, r+b)); the weights are built
-    once per call in log space, so large 2j stays finite, and memory stays
-    O(n (2j+1)).  Every row must be normalized to _STATE_NORM_TOL.
+    w_r = sqrt(f_a(r) f_b(r)) and f_a(r) = C(2j-keep, r) / C(2j, r+a), a ratio of
+    integer products that is exact in a double up to one division, so any 2j
+    stays finite and memory stays O(n (2j+1)).  Every row must be normalized to
+    _STATE_NORM_TOL.
     """
     if keep not in (1, 2):
         raise ValueError("keep must be 1 or 2")
@@ -61,17 +63,18 @@ def reduced_states(amps: np.ndarray, keep: int) -> np.ndarray:
             f"state is not normalized (row {bad[0]}: |norm^2 - 1| = {drift[bad[0]]:.2e})"
         )
     width = two_j - keep + 1
-    ln_fact = gammaln(np.arange(1.0, two_j + 2.0))  # ln k! for k = 0..2j
-    half_ln_binom = 0.5 * (ln_fact[two_j] - ln_fact - ln_fact[::-1])  # ln C(2j, k) / 2
-    r = np.arange(width)
-    ln_rest = ln_fact[width - 1] - ln_fact[r] - ln_fact[width - 1 - r]  # ln C(2j-keep, r)
+    r = np.arange(float(width))
+    # f_a = prod_{i<=a} (r+i) prod_{a<i<=keep} (2j-keep-a-r+i) / prod_{i<keep} (2j-i)
+    den = math.prod(range(width, two_j + 1))
+    f = [math.prod(r + i if i <= a else width - 1 - a - r + i for i in range(1, keep + 1)) / den
+         for a in range(keep + 1)]
     bands = np.empty((amps.shape[0], keep + 1, keep + 1), dtype=complex)
     for a in range(keep + 1):
         for b in range(a, keep + 1):
-            w = np.exp(ln_rest - half_ln_binom[a : a + width] - half_ln_binom[b : b + width])
             if a == b:
-                bands[:, a, a] = prob[:, a : a + width] @ w
+                bands[:, a, a] = prob[:, a : a + width] @ f[a]
             else:
+                w = np.sqrt(f[a] * f[b])
                 bands[:, a, b] = (amps[:, a : a + width] * amps[:, b : b + width].conj()) @ w
                 bands[:, b, a] = bands[:, a, b].conj()
     if keep == 1:

@@ -134,7 +134,7 @@ class UnitaryMatrix:
         eye = np.eye(dim)
         for one in matrix.reshape(-1, dim, dim):  # one at a time: no stack-sized temporaries
             defect = np.linalg.norm(one.conj().T @ one - eye)
-            if defect > _UNITARY_TOL:
+            if not defect <= _UNITARY_TOL:  # a NaN entry fails too
                 raise ValueError(f"matrix is not unitary (defect {defect:.2e})")
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
@@ -272,10 +272,5 @@ def symmetric_to_qubits(psi: SymState) -> np.ndarray:
         raise ValueError(
             f"register expansion limited to 2j <= {QUBIT_EXPANSION_LIMIT}, got 2j = {two_j}"
         )
-    vec = np.zeros(2**two_j, dtype=complex)
-    scale = np.array(
-        [psi.amps[k] / math.sqrt(math.comb(two_j, k)) for k in range(two_j + 1)]
-    )
-    for s in range(2**two_j):
-        vec[s] = scale[s.bit_count()]
-    return vec
+    scale = psi.amps / np.sqrt(_binomials(two_j))
+    return scale[[s.bit_count() for s in range(2**two_j)]]

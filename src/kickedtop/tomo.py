@@ -96,7 +96,7 @@ def correct_populations(model: ReadoutModel, p_m: np.ndarray) -> np.ndarray:
     dim = 2**model.n_qubits
     if p_m.shape != (dim,):
         raise ValueError(f"expected {dim} populations, got shape {p_m.shape}")
-    if abs(p_m.sum() - 1.0) > _POPULATION_SUM_TOL:
+    if not abs(p_m.sum() - 1.0) <= _POPULATION_SUM_TOL:  # a NaN sum fails too
         raise ValueError(f"populations must sum to 1 (got {p_m.sum()!r})")
     p_int = np.linalg.solve(model.correction_matrix(), p_m)
     if p_int.min() < 0.0:
@@ -151,8 +151,8 @@ def reconstruct(expectations) -> np.ndarray:
     rho = np.zeros((8, 8), dtype=complex)
     for label in PAULI_LABELS_3Q:
         value = float(expectations[label])
-        if abs(value) > 1.0 + 1e-9:
-            raise ValueError(f"|<{label}>| > 1 ({value!r})")
+        if not abs(value) <= 1.0 + 1e-9:
+            raise ValueError(f"<{label}> = {value!r} is not in [-1, 1]")
         rho += value * pauli_product(label)
     return project_psd(rho / 8.0)
 

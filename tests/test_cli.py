@@ -111,6 +111,25 @@ class TestParserCache:
             assert in_process.read_bytes() == fresh.read_bytes()
 
 
+class TestNumpyOnlyRuntime:
+    def test_cli_runs_without_loading_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: a fresh interpreter that runs
+        # a command never imports scipy
+        script = (
+            "import sys\n"
+            "from kickedtop import cli\n"
+            "code = cli.main(['evolve', '--qubits', '4', '--kappa0', '1.3', '--steps', '5',"
+            " '--out', sys.argv[1]])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(kickedtop.__file__).parents[1]))
+        out = tmp_path / "evolve.csv"
+        proc = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "0 []"
+        assert out.read_text().startswith("n,S_numeric,S_closed,")
+
+
 class TestEvolve:
     def test_closed_matches_numeric(self, tmp_path):
         out = tmp_path / "evolve.csv"
@@ -449,6 +468,8 @@ class TestEdgeInputs:
         ["classical", "--kappa0", "nan"],
         ["classical", "--kappa0", "1.0", "--seeds", "nan,0,0"],
         ["classical", "--kappa0", "1.0", "--seeds", "1e308,0,0"],
+        # the torsion phase overflows: a NaN Floquet matrix is not unitary
+        ["husimi", "--qubits", "8", "--kappa0", "1e308", "--steps", "5", "--n-theta", "4"],
     ])
     def test_exits_2_with_message(self, argv, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -458,44 +479,162 @@ class TestEdgeInputs:
 
 
 EDGE_FLOATS = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0, -1.3, 1.3, 3 * math.pi]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0, -1.3, 1.3,
+                     2 * math.pi, 3 * math.pi, 4 * math.pi, 1e6]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
 EDGE_COUNTS = st.one_of(st.none(), st.integers(-3, 20))
+EDGE_STATES = st.sampled_from(["zero", "plus_y", "minus_y", "1.1,0.4", "nan,0", "inf,1", "1e308,0",
+                               "-1,0", "0,-1e308", "0,0", "", ",", "1.1"])
+# Up to five kappa0 values as a --kappa0-list, or a malformed list.
+EDGE_LISTS = st.one_of(
+    st.lists(EDGE_FLOATS, max_size=5).map(lambda ks: ",".join(repr(k) for k in ks)),
+    st.sampled_from([",", "1.0,", "x", " "]),
+)
+CLOSED_COLUMNS = ("S_closed", "C_closed", "S_avg_closed")
 
 
 def run_edge_case(argv):
-    """Exit code and stderr of one in-process call; argparse's own rejections
-    surface as SystemExit."""
+    """Exit code, stderr and output text (None unless the exit code is 0) of
+    one in-process call; argparse's own rejections surface as SystemExit."""
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
-        out = os.path.join(tmp, "out.csv")
+        out = os.path.join(tmp, "out")
         try:
             code = main([*argv, "--out", out])
         except SystemExit as exc:
             code = exc.code
-        if code == 0:
-            assert os.path.getsize(out) > 0
-    return code, stderr.getvalue()
+        text = Path(out).read_text(encoding="utf-8") if code == 0 else None
+    return code, stderr.getvalue(), text
+
+
+def check_edge_case(argv):
+    """One edge call exits 0, 2 or 3 without a traceback, and a successful one
+    writes finite closed-form columns (the tunnel series included)."""
+    code, err, text = run_edge_case(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code != 0:
+        return
+    assert text
+    if argv[0] == "tunnel":
+        series = json.loads(text)["overlap_series"]
+        closed = [series["minus_y_overlap"], series["ghz_fidelity"]]
+    else:
+        header, *rows = text.splitlines()
+        names = header.split(",")
+        closed = [[float(row.split(",")[names.index(name)]) for row in rows]
+                  for name in CLOSED_COLUMNS if name in names]
+    for column in closed:
+        assert np.all(np.isfinite(column))
 
 
 class TestEdgeFlagFuzz:
-    """Edge flag values for the subcommands on the closed-form and classical
-    routes exit 0, 2 or 3, never with a traceback."""
+    """Edge flag values for every subcommand exit 0, 2 or 3, never with a
+    traceback, and a run that exits 0 writes finite closed-form columns.
+    Sizes stay small: at most 50 kicks, 5 grid points, 8 qubits, 8 x 8
+    Husimi grids and tunnel times up to 10**4."""
 
     @given(
         qubits=st.sampled_from([3, 4]),
         kappa0=EDGE_FLOATS,
-        state=st.sampled_from(["zero", "plus_y", "minus_y", "1.1,0.4", "nan,0", "inf,1", "1e308,0",
-                               "-1,0", "0,-1e308", "0,0", "", ",", "1.1"]),
+        state=EDGE_STATES,
         steps=st.integers(-3, 50),
     )
     @settings(max_examples=150, deadline=None)
     def test_evolve(self, qubits, kappa0, state, steps):
-        code, err = run_edge_case(["evolve", f"--qubits={qubits}", f"--kappa0={kappa0!r}",
-                                   f"--state={state}", f"--steps={steps}"])
-        assert code in (0, 2, 3)
-        assert "Traceback" not in err
+        check_edge_case(["evolve", f"--qubits={qubits}", f"--kappa0={kappa0!r}",
+                         f"--state={state}", f"--steps={steps}"])
+
+    @given(
+        qubits=st.integers(-1, 8),
+        state=EDGE_STATES,
+        kicks=st.integers(-2, 50),
+        kappa0_list=st.one_of(st.none(), EDGE_LISTS),
+        start=EDGE_FLOATS,
+        stop=EDGE_FLOATS,
+        steps=st.integers(-1, 5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sweep(self, qubits, state, kicks, kappa0_list, start, stop, steps):
+        argv = ["sweep", f"--qubits={qubits}", f"--state={state}", f"--kicks={kicks}",
+                f"--kappa0-start={start!r}", f"--kappa0-stop={stop!r}", f"--kappa0-steps={steps}"]
+        if kappa0_list is not None:
+            argv.append(f"--kappa0-list={kappa0_list}")
+        check_edge_case(argv)
+
+    @given(
+        kappa0=EDGE_FLOATS,
+        times=st.one_of(
+            st.none(),
+            st.lists(st.integers(-3, 10**4), max_size=5).map(lambda ts: ",".join(map(str, ts))),
+            st.sampled_from(["nan", "1e308", "-1", "0", ",", "1.5"]),
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_tunnel(self, kappa0, times):
+        argv = ["tunnel", f"--kappa0={kappa0!r}"]
+        if times is not None:
+            argv.append(f"--times={times}")
+        check_edge_case(argv)
+
+    @given(
+        qubits=st.integers(-1, 8),
+        state=EDGE_STATES,
+        basis_state=st.sampled_from([None, "", "phi1_plus", "phi2_minus", "phi3_plus", "bogus"]),
+        kappa0=st.one_of(st.none(), EDGE_FLOATS),
+        steps=st.one_of(st.none(), st.integers(-3, 50)),
+        n_theta=st.integers(-1, 8),
+        n_phi=st.integers(-1, 8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_husimi(self, qubits, state, basis_state, kappa0, steps, n_theta, n_phi):
+        argv = ["husimi", f"--qubits={qubits}", f"--state={state}", f"--n-theta={n_theta}",
+                f"--n-phi={n_phi}"]
+        if basis_state is not None:
+            argv.append(f"--basis-state={basis_state}")
+        if kappa0 is not None:
+            argv.append(f"--kappa0={kappa0!r}")
+        if steps is not None:
+            argv.append(f"--steps={steps}")
+        check_edge_case(argv)
+
+    @given(
+        kappa0=st.one_of(st.none(), EDGE_FLOATS),
+        state=EDGE_STATES,
+        steps=st.lists(st.integers(-2, 50), max_size=3),
+        bad_value=st.one_of(st.none(), EDGE_FLOATS),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_tomo_expectations(self, kappa0, state, steps, bad_value):
+        expectations = expectations_of(np.diag([1.0, 0, 0, 0, 0, 0, 0, 0]).astype(complex))
+        lines = ["step,label,value"]
+        for step in steps:
+            lines += [f"{step},{label},{value!r}" for label, value in expectations.items()]
+        if bad_value is not None and steps:
+            lines[-1] = f"{steps[-1]},ZZZ,{bad_value!r}"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "expectations.csv")
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            argv = ["tomo", f"--expectations={path}", f"--state={state}"]
+            if kappa0 is not None:
+                argv.append(f"--kappa0={kappa0!r}")
+            check_edge_case(argv)
+
+    @given(
+        populations=st.lists(
+            st.lists(st.one_of(EDGE_FLOATS, st.just(0.125)), min_size=8, max_size=8), max_size=3
+        ),
+        step=st.integers(-2, 50),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_tomo_populations(self, populations, step):
+        lines = ["step," + ",".join(f"p{i:03b}" for i in range(8))]
+        lines += [f"{step}," + ",".join(repr(p) for p in row) for row in populations]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "populations.csv")
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            check_edge_case(["tomo", f"--populations={path}", "--readout=bundled"])
 
     @given(
         kappa0=EDGE_FLOATS,
@@ -515,6 +654,4 @@ class TestEdgeFlagFuzz:
             argv.append(f"--grid={grid}")
         if random_seeds is not None:
             argv.append(f"--random-seeds={random_seeds}")
-        code, err = run_edge_case(argv)
-        assert code in (0, 2, 3)
-        assert "Traceback" not in err
+        check_edge_case(argv)

@@ -239,9 +239,10 @@ class TestAverages:
         )
 
     def test_resonance_flag_at_three_pi(self):
+        # the torsion is a global phase at 3 pi: |000> stays a product state
         res = exact3.avg_entropy3(STATE_ZERO, 3.0 * math.pi)
         assert res.resonant
-        assert res.value == pytest.approx(5.0 / 16.0, abs=1e-9)
+        assert res.value == 0.0
 
     def test_matches_long_numeric_average(self):
         # Cesaro means of the closed-form per-step values converge to the

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kickedtop import exact3, exact4, measures, symspace
+from kickedtop import cli, exact3, exact4, measures, symspace
 from kickedtop.exact3 import STATE_PLUS_Y, STATE_ZERO
 from kickedtop.symspace import BlochPoint, KickedTopParams, SymState
+
+from conftest import register_floquet
 
 KAPPAS = [0.1, 0.4, 0.5, 0.8, 1.2, 2.5, 1.5 * math.pi]
 
@@ -113,7 +115,7 @@ class TestEntropyClosedForm:
             assert exact4.entropy4_closed(STATE_ZERO, n, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_second_kick_against_register_oracle(self):
-        from conftest import register_floquet, register_reduced
+        from conftest import register_reduced
 
         kappa0 = 0.5
         u = register_floquet(4, kappa0)
@@ -188,7 +190,8 @@ class TestAverages:
 
     def test_resonances(self):
         assert exact4.avg_entropy4(STATE_ZERO, 0.0) == (0.0, True)
-        assert exact4.avg_entropy4(STATE_ZERO, 2.0 * math.pi).value == 0.0
+        # |0000> at 2 pi runs S = 0, 1/2, 1/2, 0, ...: its time average is 1/4
+        assert exact4.avg_entropy4(STATE_ZERO, 2.0 * math.pi).value == 0.25
         assert exact4.avg_entropy4(STATE_ZERO, 2.0 * math.pi).resonant
         res = exact4.avg_entropy4(STATE_PLUS_Y, 2.0 * math.pi)
         assert res.resonant
@@ -336,6 +339,74 @@ class TestTunnelingOverlap:
         # the small-torsion asymptotic time works just as well
         asymptotic = int(round(rep.n_star_asymptotic))
         assert exact4.tunneling_overlap_series(0.1, [asymptotic])[0] >= 0.95
+
+
+class TestResonantAverages:
+    """At a resonant torsion the closed average is the true time average of
+    the resonant dynamics, which a 4000-kick numeric mean reproduces."""
+
+    @pytest.mark.parametrize(
+        "qubits, multiples, average",
+        [(3, (3, 6), exact3.avg_entropy3), (4, (2, 4, 6, 8, 10), exact4.avg_entropy4)],
+    )
+    @pytest.mark.parametrize("name, state_id", [("zero", STATE_ZERO), ("plus_y", STATE_PLUS_Y)])
+    def test_value_is_the_numeric_time_average(self, qubits, multiples, average, name, state_id):
+        grid = [m * math.pi for m in multiples]
+        point = BlochPoint(*cli.NAMED_STATES[name])
+        means = cli._sweep_averages(qubits, point, grid, 4000)
+        for kappa0, mean in zip(grid, means):
+            res = average(state_id, kappa0)
+            assert res.resonant
+            assert res.value == pytest.approx(mean, abs=1e-9)
+
+    def test_off_resonance_keeps_the_continuity_value(self):
+        res = exact3.avg_entropy3(STATE_ZERO, 3.0 * math.pi + 1e-9)
+        assert not res.resonant
+        assert res.value == pytest.approx(5.0 / 16.0, abs=1e-12)
+
+
+class TestPrincipalKappa0:
+    """The 4-qubit closed forms depend on kappa0 only modulo 8 pi and reduce
+    it once, so huge torsions give finite values that match the engine."""
+
+    @pytest.mark.parametrize("kappa0", [0.0, 1.3, -4.0 * math.pi, 4.0 * math.pi])
+    def test_small_kappa0_passes_unchanged(self, kappa0):
+        assert exact4._principal_kappa0(kappa0) == kappa0
+
+    @pytest.mark.parametrize("kappa0", [20.0, -20.0, 1e6, 1e20, 1e308, -1e308])
+    def test_reduced_into_one_period(self, kappa0):
+        reduced = exact4._principal_kappa0(kappa0)
+        assert 0.0 <= reduced < 8.0 * math.pi
+        assert math.sin(reduced / 4.0) == pytest.approx(math.sin(kappa0 / 4.0), abs=1e-14)
+        assert math.cos(reduced / 4.0) == pytest.approx(math.cos(kappa0 / 4.0), abs=1e-14)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("state", ["zero", "plus_y"])
+    @pytest.mark.parametrize("kappa0", [20.0, -20.0, 1e6, 1e20, 1e308, -1e308])
+    def test_evolve_closed_matches_numeric(self, kappa0, state, tmp_path):
+        out = tmp_path / "evolve.csv"
+        assert cli.main(["evolve", "--qubits", "4", "--state", state, f"--kappa0={kappa0!r}",
+                         "--steps", "50", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        columns = dict(zip(lines[0].split(","), np.loadtxt(lines[1:], delimiter=",").T))
+        assert np.max(np.abs(columns["S_closed"] - columns["S_numeric"])) <= 1e-10
+
+    @pytest.mark.parametrize("kappa0", [20.0, 1e6, 1e20, 1e308])
+    def test_tunnel_series_matches_register_oracle(self, kappa0):
+        def register(point):
+            return symspace.symmetric_to_qubits(symspace.coherent_state(2.0, point))
+
+        plus, minus = register(PLUS_Y), register(MINUS_Y)
+        ghz = (plus - 1j * minus) / math.sqrt(2.0)
+        u = register_floquet(4, kappa0)
+        overlaps, fidelities = [], []
+        for _ in range(51):
+            overlaps.append(abs(np.vdot(minus, plus)) ** 2)
+            fidelities.append(abs(np.vdot(ghz, plus)) ** 2)
+            plus = u @ plus
+        times = range(51)
+        assert np.max(np.abs(exact4.tunneling_overlap_series(kappa0, times) - overlaps)) <= 1e-12
+        assert np.max(np.abs(exact4.ghz_fidelity_series(kappa0, times) - fidelities)) <= 1e-12
 
 
 class TestTunnelingCondition:

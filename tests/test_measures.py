@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -271,6 +272,29 @@ def _initial_state(two_j: int, kind: str, rng) -> SymState:
     if kind == "plus_y":
         return symspace.coherent_state(two_j / 2.0, BlochPoint(math.pi / 2.0, -math.pi / 2.0))
     return SymState(two_j / 2.0, random_symmetric_amps(rng, two_j + 1))
+
+
+class TestExactWeights:
+    """The band weights are exact integer ratios, so a reduced state is as
+    accurate at 2j = 2000 as at 2j = 20."""
+
+    @pytest.mark.parametrize("keep", [1, 2])
+    @pytest.mark.parametrize("two_j", [20, 200, 1000, 2000])
+    def test_matches_40_digit_band_sum(self, two_j, keep, rng):
+        amps = random_symmetric_amps(rng, two_j + 1)
+        rho = measures.reduced_states(amps[None], keep)[0]
+        first_pattern = [0, 1, 3]  # a kept pattern of each excitation count: 0, 1, 11
+        width = two_j - keep + 1
+        with mpmath.workdps(40):
+            c = [mpmath.mpc(v.real, v.imag) for v in amps]
+            root_binom = [mpmath.sqrt(math.comb(two_j, k)) for k in range(two_j + 1)]
+            rest = [mpmath.mpf(math.comb(two_j - keep, r)) for r in range(width)]
+            for a in range(keep + 1):
+                for b in range(a, keep + 1):
+                    band = mpmath.fdot([(rest[r] / (root_binom[r + a] * root_binom[r + b]),
+                                         c[r + a] * c[r + b].conjugate()) for r in range(width)])
+                    got = rho[first_pattern[a], first_pattern[b]]
+                    assert abs(got - complex(band)) <= 1e-15
 
 
 class TestBatchedKernel:

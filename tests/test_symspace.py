@@ -288,6 +288,8 @@ class TestFloquetStack:
         good = symspace.floquet(KickedTopParams(j=1.0, kappa0=0.4)).matrix
         with pytest.raises(ValueError, match="not unitary"):
             symspace.UnitaryMatrix(np.stack([good, good, 1.01 * good]))
+        with pytest.raises(ValueError, match="not unitary"):
+            symspace.UnitaryMatrix(np.where(np.eye(3, dtype=bool), np.nan, good))
         with pytest.raises(ValueError):
             symspace.UnitaryMatrix(np.ones((2, 3, 4)))
         with pytest.raises(ValueError):

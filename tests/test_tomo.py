@@ -74,6 +74,12 @@ class TestCorrectPopulations:
         with pytest.raises(ValueError):
             tomo.correct_populations(model, np.full(8, 0.2))
 
+    def test_rejects_nan_population(self):
+        p = np.full(8, 0.125)
+        p[3] = math.nan
+        with pytest.raises(ValueError, match="sum to 1"):
+            tomo.correct_populations(tomo.bundled_readout_model(), p)
+
 
 class TestProjectPsd:
     def test_valid_state_unchanged(self, rng):
@@ -184,6 +190,13 @@ class TestReconstruct:
     def test_out_of_range_rejected(self):
         table = expectations_of(np.eye(8) / 8.0)
         table["XXX"] = 1.5
+        with pytest.raises(ValueError, match="XXX"):
+            tomo.reconstruct(table)
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_non_finite_rejected(self, value):
+        table = expectations_of(np.eye(8) / 8.0)
+        table["XXX"] = value
         with pytest.raises(ValueError, match="XXX"):
             tomo.reconstruct(table)
 
