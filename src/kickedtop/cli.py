@@ -199,6 +199,8 @@ def cmd_sweep(args) -> int:
             raise CliError(f"bad --kappa0-list {args.kappa0_list!r}") from exc
     else:
         _require(args.kappa0_steps >= 1, "--kappa0-steps must be >= 1")
+        _require(math.isfinite(args.kappa0_stop - args.kappa0_start),  # NaN, inf and overflow
+                 "--kappa0-start and --kappa0-stop must be finite, a finite distance apart")
         grid = list(np.linspace(args.kappa0_start, args.kappa0_stop, args.kappa0_steps))
     averages = _sweep_averages(args.qubits, point, grid, args.kicks)
     columns: dict[str, np.ndarray] = {
@@ -346,16 +348,11 @@ def cmd_classical(args) -> int:
 
 
 def _theory_register_states(kappa0: float, point, steps: list[int]) -> list[np.ndarray]:
-    """Register density matrices of U^step psi0 for ascending steps: one
-    Floquet matrix, and one evolve pass carried from step to step."""
+    """Register density matrices of U^step psi0, one evolve call per step."""
     u = symspace.floquet(symspace.KickedTopParams(j=1.5, kappa0=kappa0))
-    psi, done = symspace.coherent_state(1.5, point), 0
-    rhos = []
-    for step in steps:
-        psi, done = symspace.evolve(u, psi, step - done), step
-        vec = symspace.symmetric_to_qubits(psi)
-        rhos.append(np.outer(vec, vec.conj()))
-    return rhos
+    psi0 = symspace.coherent_state(1.5, point)
+    vecs = [symspace.symmetric_to_qubits(symspace.evolve(u, psi0, step)) for step in steps]
+    return [np.outer(vec, vec.conj()) for vec in vecs]
 
 
 def cmd_tomo(args) -> int:

@@ -31,7 +31,7 @@ _SY_SY = np.kron(
 )
 _X_MASK = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
 # Excitation counts of the kept two-qubit patterns 00, 01, 10, 11.
-_PATTERN_WEIGHT = [0, 1, 1, 2]
+_PATTERN_WEIGHT = np.array([0, 1, 1, 2])
 
 
 def reduced_states(amps: np.ndarray, keep: int) -> np.ndarray:
@@ -79,7 +79,7 @@ def reduced_states(amps: np.ndarray, keep: int) -> np.ndarray:
                 bands[:, b, a] = bands[:, a, b].conj()
     if keep == 1:
         return bands
-    return bands[:, _PATTERN_WEIGHT][:, :, _PATTERN_WEIGHT]
+    return bands[:, _PATTERN_WEIGHT[:, None], _PATTERN_WEIGHT]
 
 
 def reduced_state(psi: SymState, keep: int) -> np.ndarray:
@@ -99,29 +99,23 @@ def linear_entropy(rho: np.ndarray):
     return float(entropy) if rho.ndim == 2 else entropy
 
 
-def concurrences(rhos: np.ndarray, method: str = "auto") -> np.ndarray:
+def concurrences(rhos: np.ndarray) -> np.ndarray:
     """Wootters concurrence of each two-qubit density matrix of an (n, 4, 4)
     stack.
 
     Eigenvalues of (sy x sy) rho* (sy x sy) rho are sorted in decreasing order
     and combined as max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)); the
-    conjugation is taken in the computational (sigma_z product) basis.  With
-    method "auto", X-shaped rows (off-X entries <= _X_STATE_TOL) take the
-    closed form, which avoids the sqrt noise of the general path near exact
-    zeros; "x" and "general" force one path for every row.
+    conjugation is taken in the computational (sigma_z product) basis.
+    X-shaped rows (off-X entries <= _X_STATE_TOL) take the closed form, which
+    avoids the sqrt noise of the general path near exact zeros.
     """
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
         raise ValueError("concurrence expects 4x4 density matrices")
-    if method not in ("auto", "x", "general"):
-        raise ValueError(f"unknown method {method!r}")
     evals = np.linalg.eigvalsh(0.5 * (rhos + rhos.conj().swapaxes(1, 2)))
     if evals.size and evals.min() < -PSD_CLIP_TOL:
         raise ValueError(f"input is not positive semidefinite (min eig {evals.min():.2e})")
-    if method == "auto":
-        x_rows = np.max(np.abs(rhos[:, ~_X_MASK]), axis=1) <= _X_STATE_TOL
-    else:
-        x_rows = np.full(rhos.shape[0], method == "x")
+    x_rows = np.max(np.abs(rhos[:, ~_X_MASK]), axis=1) <= _X_STATE_TOL
     out = np.empty(rhos.shape[0])
     if x_rows.any():
         out[x_rows] = _concurrence_x(rhos[x_rows])
@@ -149,13 +143,13 @@ def _concurrence_general(rhos: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, 2.0 * sigma[:, 0] - sigma.sum(axis=1))
 
 
-def concurrence(rho12: np.ndarray, method: str = "auto") -> float:
+def concurrence(rho12: np.ndarray) -> float:
     """Wootters concurrence of one two-qubit density matrix; one row of
     concurrences()."""
     rho12 = np.asarray(rho12, dtype=complex)
     if rho12.shape != (4, 4):
         raise ValueError("concurrence expects a 4x4 density matrix")
-    return float(concurrences(rho12[None], method)[0])
+    return float(concurrences(rho12[None])[0])
 
 
 def _psd_sqrt(rho: np.ndarray, rank_clip: bool = False) -> np.ndarray:

@@ -99,7 +99,7 @@ class SymState:
         amps = np.asarray(self.amps, dtype=complex).copy()
         if amps.shape != (two_j + 1,):
             raise ValueError(f"expected {two_j + 1} amplitudes, got shape {amps.shape}")
-        if abs(np.vdot(amps, amps).real - 1.0) > _STATE_NORM_TOL:
+        if not abs(np.vdot(amps, amps).real - 1.0) <= _STATE_NORM_TOL:  # a NaN norm fails too
             raise ValueError("state is not normalized")
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
@@ -198,8 +198,11 @@ def floquet(params: KickedTopParams | Sequence[KickedTopParams]) -> UnitaryMatri
     two_j = _two_j(grid[0].j)
     m = two_j / 2.0 - np.arange(two_j + 1)
     kappa0 = np.array([q.kappa0 for q in grid])
-    torsions = np.exp(-1j * (kappa0[:, None] / two_j) * m**2)
-    stack = torsions[:, :, None] * _rotation(grid[0].j, grid[0].p)
+    with np.errstate(over="ignore"):
+        phases = (kappa0[:, None] / two_j) * m**2
+    if not np.all(np.isfinite(phases)):
+        raise ValueError(f"kappa0 is too large for 2j = {two_j}: its torsion phase overflows a double")
+    stack = np.exp(-1j * phases)[:, :, None] * _rotation(grid[0].j, grid[0].p)
     stack.flags.writeable = False  # UnitaryMatrix takes it over without a copy
     return UnitaryMatrix(stack[0] if single else stack)
 
@@ -214,9 +217,11 @@ def _rotation(j: float, p: float) -> np.ndarray:
 
 
 def evolve(u: UnitaryMatrix, psi0: SymState, n: int) -> SymState:
-    """Apply the Floquet operator n times by repeated matrix-vector products.
+    """U^n psi0, with U^n from O(log n) matrix products (binary powering).
 
     No renormalization is performed; use SymState.norm_error to monitor drift.
+    A horizon so long that the norm drifts past the state tolerance raises
+    ValueError.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -224,11 +229,12 @@ def evolve(u: UnitaryMatrix, psi0: SymState, n: int) -> SymState:
         raise ValueError("evolve takes one operator, not a stack")
     if u.dim != psi0.dim:
         raise ValueError(f"dimension mismatch: U is {u.dim}, state is {psi0.dim}")
-    vec = psi0.amps.copy()
-    matrix = u.matrix
-    for _ in range(n):
-        vec = np.dot(matrix, vec)
-    return SymState(psi0.j, vec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = np.linalg.matrix_power(u.matrix, n) @ psi0.amps
+        drift = abs(np.vdot(amps, amps).real - 1.0)
+    if not drift <= _STATE_NORM_TOL:  # round-off in U grows with n, up to overflow
+        raise ValueError(f"n = {n} kicks are too many: round-off in U moved the norm by {drift:.2e}")
+    return SymState(psi0.j, amps)
 
 
 def trajectory(u: UnitaryMatrix, psi0: SymState | np.ndarray, n: int) -> np.ndarray:
@@ -238,8 +244,7 @@ def trajectory(u: UnitaryMatrix, psi0: SymState | np.ndarray, n: int) -> np.ndar
     stack (floquet of K parameter sets) and a (K, dim) array of start rows, one
     per operator and each normalized to _STATE_NORM_TOL, give (n+1, K, dim).
     Every kick is one np.matmul over the stack (np.dot for one point), which
-    is bit-identical to stepping each point on its own.  Storage is opt-in
-    through this function; evolve() itself keeps O(1) memory.
+    is bit-identical to stepping each point on its own.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

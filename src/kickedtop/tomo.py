@@ -96,6 +96,8 @@ def correct_populations(model: ReadoutModel, p_m: np.ndarray) -> np.ndarray:
     dim = 2**model.n_qubits
     if p_m.shape != (dim,):
         raise ValueError(f"expected {dim} populations, got shape {p_m.shape}")
+    if np.any((p_m < 0.0) | (p_m > 1.0)):  # before a sum of huge entries can overflow
+        raise ValueError("populations must lie in [0, 1]")
     if not abs(p_m.sum() - 1.0) <= _POPULATION_SUM_TOL:  # a NaN sum fails too
         raise ValueError(f"populations must sum to 1 (got {p_m.sum()!r})")
     p_int = np.linalg.solve(model.correction_matrix(), p_m)

@@ -76,3 +76,7 @@ def test_traced_metric_names_are_available(tmp_path):
     totals = tracer.pass_totals()
     assert totals["classical.map_steps"] == 6 * 20  # two named and four grid seeds, 20 steps
     assert totals.get("cheby.recurrence_steps", 0) == 0  # no runtime caller of the recurrence
+    # the kicks each evolve call requests, however it computes U^n: husimi
+    # --steps 3, and tomo's theory states at steps 0 and 2
+    assert totals["symspace.evolve.calls"] == 3
+    assert totals["symspace.evolve.kicks"] == 3 + 0 + 2

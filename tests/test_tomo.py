@@ -80,6 +80,12 @@ class TestCorrectPopulations:
         with pytest.raises(ValueError, match="sum to 1"):
             tomo.correct_populations(tomo.bundled_readout_model(), p)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_populations_outside_the_unit_interval(self):
+        for bad in ([1e308, 1e308, -1e308] + [0.0] * 5, [1.5, -0.5] + [0.0] * 6):
+            with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+                tomo.correct_populations(tomo.bundled_readout_model(), np.array(bad))
+
 
 class TestProjectPsd:
     def test_valid_state_unchanged(self, rng):
