@@ -13,7 +13,6 @@ from .symspace import (
     SymState,
     UnitaryMatrix,
     coherent_state,
-    collective_ops,
     evolve,
     floquet,
     symmetric_to_qubits,

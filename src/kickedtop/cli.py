@@ -28,11 +28,9 @@ NAMED_STATES = {
 
 # A sweep steps a chunk of kappa0 points together in blocks of SWEEP_BLOCK_KICKS
 # kicks; a block holds at most SWEEP_BLOCK_AMPS amplitudes (one point for
-# 2j+1 > 64, where stacking stops paying off), and one floquet call builds at
-# most SWEEP_FLOQUET_ENTRIES entries, so memory is bounded in --kicks and grid.
+# 2j+1 > 64), so the states held are bounded in --kicks and the grid size.
 SWEEP_BLOCK_KICKS = 512
 SWEEP_BLOCK_AMPS = 2**16
-SWEEP_FLOQUET_ENTRIES = 2**17
 # Largest tunnel time: kick counts above 2**53 are not exact as doubles.
 MAX_TUNNEL_TIME = 2**53
 # Table rows formatted per % operation in _write_table; formatting a whole
@@ -158,34 +156,25 @@ def cmd_evolve(args) -> int:
 
 def _sweep_averages(two_j: int, point, grid: list[float], kicks: int) -> np.ndarray:
     """Mean single-qubit linear entropy over kicks 1..kicks for each kappa0 of
-    the grid, from one floquet call per SWEEP_FLOQUET_ENTRIES matrix entries."""
+    the grid, from one floquet call: the grid shares one rotation.  Points are
+    stepped a chunk at a time, block by block in kick order, and each sum is
+    kept per point, so no cell depends on the chunk its point is stepped in."""
     j = two_j / 2.0
     psi = symspace.coherent_state(j, point)  # before floquet, as in _numeric_series
-    per_floquet = max(1, SWEEP_FLOQUET_ENTRIES // (two_j + 1) ** 2)
-    totals = []
-    for first in range(0, len(grid), per_floquet):
-        params = [symspace.KickedTopParams(j=j, kappa0=k) for k in grid[first : first + per_floquet]]
-        totals.append(_sweep_totals(symspace.floquet(params), psi.amps, kicks))
-    return np.concatenate(totals) / kicks
-
-
-def _sweep_totals(stack: symspace.UnitaryMatrix, start: np.ndarray, kicks: int) -> np.ndarray:
-    """Single-qubit linear entropy summed over kicks 1..kicks from `start` for
-    each operator of a Floquet stack, per point and block by block in kick
-    order, so no sum depends on the chunk its point is stepped in."""
-    per_chunk = max(1, SWEEP_BLOCK_AMPS // (SWEEP_BLOCK_KICKS * stack.dim))
-    totals = np.zeros(len(stack.matrix))
-    for lo in range(0, len(totals), per_chunk):
-        u = stack[lo : lo + per_chunk]
-        amps = np.tile(start, (len(u.matrix), 1))
+    u = symspace.floquet([symspace.KickedTopParams(j=j, kappa0=k) for k in grid])
+    per_chunk = max(1, SWEEP_BLOCK_AMPS // (SWEEP_BLOCK_KICKS * u.dim))
+    totals = np.zeros(len(grid))
+    for lo in range(0, len(grid), per_chunk):
+        chunk = u[lo : lo + per_chunk]
+        amps = np.tile(psi.amps, (chunk.shape[0], 1))
         for first_kick in range(0, kicks, SWEEP_BLOCK_KICKS):
-            states = symspace.trajectory(u, amps, min(SWEEP_BLOCK_KICKS, kicks - first_kick))
+            states = symspace.trajectory(chunk, amps, min(SWEEP_BLOCK_KICKS, kicks - first_kick))
             for i in range(len(amps)):
                 entropies = measures.linear_entropy(measures.reduced_states(states[1:, i], 1))
                 totals[lo + i] += entropies.sum()
             amps = states[-1].copy()
             del states  # free this block before the next one is allocated
-    return totals
+    return totals / kicks
 
 
 def cmd_sweep(args) -> int:
@@ -261,6 +250,7 @@ def cmd_tunnel(args) -> int:
 def cmd_husimi(args) -> int:
     _require(args.qubits >= 1, "--qubits must be >= 1")
     _require(args.n_theta >= 2 and args.n_phi >= 2, "grid must be at least 2x2")
+    _require(args.kappa0 is None or math.isfinite(args.kappa0), "--kappa0 must be finite")
     j = args.qubits / 2.0
     if args.basis_state:
         table = exact3.parity_basis_states3() if args.qubits == 3 else (
@@ -275,7 +265,7 @@ def cmd_husimi(args) -> int:
     else:
         _, point = _parse_state(args.state)
         psi = symspace.coherent_state(j, point)
-    if args.steps:
+    if args.steps is not None:
         # snapshots of evolved states, e.g. mid-tunneling configurations
         _require(args.steps >= 1, "--steps must be >= 1")
         _require(args.kappa0 is not None, "--steps requires --kappa0")

@@ -13,6 +13,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 import pytest
 
+from kickedtop import symspace
 from kickedtop.tomo import PAULI_LABELS_3Q, pauli_product
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -130,3 +131,36 @@ def expectations_of(rho: np.ndarray) -> dict[str, float]:
         label: float(np.trace(pauli_product(label) @ rho).real)
         for label in PAULI_LABELS_3Q
     }
+
+
+def collective_ops(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Angular momentum matrices (Jx, Jy, Jz) in the Dicke basis, from
+    J+ |j,m> = sqrt(j(j+1) - m(m+1)) |j,m+1>; m+1 sits one index above m."""
+    two_j = round(2 * j)
+    m = j - np.arange(1, two_j + 1)
+    jp = np.zeros((two_j + 1, two_j + 1), dtype=complex)
+    jp[np.arange(two_j), np.arange(1, two_j + 1)] = np.sqrt(j * (j + 1.0) - m * (m + 1.0))
+    jm = jp.conj().T
+    jz = np.diag(j - np.arange(two_j + 1)).astype(complex)
+    return (jp + jm) / 2.0, (jp - jm) / 2.0j, jz
+
+
+def eigh_rotation(j: float, p: float) -> np.ndarray:
+    """exp(-i p Jy) from a complex Hermitian eigendecomposition of Jy, the
+    reference that symspace._rotation, built real, is checked against."""
+    _, jy, _ = collective_ops(j)
+    evals, evecs = np.linalg.eigh(jy)
+    return (evecs * np.exp(-1j * p * evals)) @ evecs.conj().T
+
+
+def kick_alone(u: symspace.UnitaryMatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """The kick that trajectory gives one point of u (one operator, or a
+    stack of one), as a function of its amplitudes: for a factored operator
+    of dim >= symspace._FACTORED_MIN_DIM the real rotation times the (re, im)
+    column pair, then the torsion phases; np.dot with the dense matrix
+    otherwise."""
+    if u.phases is not None and u.dim >= symspace._FACTORED_MIN_DIM:
+        rotation, phases = u.base, u.phases.reshape(u.dim)
+        return lambda vec: (rotation @ vec.view(float).reshape(-1, 2)).view(complex)[:, 0] * phases
+    matrix = u.matrix.reshape(u.dim, u.dim)
+    return lambda vec: np.dot(matrix, vec)

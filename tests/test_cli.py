@@ -479,11 +479,27 @@ class TestEdgeInputs:
         # U^n overflows long before 10**30 kicks
         ["husimi", "--qubits", "4", "--state", "plus_y", "--kappa0", "0.1",
          "--steps", str(10**30), "--n-theta", "4"],
+        # --steps 0 is a bad kick count, not "no --steps"; --kappa0 is checked
+        # whether or not --steps is given
+        ["husimi", "--qubits", "3", "--steps", "0", "--kappa0", "nan", "--n-theta", "3", "--n-phi", "3"],
+        ["husimi", "--qubits", "3", "--kappa0", "inf", "--n-theta", "3", "--n-phi", "3"],
     ])
     def test_exits_2_with_message(self, argv, tmp_path, capsys):
         out = tmp_path / "out.csv"
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--steps", "0", "--kappa0", "0.5"], "--steps must be >= 1"),
+        (["--kappa0", "inf"], "--kappa0 must be finite"),
+        (["--steps", "2", "--kappa0=-inf"], "--kappa0 must be finite"),
+    ])
+    def test_husimi_steps_and_kappa0(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["husimi", "--qubits", "3", *flags, "--n-theta", "3", "--n-phi", "3",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,text", [

@@ -10,7 +10,7 @@ from kickedtop import cheby, exact3, measures, symspace
 from kickedtop.exact3 import STATE_PLUS_Y, STATE_ZERO, GeneralState3
 from kickedtop.symspace import BlochPoint, KickedTopParams, SymState
 
-from conftest import random_symmetric_amps
+from conftest import collective_ops, random_symmetric_amps
 
 KAPPAS = [0.1, 0.4, 0.5, 0.8, 1.2, 2.5, 1.5 * math.pi]
 
@@ -391,7 +391,7 @@ class TestLocalUnitaryStructure:
         # with the parity of m), and the leftover rotation is local anyway.
         kappa = kappa0 / 6.0
         m_vals = 1.5 - np.arange(4)
-        _, jy, _ = symspace.collective_ops(1.5)
+        _, jy, _ = collective_ops(1.5)
         evals, evecs = np.linalg.eigh(jy)
         r_dag = (evecs * np.exp(1j * (math.pi / 2.0) * evals)) @ evecs.conj().T
         u = symspace.floquet(KickedTopParams(j=1.5, kappa0=kappa0))

@@ -9,6 +9,7 @@ from kickedtop import cli, measures, symspace
 from kickedtop.symspace import BlochPoint, KickedTopParams, SymState
 
 from conftest import (
+    kick_alone,
     random_symmetric_amps,
     register_floquet,
     register_reduced,
@@ -387,16 +388,17 @@ class TestBatchedKernel:
 
 
 def per_point_sweep(two_j, point, kappa0, kicks):
-    """The earlier per-point sweep algorithm: its own Floquet matrix and its
-    own np.dot loop, with the entropies of each 512-kick block summed."""
-    u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=kappa0)).matrix
+    """The per-point sweep algorithm: its own Floquet operator and its own
+    loop of the kick trajectory gives it alone, with the entropies of each
+    512-kick block summed."""
+    kick = kick_alone(symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=kappa0)))
     vec = symspace.coherent_state(two_j / 2.0, point).amps
     total = 0.0
     for start in range(0, kicks, 512):
         states = np.empty((min(512, kicks - start) + 1, two_j + 1), dtype=complex)
         states[0] = vec
         for k in range(1, len(states)):
-            np.dot(u, states[k - 1], out=states[k])
+            states[k] = kick(states[k - 1])
         total += measures.linear_entropy(measures.reduced_states(states[1:], 1)).sum()
         vec = states[-1]
     return total / kicks
@@ -422,15 +424,30 @@ class TestSweepBlocks:
     @pytest.mark.parametrize("two_j", [3, 20, 50])
     @pytest.mark.parametrize("chunk,per_floquet", [(None, None), (2, 3), (1, 1)])
     def test_chunks_do_not_move_a_bit(self, two_j, chunk, per_floquet, monkeypatch):
-        # the chunk of points stepped together and the points per floquet
-        # call change the grouping, never a cell
+        # the chunk of points stepped together and the points that share one
+        # floquet call (one sweep's grid) change the grouping, never a cell
         dim = two_j + 1
         if chunk is not None:
             monkeypatch.setattr(cli, "SWEEP_BLOCK_AMPS", chunk * cli.SWEEP_BLOCK_KICKS * dim)
-            monkeypatch.setattr(cli, "SWEEP_FLOQUET_ENTRIES", per_floquet * dim**2)
         point, kicks = BlochPoint(0.7, -2.0), 600
-        averages = cli._sweep_averages(two_j, point, self.GRID, kicks)
+        per_floquet = per_floquet or len(self.GRID)
+        averages = np.concatenate([
+            cli._sweep_averages(two_j, point, self.GRID[lo : lo + per_floquet], kicks)
+            for lo in range(0, len(self.GRID), per_floquet)
+        ])
         reference = [per_point_sweep(two_j, point, k, kicks) for k in self.GRID]
+        assert np.array_equal(averages, reference)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4])
+    def test_factored_chunks_do_not_move_a_bit(self, chunk, monkeypatch):
+        # 2j = 200 kicks in factored form; a chunk of points shares each real
+        # GEMM call, and numpy still makes one BLAS call per point
+        two_j, grid = 200, [2.0 * math.pi, 3.0 * math.pi, 4.0 * math.pi, 11.0]
+        assert two_j + 1 >= symspace._FACTORED_MIN_DIM
+        monkeypatch.setattr(cli, "SWEEP_BLOCK_AMPS", chunk * cli.SWEEP_BLOCK_KICKS * (two_j + 1))
+        point, kicks = BlochPoint(0.7, -2.0), 600
+        averages = cli._sweep_averages(two_j, point, grid, kicks)
+        reference = [per_point_sweep(two_j, point, k, kicks) for k in grid]
         assert np.array_equal(averages, reference)
 
     def test_sweep_point_never_holds_the_trajectory(self):

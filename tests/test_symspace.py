@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 from kickedtop import exact3, measures, symspace
 from kickedtop.symspace import BlochPoint, KickedTopParams, SymState
 
-from conftest import parity_op, qubits_to_symmetric, random_symmetric_amps, register_floquet
+from conftest import (
+    collective_ops,
+    eigh_rotation,
+    kick_alone,
+    parity_op,
+    qubits_to_symmetric,
+    random_symmetric_amps,
+    register_floquet,
+)
 
 JS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.5, 10.0]
 
@@ -106,33 +114,45 @@ class TestCoherentState:
 
 class TestCollectiveOps:
     def test_spin_half_is_half_pauli(self):
-        jx, jy, jz = symspace.collective_ops(0.5)
+        jx, jy, jz = collective_ops(0.5)
         assert np.allclose(jx, [[0, 0.5], [0.5, 0]])
         assert np.allclose(jy, [[0, -0.5j], [0.5j, 0]])
         assert np.allclose(jz, [[0.5, 0], [0, -0.5]])
 
     def test_jz_diagonal_descending(self):
-        _, _, jz = symspace.collective_ops(1.0)
+        _, _, jz = collective_ops(1.0)
         assert np.allclose(jz, np.diag([1.0, 0.0, -1.0]))
 
     def test_jy_spectrum(self):
-        _, jy, _ = symspace.collective_ops(1.5)
+        _, jy, _ = collective_ops(1.5)
         assert np.allclose(np.linalg.eigvalsh(jy), [-1.5, -0.5, 0.5, 1.5], atol=1e-12)
 
     @pytest.mark.parametrize("j", JS)
     def test_commutator(self, j):
-        jx, jy, jz = symspace.collective_ops(j)
+        jx, jy, jz = collective_ops(j)
         assert np.allclose(jx @ jy - jy @ jx, 1j * jz, atol=1e-12)
 
 
 class TestRotation:
-    @pytest.mark.parametrize("two_j", [*range(1, 30), 50, 64, 100, 127, 200, 201, 400])
+    ROUND_OFF = [*range(1, 30), 50, 64, 100, 127, 200, 201, 400]
+
+    @pytest.mark.parametrize("two_j", ROUND_OFF)
     def test_matches_eigh_of_collective_jy(self, two_j):
-        _, jy, _ = symspace.collective_ops(two_j / 2.0)
-        evals, evecs = np.linalg.eigh(jy)
+        # the complex eigh gives the same rotation up to round-off, which in
+        # its imaginary part (up to 7e-15 at 2j = 200) is pure error
         for p in (math.pi / 2.0, 0.3):
-            expected = (evecs * np.exp(-1j * p * evals)) @ evecs.conj().T
-            assert np.array_equal(symspace._rotation(two_j / 2.0, p), expected)
+            rotation = symspace._rotation(two_j / 2.0, p)
+            assert rotation.dtype == float
+            assert np.max(np.abs(rotation - eigh_rotation(two_j / 2.0, p))) <= 1e-14
+
+    @pytest.mark.parametrize("two_j", [*ROUND_OFF, symspace.MAX_BINOMIAL_TWO_J])
+    def test_real_orthogonal(self, two_j):
+        eye = np.eye(two_j + 1)
+        for p in (math.pi / 2.0, -2.9):
+            rotation = symspace._rotation(two_j / 2.0, p)
+            assert rotation.dtype == float
+            assert np.max(np.abs(rotation.T @ rotation - eye)) <= 1e-13
+            assert np.max(np.abs(rotation @ rotation.T - eye)) <= 1e-13
 
 
 class TestFloquet:
@@ -213,9 +233,9 @@ class TestEvolve:
         u = symspace.floquet(params)
         psi = symspace.coherent_state(params.j, BlochPoint(0.8, -1.3))
         steps = 300
-        reference = [psi.amps.copy()]
+        kick, reference = kick_alone(u), [psi.amps.copy()]
         for _ in range(steps):
-            reference.append(u.matrix @ reference[-1])
+            reference.append(kick(reference[-1]))
         assert np.array_equal(symspace.trajectory(u, psi, steps), np.array(reference))
 
     def test_norm_preserved_million_steps(self):
@@ -331,13 +351,15 @@ class TestFloquetStack:
             symspace.floquet(KickedTopParams(j=1.5, kappa0=0.3))[0:1]
 
 
-def stepped_point_by_point(matrices, starts, n):
-    """Reference for the stacked trajectory: every point on its own np.dot loop."""
+def stepped_point_by_point(stack, starts, n):
+    """Reference for the stacked trajectory: every point on its own loop of
+    the kick trajectory gives it alone."""
     out = np.empty((n + 1, *starts.shape), dtype=complex)
-    for i, (matrix, vec) in enumerate(zip(matrices, starts)):
+    for i, vec in enumerate(starts):
+        kick = kick_alone(stack[i : i + 1])
         out[0, i] = vec
         for k in range(1, n + 1):
-            out[k, i] = np.dot(matrix, out[k - 1, i])
+            out[k, i] = kick(out[k - 1, i])
     return out
 
 
@@ -352,7 +374,7 @@ class TestStackedTrajectory:
         n = 40 if two_j < 200 else 5
         got = symspace.trajectory(stack, starts, n)
         assert got.shape == (n + 1, count, two_j + 1)
-        assert np.array_equal(got, stepped_point_by_point(stack.matrix, starts, n))
+        assert np.array_equal(got, stepped_point_by_point(stack, starts, n))
 
     def test_single_point_keeps_its_shape(self):
         u = symspace.floquet(KickedTopParams(j=2.0, kappa0=1.3))
@@ -378,6 +400,30 @@ class TestStackedTrajectory:
             symspace.trajectory(stack, starts, -1)
         with pytest.raises(ValueError, match="stack"):
             symspace.evolve(stack, psi, 3)
+
+
+class TestFactoredRoute:
+    def test_factored_form_is_checked(self):
+        u = symspace.floquet([KickedTopParams(j=1.5, kappa0=k) for k in (0.2, 0.4)])
+        assert u.base.dtype == float and u.phases.shape == (2, 4) and u.shape == (2, 4, 4)
+        assert not u.base.flags.writeable and not u.phases.flags.writeable
+        with pytest.raises(ValueError, match="not unitary"):
+            symspace.UnitaryMatrix(1.01 * u.base, u.phases)
+        with pytest.raises(ValueError, match="modulus 1"):
+            symspace.UnitaryMatrix(u.base, np.where(np.eye(2, 4, dtype=bool), np.nan, u.phases))
+        with pytest.raises(ValueError, match="rows"):
+            symspace.UnitaryMatrix(u.base, u.phases[:, :3])
+
+    @pytest.mark.parametrize("two_j", [100, 200])
+    def test_routes_agree_over_a_thousand_kicks(self, two_j, monkeypatch):
+        j = two_j / 2.0
+        stack = symspace.floquet([KickedTopParams(j=j, kappa0=k) for k in (1.1, 2.0 * math.pi, 11.0)])
+        starts = np.tile(symspace.coherent_state(j, BlochPoint(0.8, -1.3)).amps, (3, 1))
+        monkeypatch.setattr(symspace, "_FACTORED_MIN_DIM", 10**9)
+        dense = symspace.trajectory(stack, starts, 1000)
+        monkeypatch.setattr(symspace, "_FACTORED_MIN_DIM", 1)
+        factored = symspace.trajectory(stack, starts, 1000)
+        assert np.max(np.abs(factored - dense)) <= 1e-12
 
 
 class TestRegisterExpansion:
