@@ -28,11 +28,19 @@ NAMED_STATES = {
 
 # A sweep steps a chunk of kappa0 points together in blocks of SWEEP_BLOCK_KICKS
 # kicks; a block holds at most SWEEP_BLOCK_AMPS amplitudes (one point for
-# 2j+1 > 64), so the states held are bounded in --kicks and the grid size.
+# 2j+1 > 64), and the chunk's power stacks in symspace.trajectory no more, so
+# the states held are bounded in --kicks and the grid size.
 SWEEP_BLOCK_KICKS = 512
 SWEEP_BLOCK_AMPS = 2**16
 # Largest tunnel time: kick counts above 2**53 are not exact as doubles.
 MAX_TUNNEL_TIME = 2**53
+# evolve writes the 3-qubit closed columns only where they can meet the
+# closed-vs-numeric gate.  Both routes use x = kappa0/3 rounded once, but the
+# numeric torsion phase x m^2 at m^2 = 9/4 is rounded again, by up to
+# (3/8)|kappa0| eps, and that error recurs on every kick, so after n kicks the
+# routes differ by about n |kappa0| eps (measured: at most 0.06 n |kappa0| eps
+# in S and C for kappa0 = 1e2..1e12, n = 50 and 1000, three start states).
+CLOSED_GATE = 1e-10
 # Table rows formatted per % operation in _write_table; formatting a whole
 # table at once holds all of its text and raised the figures peak RSS by 14%.
 TABLE_BLOCK_ROWS = 4096
@@ -136,17 +144,22 @@ def cmd_evolve(args) -> int:
         "n": np.arange(args.steps + 1),
         "S_numeric": entropies,
     }
-    s_closed = _closed_entropy_series(args.qubits, name, point, args.kappa0, args.steps)
+    drift = args.steps * abs(args.kappa0) * np.finfo(float).eps
+    resolved = args.qubits != 3 or drift <= CLOSED_GATE
+    s_closed = c_closed = None
+    if resolved:
+        s_closed = _closed_entropy_series(args.qubits, name, point, args.kappa0, args.steps)
+        c_closed = _closed_concurrence_series(args.qubits, name, args.kappa0, args.steps)
     if s_closed is not None:
         columns["S_closed"] = s_closed
     if args.qubits >= 2:
         columns["C_numeric"] = concurrences
-    c_closed = _closed_concurrence_series(args.qubits, name, args.kappa0, args.steps)
     if c_closed is not None:
         columns["C_closed"] = c_closed
     if s_closed is None:
+        where = "" if resolved else f" at kappa0 = {args.kappa0!r} over {args.steps} kicks"
         print(
-            f"warning: no closed-form entropy for {args.qubits} qubits, state {args.state!r};"
+            f"warning: no closed-form entropy for {args.qubits} qubits, state {args.state!r}{where};"
             " closed-form columns omitted",
             file=sys.stderr,
         )

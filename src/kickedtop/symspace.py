@@ -4,7 +4,10 @@ One kick period is a rotation by angle p about the y axis followed by a
 torsion exp(-i kappa0 Jz^2 / 2j); the Floquet operator of that period acts on
 the (2j+1)-dimensional symmetric subspace of 2j qubits.  floquet keeps it as
 its two factors: the rotation, which is real orthogonal in this basis, and the
-diagonal torsion phases.
+diagonal torsion phases.  trajectory gives every kick: below a measured
+dimension several kicks per BLAS call, from a stack of powers of U, and above
+it one real matmul with the rotation per kick.  evolve gives one state U^n psi0
+by binary powering.
 
 Basis convention used everywhere in this package: amplitude index i holds the
 Jz eigenvalue m = j - i, i.e. amplitudes run m = j, j-1, ..., -j.  In the
@@ -33,6 +36,24 @@ MAX_BINOMIAL_TWO_J = 1029  # largest 2j whose C(2j, k) all fit a double; C(1030,
 #   dense   2.5   3.4   4.7   5.9   6.7   9.5  18.8 us
 #   real    3.6   4.3   4.9   5.4   6.0   7.3  11.0 us
 _FACTORED_MIN_DIM = 111
+# Below _FACTORED_MIN_DIM trajectory advances b kicks per BLAS call from the
+# power stack U, U^2, ..., U^b; b is that of the first (smallest 2j+1, b) pair
+# of _KICK_BLOCKS the dimension reaches.  ms per call, 2 points, 500 kicks,
+# median of 15 runs interleaved over b (same host and thread as above; b = 1
+# is the per-kick loop):
+#   2j+1   b = 1     2     4     8    16    32
+#      4    1.66  0.93  0.50  0.32  0.22  0.21
+#     12    1.92  1.04  0.62  0.44  0.44  0.61
+#     21    2.23  1.27  0.92  0.83  0.96
+#     32    2.64  1.61  1.64  1.27  1.49
+#     51    4.26  3.74  3.59  3.66
+#     64    6.02  3.59  3.33  4.90
+#     81    7.69  5.08  5.11
+#    101    8.80  6.36  6.90
+# For 1 and 3 points and for 300 kicks the chosen b is within 20% of the best.
+# b (2j+1) <= 512 = cli.SWEEP_BLOCK_KICKS, so a sweep chunk's power stacks
+# hold no more amplitudes than its block of states.
+_KICK_BLOCKS = ((71, 2), (41, 4), (12, 8), (2, 32))
 
 
 def _two_j(j: float) -> int:
@@ -127,62 +148,56 @@ class SymState:
 
 @dataclass(frozen=True)
 class UnitaryMatrix:
-    """U = diag(phases) @ base: one dim x dim unitary, or a stack of K of them.
+    """U = diag(phases) @ base: one dim x dim unitary, or a stack of K of them
+    that share the base.
 
-    UnitaryMatrix(matrix) takes a dense unitary, or a (K, dim, dim) stack, as
-    its base and checks each matrix to _UNITARY_TOL in Frobenius norm.  floquet
-    gives the factored form: the base is the real orthogonal rotation, checked
-    once, and `phases` holds the unit-modulus torsion diagonal, a (dim,) row
-    for one operator or a (K, dim) stack of rows that share the rotation.  The
-    dense `matrix` is formed on each use; only a factored stack can be sliced.
+    `base` is the real orthogonal rotation, checked once (R^T R = I to
+    _UNITARY_TOL in Frobenius norm); `phases` holds the unit-modulus torsion
+    diagonal, a (dim,) row for one operator or a (K, dim) stack of rows.  The
+    dense `matrix` is formed on each use, and a stack can be sliced.
     """
 
     base: np.ndarray
-    phases: np.ndarray | None = None
+    phases: np.ndarray
     dim: int = field(init=False)
 
     def __post_init__(self):
-        base = np.asarray(self.base, dtype=complex if self.phases is None else float)
+        base = np.asarray(self.base, dtype=float)
         if base.flags.writeable or not base.flags.owndata:
             base = base.copy()  # a frozen array that owns its data is taken over as is
-        if base.ndim not in (2, 3) or base.shape[-1] != base.shape[-2]:
-            raise ValueError("matrix must be square, or a stack of square matrices")
-        dim = base.shape[-1]
-        eye = np.eye(dim)
-        for one in base.reshape(-1, dim, dim):  # one at a time: no stack-sized temporaries
-            defect = np.linalg.norm(one.conj().T @ one - eye)
-            if not defect <= _UNITARY_TOL:  # a NaN entry fails too
-                raise ValueError(f"matrix is not unitary (defect {defect:.2e})")
+        if base.ndim != 2 or base.shape[0] != base.shape[1]:
+            raise ValueError("the rotation must be a square matrix")
+        dim = base.shape[0]
+        defect = np.linalg.norm(base.T @ base - np.eye(dim))
+        if not defect <= _UNITARY_TOL:  # a NaN entry fails too
+            raise ValueError(f"matrix is not unitary (defect {defect:.2e})")
+        phases = np.array(self.phases, dtype=complex)
+        if phases.ndim not in (1, 2) or phases.shape[-1] != dim:
+            raise ValueError("phases need rows of the rotation's dimension")
+        if not np.all(np.abs(np.abs(phases) - 1.0) <= _UNITARY_TOL):  # NaN fails too
+            raise ValueError("phases must have modulus 1")
         base.flags.writeable = False
+        phases.flags.writeable = False
         object.__setattr__(self, "base", base)
+        object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "dim", dim)
-        if self.phases is not None:
-            phases = np.array(self.phases, dtype=complex)
-            if base.ndim != 2 or phases.ndim not in (1, 2) or phases.shape[-1] != dim:
-                raise ValueError("phases need one rotation and rows of its dimension")
-            if not np.all(np.abs(np.abs(phases) - 1.0) <= _UNITARY_TOL):  # NaN fails too
-                raise ValueError("phases must have modulus 1")
-            phases.flags.writeable = False
-            object.__setattr__(self, "phases", phases)
 
     @property
     def shape(self) -> tuple[int, ...]:
         """Shape of the dense `matrix`, without forming it."""
-        return self.base.shape if self.phases is None else (*self.phases.shape, self.dim)
+        return (*self.phases.shape, self.dim)
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense operator or stack; in factored form a new array per use."""
-        if self.phases is None:
-            return self.base
+        """The dense operator or stack, a new array per use."""
         dense = self.phases[..., None] * self.base
         dense.flags.writeable = False
         return dense
 
     def __getitem__(self, index: slice) -> UnitaryMatrix:
-        """Sub-stack of a factored stack; it shares the already checked rotation."""
-        if self.phases is None or self.phases.ndim != 2 or not isinstance(index, slice):
-            raise TypeError("only a factored stack can be sliced, and only by a slice")
+        """Sub-stack of a stack; it shares the already checked rotation."""
+        if self.phases.ndim != 2 or not isinstance(index, slice):
+            raise TypeError("only a stack can be sliced, and only by a slice")
         sub = object.__new__(UnitaryMatrix)
         object.__setattr__(sub, "base", self.base)
         object.__setattr__(sub, "phases", self.phases[index])
@@ -274,14 +289,16 @@ def trajectory(u: UnitaryMatrix, psi0: SymState | np.ndarray, n: int) -> np.ndar
     One operator and a SymState give an (n+1, dim) array.  A stack of K
     operators (floquet of K parameter sets) and a (K, dim) array of start
     rows, one per operator and each normalized to _STATE_NORM_TOL, give
-    (n+1, K, dim).
+    (n+1, K, dim), a view of point-major storage: each point's rows are
+    contiguous.
 
-    A factored operator of dim >= _FACTORED_MIN_DIM kicks as U psi = D (R psi):
-    one real np.matmul of the rotation R with every point's amplitudes viewed
-    as (re, im) column pairs, then the torsion phases D in place.  Below that
-    dimension, and for a dense operator, every kick is one np.matmul over the
-    dense stack (np.dot for one point).  Either way numpy makes one BLAS call
-    per point, so each point is bit-identical to stepping it on its own.
+    Below _FACTORED_MIN_DIM each point advances b kicks per BLAS call (b from
+    _KICK_BLOCKS): rows k+1..k+b are the (b dim, dim) stack U, U^2, ..., U^b,
+    built once per call by doubling, times row k, one GEMV per point.  From
+    _FACTORED_MIN_DIM up every kick is U psi = D (R psi): one real matmul of
+    the rotation R with the amplitudes viewed as (re, im) column pairs, then
+    the torsion phases D in place.  Either way numpy makes one BLAS call per
+    point, so each point is bit-identical to stepping it on its own.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -292,23 +309,47 @@ def trajectory(u: UnitaryMatrix, psi0: SymState | np.ndarray, n: int) -> np.ndar
         raise ValueError(f"dimension mismatch: operators {u.shape}, starts {starts.shape}")
     if not np.all(np.abs((starts.real**2 + starts.imag**2).sum(axis=1) - 1.0) <= _STATE_NORM_TOL):
         raise ValueError("start state is not normalized")
-    out = np.empty((n + 1, *starts.shape), dtype=complex)
-    out[0] = starts
-    if u.phases is not None and u.dim >= _FACTORED_MIN_DIM:
+    count, dim = rows
+    out = np.empty((count, n + 1, dim), dtype=complex)
+    out[:, 0] = starts
+    if u.dim >= _FACTORED_MIN_DIM:
         rotation, phases = u.base, u.phases.reshape(rows)
-        pairs = out.view(float).reshape(n + 1, *rows, 2)
+        kicks = out.swapaxes(0, 1)
+        pairs = out.view(float).reshape(count, n + 1, dim, 2).swapaxes(0, 1)
         for k in range(1, n + 1):
             np.matmul(rotation, pairs[k - 1], out=pairs[k])
-            out[k] *= phases
-    else:
-        matrices = u.matrix.reshape(-1, u.dim, u.dim)
-        if len(starts) == 1:  # np.dot has less call overhead than np.matmul
-            step, matrix, vecs = np.dot, matrices[0], out[:, 0]
+            kicks[k] *= phases
+    elif n:
+        block = min(n, next(b for lo, b in _KICK_BLOCKS if dim >= lo))
+        powers = _kick_powers(u, block).reshape(count, block * dim, dim)
+        full = n - n % block
+        if count == 1:  # np.dot has less call overhead than np.matmul
+            step, powers = np.dot, powers[0]
+            sources, targets = out[0, :full:block], out[0, 1 : full + 1].reshape(-1, block * dim)
         else:
-            step, matrix, vecs = np.matmul, matrices, out[..., None]
-        for k in range(1, n + 1):
-            step(matrix, vecs[k - 1], out=vecs[k])
-    return out[:, 0] if single else out
+            step = np.matmul
+            sources = out[:, :full:block, :, None].swapaxes(0, 1)
+            targets = out[:, 1 : full + 1].reshape(count, -1, block * dim, 1).swapaxes(0, 1)
+        for source, target in zip(sources, targets):
+            step(powers, source, out=target)
+        if full < n:  # the last n % block rows, from the first powers of the stack
+            rest = np.matmul(powers[..., : (n - full) * dim, :], out[:, full, :, None])
+            out[:, full + 1 :] = rest.reshape(count, n - full, dim)
+    return out[0] if single else out.swapaxes(0, 1)
+
+
+def _kick_powers(u: UnitaryMatrix, block: int) -> np.ndarray:
+    """The (K, block, dim, dim) stack U, U^2, ..., U^block of each operator of u,
+    by doubling: one stacked np.matmul forms U^(h+1..2h) = U^h U^(1..h)."""
+    dense = u.matrix.reshape(-1, u.dim, u.dim)
+    powers = np.empty((len(dense), block, u.dim, u.dim), dtype=complex)
+    powers[:, 0] = dense
+    have = 1
+    while have < block:
+        new = min(have, block - have)
+        np.matmul(powers[:, have - 1 : have], powers[:, :new], out=powers[:, have : have + new])
+        have += new
+    return powers
 
 
 def symmetric_to_qubits(psi: SymState) -> np.ndarray:

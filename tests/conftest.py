@@ -153,14 +153,26 @@ def eigh_rotation(j: float, p: float) -> np.ndarray:
     return (evecs * np.exp(-1j * p * evals)) @ evecs.conj().T
 
 
-def kick_alone(u: symspace.UnitaryMatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """The kick that trajectory gives one point of u (one operator, or a
-    stack of one), as a function of its amplitudes: for a factored operator
-    of dim >= symspace._FACTORED_MIN_DIM the real rotation times the (re, im)
-    column pair, then the torsion phases; np.dot with the dense matrix
-    otherwise."""
-    if u.phases is not None and u.dim >= symspace._FACTORED_MIN_DIM:
-        rotation, phases = u.base, u.phases.reshape(u.dim)
-        return lambda vec: (rotation @ vec.view(float).reshape(-1, 2)).view(complex)[:, 0] * phases
-    matrix = u.matrix.reshape(u.dim, u.dim)
-    return lambda vec: np.dot(matrix, vec)
+def stepped_alone(u: symspace.UnitaryMatrix, vec: np.ndarray, n: int) -> np.ndarray:
+    """The rows 0..n that trajectory gives one point of u (one operator, or a
+    stack of one) from the amplitudes vec, as an explicit loop.  For
+    dim >= symspace._FACTORED_MIN_DIM every kick is the real rotation times the
+    (re, im) column pair, then the torsion phases.  Below it the kicks come in
+    blocks of b (symspace._KICK_BLOCKS, at most n): the powers U^i, each
+    U^h U^(i-h) with h the largest power of two below i, stacked as a
+    (b dim, dim) matrix, times each block's first row by np.dot."""
+    dim, rows = u.dim, [vec]
+    if dim >= symspace._FACTORED_MIN_DIM:
+        rotation, phases = u.base, u.phases.reshape(dim)
+        for _ in range(n):
+            rows.append((rotation @ rows[-1].view(float).reshape(-1, 2)).view(complex)[:, 0] * phases)
+        return np.array(rows)
+    block = max(1, min(n, next(b for lo, b in symspace._KICK_BLOCKS if dim >= lo)))
+    powers = [u.matrix.reshape(dim, dim)]
+    while len(powers) < block:
+        h = 1 << (len(powers).bit_length() - 1)
+        powers.append(powers[h - 1] @ powers[len(powers) - h])
+    for first in range(0, n, block):
+        count = min(block, n - first)
+        rows.extend(np.dot(np.concatenate(powers[:count]), rows[first]).reshape(count, dim))
+    return np.array(rows)

@@ -165,6 +165,32 @@ class TestEvolve:
         i_num, i_cl = header.index("S_numeric"), header.index("S_closed")
         assert np.max(np.abs(data[:, i_num] - data[:, i_cl])) < 1e-10
 
+    @pytest.mark.parametrize("kappa0", [1e6, 1e12])
+    @pytest.mark.parametrize("state", ["zero", "plus_y"])
+    def test_three_qubit_closed_columns_omitted_at_huge_kappa0(self, kappa0, state, tmp_path, capsys):
+        # 50 |kappa0| eps is past cli.CLOSED_GATE: the closed forms were 1.7e-10
+        # (1e6) and 1.2e-4 (1e12) off the numeric series here
+        out = tmp_path / "evolve.csv"
+        assert main(["evolve", "--qubits", "3", f"--kappa0={kappa0!r}", "--state", state,
+                     "--steps", "50", "--out", str(out)]) == 0
+        header, data = read_csv(out)
+        assert header == ["n", "S_numeric", "C_numeric"]
+        assert np.all(np.isfinite(data))
+        assert "closed-form columns omitted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kappa0", [9000.0, -9000.0])
+    @pytest.mark.parametrize("state", ["zero", "plus_y"])
+    def test_three_qubit_closed_columns_kept_within_the_bound(self, kappa0, state, tmp_path):
+        # 50 |kappa0| eps = 1.0e-10, just within cli.CLOSED_GATE
+        out = tmp_path / "evolve.csv"
+        assert main(["evolve", "--qubits", "3", f"--kappa0={kappa0!r}", "--state", state,
+                     "--steps", "50", "--out", str(out)]) == 0
+        header, data = read_csv(out)
+        cols = {name: data[:, i] for i, name in enumerate(header)}
+        assert np.max(np.abs(cols["S_numeric"] - cols["S_closed"])) < cli.CLOSED_GATE
+        if state == "zero":
+            assert np.max(np.abs(cols["C_numeric"] - cols["C_closed"])) < cli.CLOSED_GATE
+
     def test_unsupported_closed_form_warns_not_errors(self, tmp_path, capsys):
         out = tmp_path / "evolve.csv"
         assert main(["evolve", "--qubits", "5", "--kappa0", "1.0", "--steps", "5",

@@ -242,6 +242,18 @@ def exact_evolved(rotation, kappa0: float, amps: np.ndarray, horizons: list[int]
                       for re, im in zip(*(part[:, 0] for part in state))]) for state in states]
 
 
+def kick_loop(stack, starts, horizons) -> dict:
+    """Rows at each horizon of the per-kick dense loop, the reference the
+    stepping kernels are gated against: one np.matmul of the dense stack per
+    kick (bit-identical to an np.dot loop per point)."""
+    vec, rows = starts[..., None], {}
+    for kick in range(1, max(horizons) + 1):
+        vec = np.matmul(stack, vec)
+        if kick in horizons:
+            rows[kick] = vec[..., 0]
+    return rows
+
+
 class TestPoweringAccuracy:
     """evolve's binary powering against a 40-digit reference: as accurate as
     the kick-by-kick np.dot loop, up to powering's own round-off.  That
@@ -256,13 +268,7 @@ class TestPoweringAccuracy:
         j, kappas = two_j / 2.0, [0.1, 2.0 * math.pi, 3.0 * math.pi]
         psi0 = symspace.coherent_state(j, BlochPoint(0.8, -1.3))
         stack = symspace.floquet([KickedTopParams(j=j, kappa0=k) for k in kappas]).matrix
-        # one np.matmul over the kappa0 stack per kick: bit-identical to an
-        # np.dot loop per point (TestStackedTrajectory in test_symspace.py)
-        vec, looped = np.tile(psi0.amps, (len(kappas), 1))[..., None], {}
-        for kick in range(1, max(self.HORIZONS) + 1):
-            vec = np.matmul(stack, vec)
-            if kick in self.HORIZONS:
-                looped[kick] = vec[..., 0]
+        looped = kick_loop(stack, np.tile(psi0.amps, (len(kappas), 1)), self.HORIZONS)
         rotation = mp_rotation(two_j)
         for k, kappa0 in enumerate(kappas):
             u = symspace.floquet(KickedTopParams(j=j, kappa0=kappa0))
@@ -283,28 +289,44 @@ def stepped(stack, starts, horizons, block=10_000):
     return rows
 
 
+def assert_no_worse_than_the_kick_loop(two_j):
+    """trajectory's rows against the 40-digit reference: as accurate as
+    kick_loop up to n eps / 4, the gate of TestPoweringAccuracy, for kappa0 in
+    {0.1, 2 pi, 3 pi} and up to 3e4 kicks."""
+    horizons = [10**3, 10**4, 3 * 10**4]
+    j, kappas = two_j / 2.0, [0.1, 2.0 * math.pi, 3.0 * math.pi]
+    psi0 = symspace.coherent_state(j, BlochPoint(0.8, -1.3))
+    stack = symspace.floquet([KickedTopParams(j=j, kappa0=k) for k in kappas])
+    starts = np.tile(psi0.amps, (len(kappas), 1))
+    got, looped = stepped(stack, starts, horizons), kick_loop(stack.matrix, starts, horizons)
+    rotation = mp_rotation(two_j)
+    for k, kappa0 in enumerate(kappas):
+        exact = exact_evolved(rotation, kappa0, psi0.amps, horizons)
+        for n, reference in zip(horizons, exact):
+            error = np.max(np.abs(got[n][k] - reference))
+            loop_error = np.max(np.abs(looped[n][k] - reference))
+            assert error <= loop_error + n * np.finfo(float).eps / 4, (kappa0, n, error, loop_error)
+
+
 class TestFactoredAccuracy:
     """trajectory's factored kick D (R psi) against the 40-digit reference:
-    as accurate as the dense kick, up to n eps / 4, the gate of
-    TestPoweringAccuracy.  The largest excess seen is 4.0e-13 at 3e4 kicks
-    (2j = 3, kappa0 = 3 pi), or 0.06 n eps."""
-
-    HORIZONS = [10**3, 10**4, 3 * 10**4]
+    as accurate as the per-kick dense loop, up to n eps / 4.  The largest
+    excess seen is 4.0e-13 at 3e4 kicks (2j = 3, kappa0 = 3 pi), or 0.06 n eps."""
 
     @pytest.mark.parametrize("two_j", [3, 4, 20])
     def test_no_worse_than_the_dense_kick(self, two_j, monkeypatch):
-        j, kappas = two_j / 2.0, [0.1, 2.0 * math.pi, 3.0 * math.pi]
-        psi0 = symspace.coherent_state(j, BlochPoint(0.8, -1.3))
-        stack = symspace.floquet([KickedTopParams(j=j, kappa0=k) for k in kappas])
-        starts = np.tile(psi0.amps, (len(kappas), 1))
-        monkeypatch.setattr(symspace, "_FACTORED_MIN_DIM", 10**9)
-        dense = stepped(stack, starts, self.HORIZONS)
         monkeypatch.setattr(symspace, "_FACTORED_MIN_DIM", 1)
-        factored = stepped(stack, starts, self.HORIZONS)
-        rotation = mp_rotation(two_j)
-        for k, kappa0 in enumerate(kappas):
-            exact = exact_evolved(rotation, kappa0, psi0.amps, self.HORIZONS)
-            for n, reference in zip(self.HORIZONS, exact):
-                error = np.max(np.abs(factored[n][k] - reference))
-                dense_error = np.max(np.abs(dense[n][k] - reference))
-                assert error <= dense_error + n * np.finfo(float).eps / 4, (kappa0, n, error, dense_error)
+        assert_no_worse_than_the_kick_loop(two_j)
+
+
+class TestBlockedAccuracy:
+    """trajectory's blocked kicks below _FACTORED_MIN_DIM, b kicks per GEMV
+    from the power stack U, ..., U^b, against the 40-digit reference: as
+    accurate as the per-kick dense loop, up to n eps / 4.  The largest excess
+    seen is 0.073 n eps here (2j = 20, kappa0 = 0.1, 1e4 kicks) and 0.20 n eps
+    over the zero and plus_y start states too (plus_y, 3e4 kicks)."""
+
+    @pytest.mark.parametrize("two_j", [3, 4, 20])
+    def test_no_worse_than_the_kick_loop(self, two_j):
+        assert two_j + 1 < symspace._FACTORED_MIN_DIM
+        assert_no_worse_than_the_kick_loop(two_j)

@@ -9,10 +9,10 @@ from kickedtop import cli, measures, symspace
 from kickedtop.symspace import BlochPoint, KickedTopParams, SymState
 
 from conftest import (
-    kick_alone,
     random_symmetric_amps,
     register_floquet,
     register_reduced,
+    stepped_alone,
     streaming_average,
     time_average,
 )
@@ -389,16 +389,13 @@ class TestBatchedKernel:
 
 def per_point_sweep(two_j, point, kappa0, kicks):
     """The per-point sweep algorithm: its own Floquet operator and its own
-    loop of the kick trajectory gives it alone, with the entropies of each
-    512-kick block summed."""
-    kick = kick_alone(symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=kappa0)))
+    explicit loop, the one trajectory gives it alone, with the entropies of
+    each 512-kick block summed."""
+    u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=kappa0))
     vec = symspace.coherent_state(two_j / 2.0, point).amps
     total = 0.0
     for start in range(0, kicks, 512):
-        states = np.empty((min(512, kicks - start) + 1, two_j + 1), dtype=complex)
-        states[0] = vec
-        for k in range(1, len(states)):
-            states[k] = kick(states[k - 1])
+        states = stepped_alone(u, vec, min(512, kicks - start))
         total += measures.linear_entropy(measures.reduced_states(states[1:], 1)).sum()
         vec = states[-1]
     return total / kicks
@@ -420,6 +417,35 @@ class TestSweepBlocks:
         assert averages[1] == pytest.approx(unblocked, abs=1e-12)
         reference = [per_point_sweep(4, point, k, kicks) for k in self.GRID]
         assert np.array_equal(averages, reference)
+
+    @pytest.mark.parametrize("two_j", [3, 4, 7, 20])
+    def test_cell_is_one_trajectory_call(self, two_j):
+        # b divides SWEEP_BLOCK_KICKS, so restarting at kick 512 meets a block
+        # edge of the one-call trajectory and moves no row
+        point, kicks = BlochPoint(0.7, -2.0), 2 * cli.SWEEP_BLOCK_KICKS + 37
+        averages = cli._sweep_averages(two_j, point, self.GRID[:2], kicks)
+        for cell, kappa0 in zip(averages, self.GRID):
+            u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=kappa0))
+            states = symspace.trajectory(u, symspace.coherent_state(two_j / 2.0, point), kicks)
+            total = 0.0
+            for first in range(0, kicks, cli.SWEEP_BLOCK_KICKS):
+                rows = states[first + 1 : first + 1 + cli.SWEEP_BLOCK_KICKS]
+                total += measures.linear_entropy(measures.reduced_states(rows, 1)).sum()
+            assert cell == total / kicks
+
+    @pytest.mark.parametrize("two_j", [1, 3, 7, 8, 20, 24, 40, 50, 70, 89, 100, 109])
+    def test_power_stacks_fit_the_chunk_budget(self, two_j, monkeypatch):
+        # a chunk's power stacks hold no more amplitudes than its block of states
+        sizes, build = [], symspace._kick_powers
+
+        def recorded(u, block):
+            powers = build(u, block)
+            sizes.append(powers.size)
+            return powers
+
+        monkeypatch.setattr(symspace, "_kick_powers", recorded)
+        cli._sweep_averages(two_j, BlochPoint(0.7, -2.0), list(np.linspace(0.3, 9.0, 40)), 600)
+        assert sizes and max(sizes) <= cli.SWEEP_BLOCK_AMPS
 
     @pytest.mark.parametrize("two_j", [3, 20, 50])
     @pytest.mark.parametrize("chunk,per_floquet", [(None, None), (2, 3), (1, 1)])

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kickedtop import exact3, measures, symspace
+from kickedtop import cli, exact3, measures, symspace
 from kickedtop.symspace import BlochPoint, KickedTopParams, SymState
 
 from conftest import (
     collective_ops,
     eigh_rotation,
-    kick_alone,
+    stepped_alone,
     parity_op,
     qubits_to_symmetric,
     random_symmetric_amps,
@@ -60,9 +60,11 @@ class TestParams:
 
     def test_unitary_validation(self):
         with pytest.raises(ValueError):
-            symspace.UnitaryMatrix(np.array([[1.0, 0.0], [0.0, 1.1]]))
+            symspace.UnitaryMatrix(np.array([[1.0, 0.0], [0.0, 1.1]]), np.ones(2))
         with pytest.raises(ValueError):
-            symspace.UnitaryMatrix(np.ones((2, 3)))
+            symspace.UnitaryMatrix(np.ones((2, 3)), np.ones(3))
+        with pytest.raises(TypeError):
+            symspace.UnitaryMatrix(np.eye(2))  # the torsion phases are required
 
 
 class TestCoherentState:
@@ -233,10 +235,7 @@ class TestEvolve:
         u = symspace.floquet(params)
         psi = symspace.coherent_state(params.j, BlochPoint(0.8, -1.3))
         steps = 300
-        kick, reference = kick_alone(u), [psi.amps.copy()]
-        for _ in range(steps):
-            reference.append(kick(reference[-1]))
-        assert np.array_equal(symspace.trajectory(u, psi, steps), np.array(reference))
+        assert np.array_equal(symspace.trajectory(u, psi, steps), stepped_alone(u, psi.amps, steps))
 
     def test_norm_preserved_million_steps(self):
         u = symspace.floquet(KickedTopParams(j=1.5, kappa0=2.5))
@@ -316,29 +315,33 @@ class TestFloquetStack:
             symspace.floquet([])
 
     def test_every_matrix_of_a_stack_is_checked(self):
-        good = symspace.floquet(KickedTopParams(j=1.0, kappa0=0.4)).matrix
+        good = symspace.floquet([KickedTopParams(j=1.0, kappa0=k) for k in (0.4, 0.5, 0.6)])
+        with pytest.raises(ValueError, match="modulus 1"):
+            symspace.UnitaryMatrix(good.base, good.phases * np.array([[1.0], [1.0], [1.01]]))
+        with pytest.raises(ValueError, match="modulus 1"):
+            symspace.UnitaryMatrix(good.base, np.where(np.eye(3, dtype=bool), np.nan, good.phases))
         with pytest.raises(ValueError, match="not unitary"):
-            symspace.UnitaryMatrix(np.stack([good, good, 1.01 * good]))
-        with pytest.raises(ValueError, match="not unitary"):
-            symspace.UnitaryMatrix(np.where(np.eye(3, dtype=bool), np.nan, good))
+            symspace.UnitaryMatrix(np.where(np.eye(3, dtype=bool), np.nan, good.base), good.phases)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_an_overflowing_torsion_phase(self):
         with pytest.raises(ValueError, match="kappa0"):
             symspace.floquet([KickedTopParams(j=4.0, kappa0=k) for k in (1.0, 1e308)])
         with pytest.raises(ValueError):
-            symspace.UnitaryMatrix(np.ones((2, 3, 4)))
+            symspace.UnitaryMatrix(np.ones((2, 3, 4)), np.ones(4))
         with pytest.raises(ValueError):
-            symspace.UnitaryMatrix(np.ones((1, 1, 2, 2)))
+            symspace.UnitaryMatrix(np.ones((1, 1, 2, 2)), np.ones(2))
 
     def test_copies_unless_handed_a_frozen_owner(self):
-        mine = symspace.floquet(KickedTopParams(j=1.0, kappa0=0.4)).matrix.copy()
-        u = symspace.UnitaryMatrix(mine)
-        assert u.matrix is not mine and mine.flags.writeable  # the caller's array stays theirs
+        u = symspace.floquet(KickedTopParams(j=1.0, kappa0=0.4))
+        mine, phases = u.base.copy(), u.phases.copy()
+        copied = symspace.UnitaryMatrix(mine, phases)
+        assert copied.base is not mine and mine.flags.writeable  # the caller's array stays theirs
+        assert copied.phases is not phases and phases.flags.writeable
         frozen = mine.copy()
         frozen.flags.writeable = False
-        assert symspace.UnitaryMatrix(frozen).matrix is frozen
-        assert symspace.UnitaryMatrix(frozen[None][0]).matrix is not frozen  # a view is copied
+        assert symspace.UnitaryMatrix(frozen, phases).base is frozen
+        assert symspace.UnitaryMatrix(frozen[None][0], phases).base is not frozen  # a view is copied
 
     def test_slices_share_the_checked_matrices(self):
         stack = symspace.floquet([KickedTopParams(j=1.5, kappa0=k) for k in self.KAPPAS])
@@ -352,15 +355,9 @@ class TestFloquetStack:
 
 
 def stepped_point_by_point(stack, starts, n):
-    """Reference for the stacked trajectory: every point on its own loop of
-    the kick trajectory gives it alone."""
-    out = np.empty((n + 1, *starts.shape), dtype=complex)
-    for i, vec in enumerate(starts):
-        kick = kick_alone(stack[i : i + 1])
-        out[0, i] = vec
-        for k in range(1, n + 1):
-            out[k, i] = kick(out[k - 1, i])
-    return out
+    """Reference for the stacked trajectory: every point on its own explicit
+    loop, the one trajectory gives it alone."""
+    return np.stack([stepped_alone(stack[i : i + 1], vec, n) for i, vec in enumerate(starts)], axis=1)
 
 
 class TestStackedTrajectory:
@@ -376,12 +373,43 @@ class TestStackedTrajectory:
         assert got.shape == (n + 1, count, two_j + 1)
         assert np.array_equal(got, stepped_point_by_point(stack, starts, n))
 
+    @pytest.mark.parametrize("two_j", [3, 4, 7, 20])
+    def test_chunks_of_points_are_bit_identical(self, two_j, rng):
+        # one GEMV per point of each b-kick block: the points stepped with it never move a bit
+        count, n = 5, 300
+        stack = symspace.floquet([KickedTopParams(j=two_j / 2.0, kappa0=k)
+                                  for k in rng.uniform(0.05, 4.0 * math.pi, count)])
+        starts = np.array([random_symmetric_amps(rng, two_j + 1) for _ in range(count)])
+        whole = symspace.trajectory(stack, starts, n)
+        for chunk in (1, 2):
+            parts = [symspace.trajectory(stack[lo : lo + chunk], starts[lo : lo + chunk], n)
+                     for lo in range(0, count, chunk)]
+            assert np.array_equal(np.concatenate(parts, axis=1), whole)
+
+    @pytest.mark.parametrize("two_j", [3, 4, 7, 20])
+    def test_every_horizon_around_a_block(self, two_j, rng):
+        dim = two_j + 1
+        block = next(b for lo, b in symspace._KICK_BLOCKS if dim >= lo)
+        assert block > 1 and cli.SWEEP_BLOCK_KICKS % block == 0
+        stack = symspace.floquet([KickedTopParams(j=two_j / 2.0, kappa0=k) for k in (0.4, 2.9)])
+        starts = np.array([random_symmetric_amps(rng, dim) for _ in range(2)])
+        for n in (0, 1, block - 1, block, block + 1, 513):
+            got = symspace.trajectory(stack, starts, n)
+            assert got.shape == (n + 1, 2, dim)
+            assert np.array_equal(got, stepped_point_by_point(stack, starts, n))
+            single = symspace.trajectory(stack[:1], starts[:1], n)
+            assert np.array_equal(single[:, 0], got[:, 0])
+            kicked = [starts[..., None]]  # the per-kick loop, which rounds differently
+            for _ in range(n):
+                kicked.append(np.matmul(stack.matrix, kicked[-1]))
+            assert np.max(np.abs(got - np.array(kicked)[..., 0])) <= 1e-13
+
     def test_single_point_keeps_its_shape(self):
         u = symspace.floquet(KickedTopParams(j=2.0, kappa0=1.3))
         psi = symspace.coherent_state(2.0, BlochPoint(0.5, 0.2))
         single = symspace.trajectory(u, psi, 9)
         assert single.shape == (10, 5)
-        stacked = symspace.trajectory(symspace.UnitaryMatrix(u.matrix[None]), psi.amps[None], 9)
+        stacked = symspace.trajectory(symspace.UnitaryMatrix(u.base, u.phases[None]), psi.amps[None], 9)
         assert np.array_equal(stacked[:, 0], single)
 
     def test_rejects_mismatched_inputs(self, rng):
