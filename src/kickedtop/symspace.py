@@ -155,11 +155,14 @@ class UnitaryMatrix:
     _UNITARY_TOL in Frobenius norm); `phases` holds the unit-modulus torsion
     diagonal, a (dim,) row for one operator or a (K, dim) stack of rows.  The
     dense `matrix` is formed on each use, and a stack can be sliced.
+    trajectory keeps the power stack it builds on the operator it stepped, so
+    later calls with that operator (a sweep chunk's blocks) build none.
     """
 
     base: np.ndarray
     phases: np.ndarray
     dim: int = field(init=False)
+    _kick_stack: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         base = np.asarray(self.base, dtype=float)
@@ -294,10 +297,10 @@ def trajectory(u: UnitaryMatrix, psi0: SymState | np.ndarray, n: int) -> np.ndar
 
     Below _FACTORED_MIN_DIM each point advances b kicks per BLAS call (b from
     _KICK_BLOCKS): rows k+1..k+b are the (b dim, dim) stack U, U^2, ..., U^b,
-    built once per call by doubling, times row k, one GEMV per point.  From
-    _FACTORED_MIN_DIM up every kick is U psi = D (R psi): one real matmul of
-    the rotation R with the amplitudes viewed as (re, im) column pairs, then
-    the torsion phases D in place.  Either way numpy makes one BLAS call per
+    built by doubling once per operator (see _powers_of), times row k, one
+    GEMV per point.  From _FACTORED_MIN_DIM up every kick is U psi = D (R psi):
+    one real matmul of the rotation R with the amplitudes viewed as (re, im)
+    column pairs, then the torsion phases D in place.  Either way numpy makes one BLAS call per
     point, so each point is bit-identical to stepping it on its own.
     """
     if n < 0:
@@ -321,7 +324,7 @@ def trajectory(u: UnitaryMatrix, psi0: SymState | np.ndarray, n: int) -> np.ndar
             kicks[k] *= phases
     elif n:
         block = min(n, next(b for lo, b in _KICK_BLOCKS if dim >= lo))
-        powers = _kick_powers(u, block).reshape(count, block * dim, dim)
+        powers = _powers_of(u, block).reshape(count, block * dim, dim)
         full = n - n % block
         if count == 1:  # np.dot has less call overhead than np.matmul
             step, powers = np.dot, powers[0]
@@ -336,6 +339,16 @@ def trajectory(u: UnitaryMatrix, psi0: SymState | np.ndarray, n: int) -> np.ndar
             rest = np.matmul(powers[..., : (n - full) * dim, :], out[:, full, :, None])
             out[:, full + 1 :] = rest.reshape(count, n - full, dim)
     return out[0] if single else out.swapaxes(0, 1)
+
+
+def _powers_of(u: UnitaryMatrix, block: int) -> np.ndarray:
+    """U, U^2, ..., U^block of each operator of u: the first powers of the stack
+    kept on u, built by _kick_powers and kept when u has none this long.  The
+    doubling forms each power by the same product whatever the stack's length,
+    so the first powers of a longer stack are those of a shorter one, bit for bit."""
+    if u._kick_stack is None or u._kick_stack.shape[1] < block:
+        object.__setattr__(u, "_kick_stack", _kick_powers(u, block))
+    return u._kick_stack[:, :block]
 
 
 def _kick_powers(u: UnitaryMatrix, block: int) -> np.ndarray:

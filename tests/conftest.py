@@ -176,3 +176,14 @@ def stepped_alone(u: symspace.UnitaryMatrix, vec: np.ndarray, n: int) -> np.ndar
         count = min(block, n - first)
         rows.extend(np.dot(np.concatenate(powers[:count]), rows[first]).reshape(count, dim))
     return np.array(rows)
+
+
+def per_cell_write_table(path, columns):
+    """Reference writer: one format(float(v), ".17g") call per cell."""
+    names = list(columns)
+    length = len(next(iter(columns.values())))
+    lines = [",".join(names)]
+    for i in range(length):
+        lines.append(",".join(format(float(columns[name][i]), ".17g") for name in names))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -19,7 +19,7 @@ from kickedtop import cli, symspace, tomo
 from kickedtop.cli import main
 from kickedtop.symspace import BlochPoint, KickedTopParams
 
-from conftest import expectations_of
+from conftest import expectations_of, per_cell_write_table
 
 
 def read_csv(path):
@@ -29,22 +29,25 @@ def read_csv(path):
     return header, data
 
 
-def per_cell_write_table(path, columns):
-    """Reference writer: one format(float(v), ".17g") call per cell."""
-    names = list(columns)
-    length = len(next(iter(columns.values())))
-    lines = [",".join(names)]
-    for i in range(length):
-        lines.append(",".join(format(float(columns[name][i]), ".17g") for name in names))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def assert_table_bytes_match(directory, columns):
+    """_write_table's bytes equal the per-cell writer's, both as the table's
+    length decides and with every column of it typed (no short-table cut)."""
     fast, reference = Path(directory) / "fast.csv", Path(directory) / "reference.csv"
-    cli._write_table(str(fast), columns)
     per_cell_write_table(str(reference), columns)
+    cli._write_table(str(fast), columns)
     assert fast.read_bytes() == reference.read_bytes()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "TABLE_TYPED_MIN_ROWS", 0)
+        cli._write_table(str(fast), columns)
+    assert fast.read_bytes() == reference.read_bytes()
+
+
+def float_bits(bits):
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+# raw float64 bit patterns, every NaN payload, subnormal and signed zero included
+FLOAT_BITS = st.integers(0, 2**64 - 1)
 
 
 class TestWriteTable:
@@ -69,18 +72,64 @@ class TestWriteTable:
         assert (tmp_path / "fast.csv").read_text().splitlines()[:5] == [
             "only", "nan", "inf", "-inf", "-0"]
 
-    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
-    def test_block_boundaries(self, tmp_path, offset):
+    INTEGER_EDGES = [-(2.0**53) - 2, -(2.0**53) + 2, 2.0**53 - 2, 2.0**53 + 2, 1e16 - 2, -1e16 + 2,
+                     0.0, 1.0, -1.0]
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1, cli.TABLE_BLOCK_ROWS + 3])
+    def test_block_boundaries(self, tmp_path, offset, monkeypatch):
         rows = 1 if offset is None else cli.TABLE_BLOCK_ROWS + offset
+        self.assert_typed_where_long(tmp_path, rows, monkeypatch)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_short_table_cut(self, tmp_path, offset, monkeypatch):
+        self.assert_typed_where_long(tmp_path, cli.TABLE_TYPED_MIN_ROWS + offset, monkeypatch)
+
+    @staticmethod
+    def assert_typed_where_long(tmp_path, rows, monkeypatch):
+        # one column per dispatch path, each typed only from the cut up
         rng = np.random.default_rng(rows)
-        assert_table_bytes_match(tmp_path, {
-            "i": np.arange(rows), "x": rng.standard_normal(rows), "y": rng.random(rows) * 1e-300,
-        })
+        few = np.array([np.nan, 0.0, -0.0, 0.1, 1000000000000000.25])
+        table = np.column_stack([rng.standard_normal(rows), few[rng.integers(0, few.size, rows)]])
+        columns = {
+            "i": np.arange(rows), "x": table[:, 0], "few": table[:, 1],  # strided views, as portrait's
+            "y": rng.random(rows) * 1e-300, "big": rng.integers(-2**62, 2**62, rows).astype(float),
+        }
+        formats = []
+        original = cli._cell_format
+
+        def recorded(col):
+            spec, convert = original(col)
+            formats.append(spec)
+            return spec, convert
+
+        monkeypatch.setattr(cli, "_cell_format", recorded)
+        cli._write_table(str(tmp_path / "fast.csv"), columns)
+        typed = rows >= cli.TABLE_TYPED_MIN_ROWS
+        assert formats == (["%d", "%.17g", "%s", "%.17g", "%.17g"] if typed else [])
+        assert_table_bytes_match(tmp_path, columns)
         assert len((tmp_path / "fast.csv").read_text().splitlines()) == rows + 1
 
     def test_zero_rows_is_header_only(self, tmp_path):
         assert_table_bytes_match(tmp_path, {"a": np.array([]), "b": np.array([])})
         assert (tmp_path / "fast.csv").read_bytes() == b"a,b\n"
+
+    @pytest.mark.parametrize("column,spec", [
+        (INTEGER_EDGES, "%d"),
+        (INTEGER_EDGES + [-0.0], "%s"),  # "%d" would write -0.0 as "0"
+        (INTEGER_EDGES + [1e16], "%s"),
+        (INTEGER_EDGES + [2.0**63, -(2.0**63)], "%s"),  # past int64
+        (INTEGER_EDGES + [0.5], "%s"),
+        ([np.nan, 0.0, -0.0], "%s"),
+        ([np.inf, 1.0, -np.inf], "%s"),
+        ([1000000000000000.25, 0.1, 1.0 / 3.0], "%s"),  # 17-digit tie: "1000000000000000.2"
+    ])
+    def test_integer_edges_and_repeated_values(self, tmp_path, column, spec):
+        for repeat, expected in ((1, "%d" if spec == "%d" else "%.17g"), (5, spec)):
+            values = np.tile(column, repeat)
+            assert cli._cell_format(values)[0] == expected
+            assert_table_bytes_match(tmp_path, {"v": values, "n": np.arange(values.size)})
+        if column[0] == 1000000000000000.25:
+            assert "\n1000000000000000.2,0\n" in (tmp_path / "fast.csv").read_text()
 
     @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 40), st.integers(1, 5))))
     @settings(max_examples=150, deadline=None)
@@ -88,6 +137,28 @@ class TestWriteTable:
         columns = {f"c{i}": table[:, i] for i in range(table.shape[1])}
         with tempfile.TemporaryDirectory() as directory:
             assert_table_bytes_match(directory, columns)
+
+    @given(hnp.arrays(np.uint64, st.tuples(st.integers(0, 40), st.integers(1, 4)), elements=FLOAT_BITS))
+    @settings(max_examples=150, deadline=None)
+    def test_raw_bit_patterns(self, bits):
+        columns = {f"c{i}": float_bits(bits[:, i]) for i in range(bits.shape[1])}
+        with tempfile.TemporaryDirectory() as directory:
+            assert_table_bytes_match(directory, columns)
+
+    @given(
+        st.one_of(
+            st.lists(st.one_of(FLOAT_BITS.map(lambda b: float(float_bits(b))), st.sampled_from(
+                [np.nan, 0.0, -0.0, 1.0, 1000000000000000.25, np.inf])), min_size=1, max_size=5),
+            st.lists(st.one_of(st.integers(-(2**53), 2**53).map(float), st.sampled_from(
+                INTEGER_EDGES + [-0.0, 1e16, -1e16, 2.0**63, -(2.0**63)])), min_size=1, max_size=5),
+        ),
+        st.lists(st.integers(0, 4), max_size=60),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_columns_of_few_values(self, pool, picks):
+        column = np.array(pool)[np.array(picks, dtype=int) % len(pool)]
+        with tempfile.TemporaryDirectory() as directory:
+            assert_table_bytes_match(directory, {"few": column, "index": np.arange(column.size)})
 
 
 class TestParserCache:
@@ -526,6 +597,19 @@ class TestEdgeInputs:
         assert main(["husimi", "--qubits", "3", *flags, "--n-theta", "3", "--n-phi", "3",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,flag", [("grid", "--grid"), ("random_seeds", "--random-seeds")])
+    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_classical_seed_counts(self, key, flag, count, via_config, tmp_path, capsys):
+        # a count of 0 is a bad count, not "no seeds of that kind", from a flag or from --config
+        out, config = tmp_path / "out.csv", tmp_path / "config.json"
+        config.write_text(json.dumps({key: count}))
+        given = ["--config", str(config)] if via_config else [f"{flag}={count}"]
+        assert main(["classical", "--kappa0", "1", "--steps", "3", "--seeds", "fixed_point",
+                     *given, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be >= 1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,text", [

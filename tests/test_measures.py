@@ -447,6 +447,19 @@ class TestSweepBlocks:
         cli._sweep_averages(two_j, BlochPoint(0.7, -2.0), list(np.linspace(0.3, 9.0, 40)), 600)
         assert sizes and max(sizes) <= cli.SWEEP_BLOCK_AMPS
 
+    @pytest.mark.parametrize("two_j", [3, 7, 20, 50])
+    @pytest.mark.parametrize("kicks", [1, 600, 2 * cli.SWEEP_BLOCK_KICKS + 5])
+    def test_one_power_stack_per_chunk(self, two_j, kicks, monkeypatch):
+        # every block of a chunk reuses the stack of its first, including a
+        # last block shorter than b
+        built, build = [], symspace._kick_powers
+        monkeypatch.setattr(symspace, "_kick_powers", lambda u, block: built.append(block) or build(u, block))
+        chunk = 2
+        monkeypatch.setattr(cli, "SWEEP_BLOCK_AMPS", chunk * cli.SWEEP_BLOCK_KICKS * (two_j + 1))
+        cli._sweep_averages(two_j, BlochPoint(0.7, -2.0), self.GRID[:5], kicks)
+        block = next(b for lo, b in symspace._KICK_BLOCKS if two_j + 1 >= lo)
+        assert built == [min(kicks, block)] * 3
+
     @pytest.mark.parametrize("two_j", [3, 20, 50])
     @pytest.mark.parametrize("chunk,per_floquet", [(None, None), (2, 3), (1, 1)])
     def test_chunks_do_not_move_a_bit(self, two_j, chunk, per_floquet, monkeypatch):
