@@ -23,7 +23,6 @@ from .measures import (
     concurrences,
     entanglement_series,
     fidelity,
-    haar_symmetric_sample,
     linear_entropy,
     reduced_state,
     reduced_states,
@@ -32,12 +31,9 @@ from .measures import (
 from .exact3 import (
     GeneralState3,
     avg_entropy3,
-    avg_entropy_3pi2,
-    block_power3,
     concurrence3_000,
     entropy3_closed,
     general_entropy3,
-    n_star_000,
 )
 from .exact4 import (
     TunnelingReport,
@@ -48,7 +44,7 @@ from .exact4 import (
     tunneling,
     tunneling_overlap_series,
 )
-from .classical import ClassicalPoint, portrait, step
+from .classical import ClassicalPoint, portrait
 from .husimi import SphereGrid, husimi_grid
 from .tomo import (
     ReadoutModel,

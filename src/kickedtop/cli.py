@@ -139,17 +139,18 @@ def _require(condition: bool, message: str) -> None:
 def _closed_entropy_series(
     two_j: int, name: str | None, point: symspace.BlochPoint, kappa0: float, n_max: int
 ) -> np.ndarray | None:
+    kicks = np.arange(n_max + 1)
     if two_j == 3:
         if name == "zero":
-            return exact3.entropy3_series(exact3.STATE_ZERO, n_max, kappa0)
+            return exact3.entropy3_closed(exact3.STATE_ZERO, kicks, kappa0)
         if name == "plus_y":
-            return exact3.entropy3_series(exact3.STATE_PLUS_Y, n_max, kappa0)
-        out = exact3.general_entropy3_series(exact3.GeneralState3.from_bloch(point), n_max, kappa0)
+            return exact3.entropy3_closed(exact3.STATE_PLUS_Y, kicks, kappa0)
+        out = exact3.general_entropy3(exact3.GeneralState3.from_bloch(point), kicks, kappa0)
         out[0] = 0.0  # a coherent state is a product state
         return out
     if two_j == 4 and name is not None:
         state_id = exact3.STATE_ZERO if name == "zero" else exact3.STATE_PLUS_Y
-        return exact4.entropy4_series(state_id, n_max, kappa0)
+        return exact4.entropy4_closed(state_id, kicks, kappa0)
     return None
 
 
@@ -157,7 +158,7 @@ def _closed_concurrence_series(
     two_j: int, name: str | None, kappa0: float, n_max: int
 ) -> np.ndarray | None:
     if two_j == 3 and name == "zero":
-        return exact3.concurrence3_series(n_max, kappa0)
+        return exact3.concurrence3_000(np.arange(n_max + 1), kappa0)
     return None
 
 
@@ -523,6 +524,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _config_value(key: str, value, kind: type):
+    """A --config value as the flag's argparse type gives it from text: an
+    int for an int flag, a float for a float flag (JSON integers convert), a
+    string for a str flag.  Booleans, null and any other JSON type are
+    rejected."""
+    if not isinstance(value, bool):
+        if kind is float and isinstance(value, (int, float)):
+            try:
+                return float(value)
+            except OverflowError:
+                pass
+        elif isinstance(value, kind):
+            return value
+    raise CliError(f"--config key {key!r} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+
+
 def _apply_config(args) -> None:
     merged = dict(_DEFAULTS.get(args.command, {}))
     if args.config:
@@ -530,7 +550,12 @@ def _apply_config(args) -> None:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise CliError("--config must contain a JSON object")
-        merged.update({str(k).replace("-", "_"): v for k, v in loaded.items()})
+        commands = next(a for a in _build_parser()._actions if a.dest == "command")
+        flags = commands.choices[args.command]._actions
+        kinds = {a.dest: a.type or str for a in flags if a.nargs != 0}  # not --help
+        for key, value in loaded.items():
+            key = str(key).replace("-", "_")
+            merged[key] = _config_value(key, value, kinds[key]) if key in kinds else value
     for key, value in merged.items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
@@ -552,10 +577,7 @@ def main(argv=None) -> int:
     try:
         _apply_config(args)
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

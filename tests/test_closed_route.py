@@ -36,30 +36,25 @@ def no_recurrence(monkeypatch):
 PUBLIC_CALLS = {
     exact3: {
         "block_alpha_beta": lambda: exact3.block_alpha_beta(0.4, np.arange(50)),
-        "block_power3": lambda: exact3.block_power3(1.3, 40, "-"),
-        "entropy3_closed": lambda: exact3.entropy3_closed(STATE_ZERO, 41, 1.3),
-        "entropy3_series": lambda: exact3.entropy3_series(STATE_PLUS_Y, 40, 1.3),
-        "concurrence3_000": lambda: exact3.concurrence3_000(41, 1.3),
-        "concurrence3_series": lambda: exact3.concurrence3_series(40, 1.3),
+        "entropy3_closed": lambda: [exact3.entropy3_closed(STATE_ZERO, 41, 1.3),
+                                    exact3.entropy3_closed(STATE_PLUS_Y, np.arange(41), 1.3)],
+        "concurrence3_000": lambda: [exact3.concurrence3_000(41, 1.3),
+                                     exact3.concurrence3_000(np.arange(41), 1.3)],
         "avg_entropy3": lambda: exact3.avg_entropy3(STATE_ZERO, 1.3),
-        "avg_entropy_3pi2": lambda: exact3.avg_entropy_3pi2(BlochPoint(1.1, 0.4)),
-        "n_star_000": lambda: exact3.n_star_000(0.4),
         "evolve_general3": lambda: exact3.evolve_general3(GENERAL, 40, 1.3),
-        "general_entropy3": lambda: exact3.general_entropy3(GENERAL, 40, 1.3),
-        "general_entropy3_series": lambda: exact3.general_entropy3_series(GENERAL, 40, 1.3),
+        "general_entropy3": lambda: [exact3.general_entropy3(GENERAL, 40, 1.3),
+                                     exact3.general_entropy3(GENERAL, np.arange(41), 1.3)],
         "parity_basis_states3": exact3.parity_basis_states3,
     },
     exact4: {
         "block_power4": lambda: [exact4.block_power4(1.3, 40, s) for s in ("plus", "minus", "singlet")],
-        "entropy4_closed": lambda: exact4.entropy4_closed(STATE_PLUS_Y, 41, 1.3),
-        "entropy4_series": lambda: exact4.entropy4_series(STATE_ZERO, 40, 1.3),
+        "entropy4_closed": lambda: [exact4.entropy4_closed(STATE_PLUS_Y, 41, 1.3),
+                                    exact4.entropy4_closed(STATE_ZERO, np.arange(41), 1.3)],
         "avg_entropy4": lambda: exact4.avg_entropy4(STATE_PLUS_Y, 1.3),
         "tunneling": lambda: exact4.tunneling(0.1),
         "tunneling_overlap_series": lambda: exact4.tunneling_overlap_series(0.1, [0, 7, 2**53]),
         "ghz_fidelity_series": lambda: exact4.ghz_fidelity_series(0.1, [0, 7, 2**53]),
         "parity_basis_states4": exact4.parity_basis_states4,
-        "plus_y_dicke4": exact4.plus_y_dicke4,
-        "plus_y_evolved_dicke4": lambda: exact4.plus_y_evolved_dicke4(0.1, 400_000),
     },
 }
 
@@ -114,28 +109,80 @@ class TestTrigEvaluator:
             cheby.t_u_trig(3, 1.5)
 
 
+# Every closed quantity of kick count n, as (name, function of (n, kappa0)).
+CLOSED_FORMS = [
+    ("entropy3_zero", lambda n, k: exact3.entropy3_closed(STATE_ZERO, n, k)),
+    ("entropy3_plus_y", lambda n, k: exact3.entropy3_closed(STATE_PLUS_Y, n, k)),
+    ("concurrence3_000", exact3.concurrence3_000),
+    ("general_entropy3", lambda n, k: exact3.general_entropy3(GENERAL, n, k)),
+    ("entropy4_zero", lambda n, k: exact4.entropy4_closed(STATE_ZERO, n, k)),
+    ("entropy4_plus_y", lambda n, k: exact4.entropy4_closed(STATE_PLUS_Y, n, k)),
+]
+
+
 class TestScalarMatchesSeries:
-    """A scalar public function evaluates the series' formula at one n."""
+    """An int n gives that entry of the array of kick counts, bit for bit."""
 
     @pytest.mark.parametrize("kappa0", KAPPAS)
     def test_each_closed_quantity(self, kappa0):
-        n = range(1, 201)
-        pairs = [(exact3.concurrence3_series(200, kappa0), [exact3.concurrence3_000(k, kappa0) for k in n]),
-                 (exact3.general_entropy3_series(GENERAL, 200, kappa0),
-                  [exact3.general_entropy3(GENERAL, k, kappa0) for k in n])]
-        for state in (STATE_ZERO, STATE_PLUS_Y):
-            pairs.append((exact3.entropy3_series(state, 200, kappa0),
-                          [exact3.entropy3_closed(state, k, kappa0) for k in n]))
-            pairs.append((exact4.entropy4_series(state, 200, kappa0),
-                          [exact4.entropy4_closed(state, k, kappa0) for k in n]))
-        for series, scalars in pairs:
-            assert np.array_equal(series[1:], np.array(scalars))
+        n = np.arange(201)
+        for _, closed in CLOSED_FORMS:
+            series = closed(n, kappa0)
+            assert series.shape == n.shape
+            scalars = [closed(k, kappa0) for k in range(201)]
+            assert all(type(v) is float for v in scalars)
+            assert np.array_equal(series, np.array(scalars))
+        # an array of any shape and order gives the entries of those n
+        picked = np.array([[200, 3], [0, 77]])
+        for _, closed in CLOSED_FORMS:
+            assert np.array_equal(closed(picked, kappa0), closed(n, kappa0)[picked])
 
     def test_general_state_matches_evolved_coefficients(self):
-        series = exact3.general_entropy3_series(GENERAL, 30, 1.3)
+        series = exact3.general_entropy3(GENERAL, np.arange(31), 1.3)
+        stacked = exact3.evolve_general3(GENERAL, np.arange(31), 1.3)
         for n in (0, 1, 17, 30):
-            evolved = exact3.evolve_general3(GENERAL, n, 1.3)
+            coefficients = exact3.evolve_general3(GENERAL, n, 1.3)
+            assert coefficients == tuple(c[n] for c in stacked)
+            evolved = GeneralState3(*coefficients)
             assert exact3.general_entropy3(evolved, 0, 0.0) == pytest.approx(series[n], abs=1e-14)
+
+
+class TestRejectedInputs:
+    """Negative kick counts and non-finite torsions raise ValueError in every
+    closed form, as an int and inside an array."""
+
+    # The |000> forms step n -> n + (n mod 2), which sends -1 to the valid
+    # even partner 0: the check has to come first.
+    @pytest.mark.parametrize("name", [name for name, _ in CLOSED_FORMS])
+    @pytest.mark.parametrize("n", [-1, -3, [2, -1], [-3, 0, 5]], ids=str)
+    def test_negative_n(self, name, n):
+        closed = dict(CLOSED_FORMS)[name]
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            closed(n if isinstance(n, int) else np.array(n), 1.3)
+
+    @pytest.mark.parametrize("n", [-1, -3, [2, -1], [-3, 0, 5]], ids=str)
+    def test_negative_n_blocks_and_coefficients(self, n):
+        kicks = n if isinstance(n, int) else np.array(n)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            exact3.evolve_general3(GENERAL, kicks, 1.3)
+        for sector in ("plus", "minus", "singlet"):
+            with pytest.raises(ValueError, match="n must be >= 0"):
+                exact4.block_power4(1.3, kicks, sector)
+
+    @pytest.mark.parametrize("kappa0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_kappa0(self, kappa0):
+        for name, closed in CLOSED_FORMS:
+            for n in (3, np.arange(4)):
+                with pytest.raises(ValueError, match="kappa0 must be finite"):
+                    closed(n, kappa0)
+        with pytest.raises(ValueError, match="kappa0 must be finite"):
+            exact3.evolve_general3(GENERAL, 3, kappa0)
+        for sector in ("plus", "minus", "singlet"):
+            with pytest.raises(ValueError, match="kappa0 must be finite"):
+                exact4.block_power4(kappa0, np.arange(4), sector)
+        for series in (exact4.tunneling_overlap_series, exact4.ghz_fidelity_series):
+            with pytest.raises(ValueError):
+                series(kappa0, [0, 1, 2])
 
 
 def mp_general_entropy3(theta: float, phi: float, kappa0: float, n: int) -> float:

@@ -8,11 +8,38 @@ from hypothesis import strategies as st
 
 from kickedtop import cheby, exact3, measures, symspace
 from kickedtop.exact3 import STATE_PLUS_Y, STATE_ZERO, GeneralState3
+from kickedtop.exact4 import SECTOR_MINUS, SECTOR_PLUS
 from kickedtop.symspace import BlochPoint, KickedTopParams, SymState
 
-from conftest import collective_ops, random_symmetric_amps
+from conftest import (
+    avg_entropy_3pi2,
+    block_power3,
+    collective_ops,
+    n_star_000,
+    random_symmetric_amps,
+)
 
 KAPPAS = [0.1, 0.4, 0.5, 0.8, 1.2, 2.5, 1.5 * math.pi]
+SECTORS = {"+": SECTOR_PLUS, "-": SECTOR_MINUS}
+
+
+def to_dicke(state: GeneralState3) -> np.ndarray:
+    """Dicke amplitudes (|000>, W, Wbar, |111>) of parity-basis coefficients,
+    the inverse of GeneralState3.from_dicke."""
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    return np.array(
+        [
+            (state.a1 + state.b1) * inv_sqrt2,
+            (state.a2 + state.b2) * inv_sqrt2,
+            1j * (state.a2 - state.b2) * inv_sqrt2,
+            -1j * (state.a1 - state.b1) * inv_sqrt2,
+        ]
+    )
+
+
+def unitarity_defect(stack: np.ndarray) -> float:
+    """max |M M^dag - I| over a (..., 2, 2) stack."""
+    return float(np.max(np.abs(stack @ np.conj(np.swapaxes(stack, -1, -2)) - np.eye(2))))
 
 
 def explicit_block(kappa0: float, parity: int) -> np.ndarray:
@@ -66,16 +93,15 @@ class TestChebyshev:
 class TestBlockPower:
     def test_identity_at_zero_kicks(self):
         for parity in ("+", "-"):
-            block = exact3.block_power3(1.1, 0, parity)
-            assert block.alpha_n == pytest.approx(1.0)
-            assert block.beta_n == pytest.approx(0.0)
-            assert np.allclose(block.matrix, np.eye(2), atol=1e-15)
+            block = block_power3(1.1, 0, SECTORS[parity])
+            assert np.allclose(block, np.eye(2), atol=1e-15)
+            assert unitarity_defect(block) < 1e-15
 
     @pytest.mark.parametrize("parity", ["+", "-"])
     def test_single_kick_entries(self, parity):
         kappa0 = 0.9
         sign = 1 if parity == "+" else -1
-        got = exact3.block_power3(kappa0, 1, parity).matrix
+        got = block_power3(kappa0, 1, SECTORS[parity])
         assert np.max(np.abs(got - explicit_block(kappa0, sign))) < 1e-14
 
     @pytest.mark.parametrize("kappa0", KAPPAS)
@@ -83,31 +109,54 @@ class TestBlockPower:
     def test_matches_matrix_power(self, kappa0, parity):
         sign = 1 if parity == "+" else -1
         base = explicit_block(kappa0, sign)
-        for n in (2, 3, 7, 20, 57):
+        times = [2, 3, 7, 20, 57]
+        stack = block_power3(kappa0, np.array(times), SECTORS[parity])
+        for n, got in zip(times, stack):
             expected = np.linalg.matrix_power(base, n)
-            got = exact3.block_power3(kappa0, n, parity).matrix
             assert np.max(np.abs(got - expected)) < 1e-10
+            assert np.max(np.abs(block_power3(kappa0, n, SECTORS[parity]) - expected)) < 1e-10
 
     @given(kappa0=st.floats(min_value=-20.0, max_value=20.0), n=st.integers(0, 300))
     @settings(max_examples=200, deadline=None)
     def test_unit_magnitude(self, kappa0, n):
-        block = exact3.block_power3(kappa0, n, "+")
-        assert abs(abs(block.alpha_n) ** 2 + abs(block.beta_n) ** 2 - 1.0) < 1e-12
+        for sector in (SECTOR_PLUS, SECTOR_MINUS):
+            assert unitarity_defect(block_power3(kappa0, n, sector)) < 1e-12
+            assert unitarity_defect(block_power3(kappa0, np.array([0, n, 2 * n + 1]), sector)) < 1e-12
 
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
-            exact3.block_power3(1.0, -1, "+")
+            block_power3(1.0, -1, SECTOR_PLUS)
+        with pytest.raises(ValueError):
+            block_power3(1.0, np.array([2, -1]), SECTOR_MINUS)
 
 
 class TestParityBlockSpec:
     @given(kappa0=st.floats(min_value=-20.0, max_value=20.0))
     @settings(max_examples=100, deadline=None)
     def test_axis_and_angle_relations(self, kappa0):
-        spec = exact3.ParityBlockSpec3(kappa0)
-        assert abs(spec.chi) <= 0.5
-        assert abs(math.cos(spec.gamma) - spec.chi) < 1e-12
-        assert abs(math.sin(spec.axis_theta) * math.sin(spec.gamma) - math.sqrt(3.0) / 2.0) < 1e-12
-        assert spec.axis_phi == pytest.approx(math.pi / 2.0 + kappa0 / 3.0, abs=1e-12)
+        # The phase-stripped one-kick block of positive parity is the SU(2)
+        # rotation cos(gamma) I - i sin(gamma) (axis . sigma) with
+        # cos(gamma) = chi = sin(kappa0/3)/2, sin(axis_theta) sin(gamma) =
+        # sqrt(3)/2 and axis_phi = pi/2 + kappa0/3; gamma and the axis are read
+        # off the block's matrix.
+        phase = np.exp(-1j * (math.pi / 4.0 + kappa0 / 6.0))
+        v = block_power3(kappa0, 1, SECTOR_PLUS) / phase
+        assert abs(np.linalg.det(v) - 1.0) < 1e-12
+        cos_gamma = (v[0, 0] + v[1, 1]).real / 2.0
+        gamma = math.acos(cos_gamma)
+        # -i sin(gamma) (nx - i ny) and -i sin(gamma) (nx + i ny) off the diagonal
+        transverse = 1j * v[1, 0] / math.sin(gamma)  # nx + i ny
+        nz = -(v[0, 0] - v[1, 1]).imag / (2.0 * math.sin(gamma))
+        axis_theta = math.acos(max(-1.0, min(1.0, nz)))
+        axis_phi = cmath.phase(transverse)
+        chi = math.sin(kappa0 / 3.0) / 2.0
+        assert abs(chi) <= 0.5
+        assert abs(cos_gamma - chi) < 1e-12
+        assert abs(abs(transverse) ** 2 + nz**2 - 1.0) < 1e-12
+        assert abs(math.sin(axis_theta) * math.sin(gamma) - math.sqrt(3.0) / 2.0) < 1e-12
+        assert abs(nz + math.cos(kappa0 / 3.0) / (2.0 * math.sin(gamma))) < 1e-12
+        turn = (axis_phi - (math.pi / 2.0 + kappa0 / 3.0)) / (2.0 * math.pi)
+        assert abs(turn - round(turn)) < 1e-12 / (2.0 * math.pi)
 
 
 class TestEntropyClosedForm:
@@ -155,7 +204,7 @@ class TestEntropyClosedForm:
     @pytest.mark.parametrize("kappa0", KAPPAS)
     def test_plus_y_bound(self, kappa0):
         bound = (4.0 / 3.0) * math.sin(kappa0 / 3.0) ** 2 + 1e-12
-        series = exact3.entropy3_series(STATE_PLUS_Y, 200, kappa0)
+        series = exact3.entropy3_closed(STATE_PLUS_Y, np.arange(201), kappa0)
         assert np.max(series) <= bound
 
     @pytest.mark.parametrize("kappa0", KAPPAS)
@@ -167,21 +216,20 @@ class TestEntropyClosedForm:
         u = symspace.floquet(KickedTopParams(j=1.5, kappa0=kappa0))
         psi = symspace.coherent_state(1.5, point)
         numeric, _ = measures.entanglement_series(u, psi, 40)
-        closed = exact3.entropy3_series(state_id, 40, kappa0)
+        closed = exact3.entropy3_closed(state_id, np.arange(41), kappa0)
         assert np.max(np.abs(numeric - closed)) < 1e-10
 
     def test_series_matches_scalar(self):
-        series = exact3.entropy3_series(STATE_ZERO, 20, 0.8)
+        series = exact3.entropy3_closed(STATE_ZERO, np.arange(21), 0.8)
+        assert series[0] == 0.0
         for n in range(1, 21):
-            assert series[n] == pytest.approx(
-                exact3.entropy3_closed(STATE_ZERO, n, 0.8), abs=1e-13
-            )
+            assert series[n] == exact3.entropy3_closed(STATE_ZERO, n, 0.8)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             exact3.entropy3_closed("nope", 1, 0.5)
         with pytest.raises(ValueError):
-            exact3.entropy3_closed(STATE_ZERO, 0, 0.5)
+            exact3.entropy3_closed(STATE_ZERO, -1, 0.5)
 
 
 class TestConcurrenceClosedForm:
@@ -209,7 +257,7 @@ class TestConcurrenceClosedForm:
         u = symspace.floquet(KickedTopParams(j=1.5, kappa0=kappa0))
         psi = symspace.coherent_state(1.5, BlochPoint(0.0, 0.0))
         _, numeric = measures.entanglement_series(u, psi, 40)
-        closed = exact3.concurrence3_series(40, kappa0)
+        closed = exact3.concurrence3_000(np.arange(41), kappa0)
         assert np.max(np.abs(numeric - closed)) < 1e-10
 
 
@@ -249,7 +297,7 @@ class TestAverages:
         # closed-form averages away from resonances.
         for kappa0 in (0.8, 1.2, 2.5):
             for state in (STATE_ZERO, STATE_PLUS_Y):
-                series = exact3.entropy3_series(state, 10**6, kappa0)
+                series = exact3.entropy3_closed(state, np.arange(10**6 + 1), kappa0)
                 numeric = float(series[1:].mean())
                 assert numeric == pytest.approx(
                     exact3.avg_entropy3(state, kappa0).value, abs=1e-3
@@ -258,18 +306,18 @@ class TestAverages:
 
 class TestAverageOverAllStates:
     def test_poles(self):
-        assert exact3.avg_entropy_3pi2(BlochPoint(0.0, 0.3)) == pytest.approx(
+        assert avg_entropy_3pi2(BlochPoint(0.0, 0.3)) == pytest.approx(
             1.0 / 3.0, abs=1e-12
         )
 
     def test_minimum_at_quarter_polar(self):
-        assert exact3.avg_entropy_3pi2(BlochPoint(math.pi / 4.0, -math.pi / 2.0)) == pytest.approx(
+        assert avg_entropy_3pi2(BlochPoint(math.pi / 4.0, -math.pi / 2.0)) == pytest.approx(
             7.0 / 24.0, abs=1e-12
         )
 
     def test_equatorial_fixed_points(self):
         for phi in (-math.pi / 2.0, math.pi / 2.0):
-            assert exact3.avg_entropy_3pi2(BlochPoint(math.pi / 2.0, phi)) == pytest.approx(
+            assert avg_entropy_3pi2(BlochPoint(math.pi / 2.0, phi)) == pytest.approx(
                 1.0 / 3.0, abs=1e-12
             )
 
@@ -279,7 +327,7 @@ class TestAverageOverAllStates:
     )
     @settings(max_examples=200, deadline=None)
     def test_range(self, theta, phi):
-        val = exact3.avg_entropy_3pi2(BlochPoint(theta, phi))
+        val = avg_entropy_3pi2(BlochPoint(theta, phi))
         assert 7.0 / 24.0 - 1e-12 <= val <= 1.0 / 3.0 + 1e-12
 
     def test_matches_numeric_period_average(self):
@@ -291,42 +339,42 @@ class TestAverageOverAllStates:
             psi = symspace.coherent_state(1.5, point)
             entropies, _ = measures.entanglement_series(u, psi, 12)
             numeric = entropies[1:].mean()
-            assert numeric == pytest.approx(exact3.avg_entropy_3pi2(point), abs=1e-10)
+            assert numeric == pytest.approx(avg_entropy_3pi2(point), abs=1e-10)
 
 
 class TestNStar:
     @pytest.mark.parametrize("kappa0,expected", [(0.5, 18), (0.8, 11), (0.4, 23)])
     def test_estimates(self, kappa0, expected):
-        assert exact3.n_star_000(kappa0).estimate == expected
+        assert n_star_000(kappa0).estimate == expected
 
     def test_refined_form_is_odd(self):
         for kappa0 in (0.1, 0.3, 0.5, 0.9):
-            report = exact3.n_star_000(kappa0)
+            report = n_star_000(kappa0)
             assert report.refined_odd % 2 == 1
             assert abs(report.refined_odd - report.estimate) <= 2
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            exact3.n_star_000(0.0)
+            n_star_000(0.0)
 
     @pytest.mark.parametrize("kappa0", [0.4, 0.5, 0.8])
     def test_first_near_maximal_time_matches_estimate(self, kappa0):
         # first time the entropy comes within 1e-3 of its 1/2 ceiling; the
         # global argmax over a long window can land on a later recurrence
-        series = exact3.entropy3_series(STATE_ZERO, 60, kappa0)
+        series = exact3.entropy3_closed(STATE_ZERO, np.arange(61), kappa0)
         first = int(np.nonzero(series >= 0.499)[0][0])
-        assert abs(first - exact3.n_star_000(kappa0).estimate) <= 2
+        assert abs(first - n_star_000(kappa0).estimate) <= 2
 
     @pytest.mark.parametrize("kappa0", [0.4, 0.5, 0.8])
     def test_argmax_within_first_cycle_matches_estimate(self, kappa0):
-        estimate = exact3.n_star_000(kappa0).estimate
-        series = exact3.entropy3_series(STATE_ZERO, 2 * estimate, kappa0)
+        estimate = n_star_000(kappa0).estimate
+        series = exact3.entropy3_closed(STATE_ZERO, np.arange(2 * estimate + 1), kappa0)
         assert abs(int(np.argmax(series)) - estimate) <= 2
 
     def test_disentangles_near_twice_n_star(self):
         kappa0 = 0.5
-        report = exact3.n_star_000(kappa0)
-        series = exact3.entropy3_series(STATE_ZERO, 2 * report.estimate + 4, kappa0)
+        report = n_star_000(kappa0)
+        series = exact3.entropy3_closed(STATE_ZERO, np.arange(2 * report.estimate + 5), kappa0)
         window = series[2 * report.estimate - 3 : 2 * report.estimate + 4]
         assert np.min(window) < 0.02
 
@@ -352,7 +400,7 @@ class TestGeneralState:
         point = BlochPoint(1.1, -0.7)
         gen = GeneralState3.from_bloch(point)
         assert np.allclose(
-            gen.to_dicke(), symspace.coherent_state(1.5, point).amps, atol=1e-14
+            to_dicke(gen), symspace.coherent_state(1.5, point).amps, atol=1e-14
         )
 
     def test_rotation_period_four_at_zero_torsion(self, rng):

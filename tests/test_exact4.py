@@ -18,6 +18,23 @@ PLUS_Y = BlochPoint(math.pi / 2.0, -math.pi / 2.0)
 MINUS_Y = BlochPoint(math.pi / 2.0, math.pi / 2.0)
 
 
+def plus_y_evolved_dicke4(kappa0: float, n: int) -> np.ndarray:
+    """Dicke amplitudes of the evolved tensor(+y) state after n kicks, O(1) in n.
+
+    tensor(+y) = (i phi1+)/sqrt(2) + phi2+/sqrt(8) - sqrt(3/8) phi3+ stays in
+    the positive-parity sector: the singlet phase (-1)^n plus one 2x2 block
+    power.  The overall phase follows the block conventions.
+    """
+    basis = exact4.parity_basis_states4()
+    block = exact4.block_power4(kappa0, n, "plus")
+    c23 = block @ np.array([1.0 / math.sqrt(8.0), -math.sqrt(3.0 / 8.0)])
+    return (
+        (-1.0) ** n * 1j / math.sqrt(2.0) * basis["phi1_plus"]
+        + c23[0] * basis["phi2_plus"]
+        + c23[1] * basis["phi3_plus"]
+    )
+
+
 def explicit_plus_block(kappa0: float) -> np.ndarray:
     k = kappa0 / 2.0
     pre = -1j * cmath.exp(-0.5j * k)
@@ -72,6 +89,10 @@ class TestBlockPower:
     def test_unit_magnitude(self, kappa0, n):
         alpha, beta = exact3.block_alpha_beta(kappa0 / 2.0, n)
         assert abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) < 1e-12
+        for sector in ("plus", "minus"):
+            stack = exact4.block_power4(kappa0, np.array([0, n, 2 * n + 1]), sector)
+            products = stack @ np.conj(np.swapaxes(stack, -1, -2))
+            assert np.max(np.abs(products - np.eye(2))) < 1e-12
 
     @pytest.mark.parametrize("sector", ["plus", "minus", "singlet"])
     def test_kick_array_stacks_per_n_blocks(self, sector):
@@ -79,7 +100,7 @@ class TestBlockPower:
         stack = exact4.block_power4(1.3, times, sector)
         for got, n in zip(stack, times):
             expected = exact4.block_power4(1.3, int(n), sector)
-            assert np.max(np.abs(got - expected)) < 1e-15
+            assert np.array_equal(got, expected)
 
     def test_rejects_negative_n_and_bad_sector(self):
         with pytest.raises(ValueError):
@@ -149,7 +170,7 @@ class TestEntropyClosedForm:
         u = symspace.floquet(KickedTopParams(j=2.0, kappa0=kappa0))
         psi = symspace.coherent_state(2.0, point)
         numeric, _ = measures.entanglement_series(u, psi, 40)
-        closed = exact4.entropy4_series(state_id, 40, kappa0)
+        closed = exact4.entropy4_closed(state_id, np.arange(41), kappa0)
         assert np.max(np.abs(numeric - closed)) < 1e-10
 
     def test_minus_y_shares_plus_y_series(self):
@@ -159,16 +180,15 @@ class TestEntropyClosedForm:
             u = symspace.floquet(KickedTopParams(j=2.0, kappa0=kappa0))
             psi = symspace.coherent_state(2.0, MINUS_Y)
             numeric, _ = measures.entanglement_series(u, psi, 30)
-            closed = exact4.entropy4_series(STATE_PLUS_Y, 30, kappa0)
+            closed = exact4.entropy4_closed(STATE_PLUS_Y, np.arange(31), kappa0)
             assert np.max(np.abs(numeric - closed)) < 1e-10
 
     def test_series_matches_scalar(self):
         for state in (STATE_ZERO, STATE_PLUS_Y):
-            series = exact4.entropy4_series(state, 25, 1.3)
+            series = exact4.entropy4_closed(state, np.arange(26), 1.3)
+            assert series[0] == 0.0
             for n in range(1, 26):
-                assert series[n] == pytest.approx(
-                    exact4.entropy4_closed(state, n, 1.3), abs=1e-13
-                )
+                assert series[n] == exact4.entropy4_closed(state, n, 1.3)
 
 
 class TestAverages:
@@ -200,7 +220,7 @@ class TestAverages:
     def test_matches_long_numeric_average(self):
         for kappa0 in (0.8, 1.2, 2.5):
             for state in (STATE_ZERO, STATE_PLUS_Y):
-                series = exact4.entropy4_series(state, 10**6, kappa0)
+                series = exact4.entropy4_closed(state, np.arange(10**6 + 1), kappa0)
                 assert float(series[1:].mean()) == pytest.approx(
                     exact4.avg_entropy4(state, kappa0).value, abs=1e-3
                 )
@@ -212,7 +232,7 @@ class TestAverages:
         closed = exact4.avg_entropy4(STATE_PLUS_Y, kappa0).value
         n_star = exact4.tunneling(kappa0).n_star
         assert n_star > 5 * 10**3
-        series = exact4.entropy4_series(STATE_PLUS_Y, 10**6, kappa0)
+        series = exact4.entropy4_closed(STATE_PLUS_Y, np.arange(10**6 + 1), kappa0)
         gaps = [abs(float(series[1 : n + 1].mean()) - closed) for n in (10**3, 10**4, 10**5, 10**6)]
         # horizons short of n_star undershoot badly; the family then closes in
         assert gaps[0] > 0.2
@@ -318,14 +338,14 @@ class TestTunnelingOverlap:
         psi = symspace.coherent_state(2.0, PLUS_Y)
         traj = symspace.trajectory(u, psi, 40)
         for n in (0, 1, 2, 7, 25, 40):
-            closed = exact4.plus_y_evolved_dicke4(kappa0, n)
+            closed = plus_y_evolved_dicke4(kappa0, n)
             # engine carries the extra global torsion phase exp(-i kappa0/4)
             overlap = abs(np.vdot(closed, traj[n]))
             assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_tunneled_state_sits_on_minus_y(self):
         rep = exact4.tunneling(0.1)
-        amps = exact4.plus_y_evolved_dicke4(0.1, int(round(rep.n_star)))
+        amps = plus_y_evolved_dicke4(0.1, int(round(rep.n_star)))
         minus = symspace.coherent_state(2.0, MINUS_Y).amps
         assert abs(np.vdot(minus, amps)) ** 2 >= 0.95
 

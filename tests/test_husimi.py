@@ -9,6 +9,17 @@ from kickedtop.symspace import BlochPoint, SymState
 trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
 
 
+def plus_y_dicke4() -> np.ndarray:
+    """Dicke amplitudes of tensor(+y) for four qubits:
+    (i phi1+)/sqrt(2) + phi2+/sqrt(8) - sqrt(3/8) phi3+."""
+    basis = exact4.parity_basis_states4()
+    return (
+        1j * basis["phi1_plus"] / math.sqrt(2.0)
+        + basis["phi2_plus"] / math.sqrt(8.0)
+        - math.sqrt(3.0 / 8.0) * basis["phi3_plus"]
+    )
+
+
 class TestGrid:
     def test_coherent_self_overlap(self):
         point = BlochPoint(1.1, -0.4)
@@ -69,7 +80,7 @@ class TestGrid:
 
     def test_normalization_under_su2_measure(self):
         # integral of the grid against (2j+1)/4pi sin(theta) dtheta dphi is 1
-        for j, amps in ((1.5, None), (2.0, exact4.plus_y_dicke4())):
+        for j, amps in ((1.5, None), (2.0, plus_y_dicke4())):
             psi = (
                 symspace.coherent_state(j, BlochPoint(0.9, 1.3))
                 if amps is None

@@ -9,6 +9,7 @@ from kickedtop import cli, measures, symspace
 from kickedtop.symspace import BlochPoint, KickedTopParams, SymState
 
 from conftest import (
+    haar_symmetric_sample,
     random_symmetric_amps,
     register_floquet,
     register_reduced,
@@ -198,7 +199,7 @@ class TestAverages:
         with pytest.raises(ValueError):
             streaming_average(iter([1.0, 2.0]), 2, lambda n: False)
         with pytest.raises(ValueError):
-            measures.haar_symmetric_sample(1.5, 0, seed=1)
+            haar_symmetric_sample(1.5, 0, seed=1)
 
 
 class TestRmt:
@@ -218,16 +219,16 @@ class TestRmt:
 
 class TestHaarSampling:
     def test_deterministic(self):
-        a = measures.haar_symmetric_sample(1.5, 1, seed=5)
-        b = measures.haar_symmetric_sample(1.5, 1, seed=5)
+        a = haar_symmetric_sample(1.5, 1, seed=5)
+        b = haar_symmetric_sample(1.5, 1, seed=5)
         assert a == b
 
     def test_three_qubit_ensemble(self):
-        mean = measures.haar_symmetric_sample(1.5, 10**4, seed=42)
+        mean = haar_symmetric_sample(1.5, 10**4, seed=42)
         assert abs(mean - 1.0 / 3.0) < 0.01
 
     def test_four_qubit_ensemble(self):
-        mean = measures.haar_symmetric_sample(2.0, 10**4, seed=43)
+        mean = haar_symmetric_sample(2.0, 10**4, seed=43)
         assert abs(mean - 3.0 / 8.0) < 0.01
 
     def test_agrees_with_reduced_state_path(self, rng):

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kickedtop import cli, exact3, measures, symspace
+from kickedtop.exact4 import SECTOR_MINUS, SECTOR_PLUS
 from kickedtop.symspace import BlochPoint, KickedTopParams, SymState
 
 from conftest import (
+    block_power3,
     collective_ops,
     eigh_rotation,
     stepped_alone,
@@ -174,8 +176,8 @@ class TestFloquet:
             [basis["phi1_plus"], basis["phi2_plus"], basis["phi1_minus"], basis["phi2_minus"]]
         )
         expected = np.zeros((4, 4), dtype=complex)
-        expected[:2, :2] = exact3.block_power3(kappa0, 1, "+").matrix
-        expected[2:, 2:] = exact3.block_power3(kappa0, 1, "-").matrix
+        expected[:2, :2] = block_power3(kappa0, 1, SECTOR_PLUS)
+        expected[2:, 2:] = block_power3(kappa0, 1, SECTOR_MINUS)
         got = p.conj().T @ (np.exp(1j * kappa0 / 4.0) * u) @ p
         assert np.max(np.abs(got - expected)) < 1e-12
 
