@@ -555,7 +555,9 @@ def _apply_config(args) -> None:
         kinds = {a.dest: a.type or str for a in flags if a.nargs != 0}  # not --help
         for key, value in loaded.items():
             key = str(key).replace("-", "_")
-            merged[key] = _config_value(key, value, kinds[key]) if key in kinds else value
+            if key not in kinds:
+                raise CliError(f"--config key {key!r} names no {args.command} flag")
+            merged[key] = _config_value(key, value, kinds[key])
     for key, value in merged.items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)

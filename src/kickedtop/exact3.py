@@ -67,10 +67,16 @@ def _require_state_id(state_id: str):
 def _kick_array(n, kappa0: float) -> np.ndarray:
     """n, an int or an int array of kick counts >= 0, as an array; an int
     becomes a one-element array, because NumPy's 0-d cos and sin are not
-    bit-identical to its array loop.  kappa0 must be finite."""
+    bit-identical to its array loop.  kappa0 must be finite.  This is the one
+    check of kick counts for every closed form: a float count, even a whole
+    one, is refused rather than rounded or truncated."""
     if not math.isfinite(kappa0):
         raise ValueError("kappa0 must be finite")
     kicks = np.asarray(n)
+    if kicks.dtype.kind not in "iu":
+        if kicks.size:
+            raise ValueError(f"n must be an int or an int array of kick counts, got {n!r}")
+        kicks = kicks.astype(np.int64)  # an empty list of counts
     if np.any(kicks < 0):
         raise ValueError("n must be >= 0")
     return kicks.reshape(1) if kicks.ndim == 0 else kicks

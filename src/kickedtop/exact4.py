@@ -190,18 +190,18 @@ def tunneling_overlap_series(kappa0: float, times) -> np.ndarray:
     overlap follows from the singlet eigenvalue (-1)^n and one 2x2 block power
     per requested time.
     """
-    n = np.asarray(times, dtype=np.int64)
-    return np.abs(0.5 * (_phi23_matrix_element(kappa0, n) - (-1.0) ** n)) ** 2
+    n = _kick_array(times, kappa0)
+    return _like_kicks(np.abs(0.5 * (_phi23_matrix_element(kappa0, n) - (-1.0) ** n)) ** 2, times)
 
 
 def ghz_fidelity_series(kappa0: float, times) -> np.ndarray:
     """Squared overlap of U^n tensor(+y) with the GHZ-like superposition
     (tensor(+y) - i tensor(-y))/sqrt(2) at the given times."""
-    n = np.asarray(times, dtype=np.int64)
+    n = _kick_array(times, kappa0)
     element = _phi23_matrix_element(kappa0, n)
     term_singlet = (-1.0) ** n * (1.0 - 1j) / (2.0 * math.sqrt(2.0))
     term_block = (1.0 + 1j) * element / (2.0 * math.sqrt(2.0))
-    return np.abs(term_singlet + term_block) ** 2
+    return _like_kicks(np.abs(term_singlet + term_block) ** 2, times)
 
 
 def parity_basis_states4() -> dict[str, np.ndarray]:

@@ -635,6 +635,20 @@ class TestEdgeInputs:
         assert capsys.readouterr().err == f"error: --config key {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,config,message", [
+        (["evolve", "--kappa0", "1"], {"kicks": 10.5}, "'kicks' names no evolve flag"),
+        (["evolve", "--kappa0", "1"], {"step": 10}, "'step' names no evolve flag"),
+        (["sweep", "--kicks", "5"], {"qubits": 4, "kappa0-lst": "1"}, "'kappa0_lst' names no sweep flag"),
+        (["tunnel", "--kappa0", "0.1"], {"help": "x"}, "'help' names no tunnel flag"),
+    ])
+    def test_config_unknown_keys(self, argv, config, message, tmp_path, capsys):
+        # a misspelled or misplaced key used to be ignored, running the defaults
+        out, path = tmp_path / "out.csv", tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --config key {message}\n"
+        assert not out.exists()
+
     def test_config_integers_for_number_flags(self, tmp_path):
         # argparse gives 1.0 for --kappa0-start 1; a JSON 1 gives the same bytes
         config, by_config, by_flags = (tmp_path / name for name in ("c.json", "a.csv", "b.csv"))

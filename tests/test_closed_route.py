@@ -169,6 +169,26 @@ class TestRejectedInputs:
             with pytest.raises(ValueError, match="n must be >= 0"):
                 exact4.block_power4(1.3, kicks, sector)
 
+    # 2.5 used to give an odd-count value (|000>) or an IndexError (general
+    # state); 2.0 is refused too, as a float.
+    @pytest.mark.parametrize("n", [2.5, 2.0, [1, 2.5], [0.0, 3.0]], ids=str)
+    def test_non_integral_n(self, n):
+        kicks = n if isinstance(n, float) else np.array(n)
+        calls = [lambda closed=closed: closed(kicks, 1.3) for _, closed in CLOSED_FORMS]
+        calls.append(lambda: exact3.evolve_general3(GENERAL, kicks, 1.3))
+        calls += [lambda sector=sector: exact4.block_power4(1.3, kicks, sector)
+                  for sector in ("plus", "minus", "singlet")]
+        for call in calls:
+            with pytest.raises(ValueError, match="n must be an int or an int array"):
+                call()
+
+    @pytest.mark.parametrize("times", [[2.7], [0, 1.5], [2.0]], ids=str)
+    def test_non_integral_times(self, times):
+        # these truncated 2.7 to 2
+        for series in (exact4.tunneling_overlap_series, exact4.ghz_fidelity_series):
+            with pytest.raises(ValueError, match="n must be an int or an int array"):
+                series(0.3, times)
+
     @pytest.mark.parametrize("kappa0", [math.nan, math.inf, -math.inf])
     def test_non_finite_kappa0(self, kappa0):
         for name, closed in CLOSED_FORMS:

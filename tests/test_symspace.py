@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from conftest import (
     random_symmetric_amps,
     register_floquet,
 )
+from test_closed_route import mp_rotation
 
 JS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.5, 10.0]
 
@@ -158,6 +160,21 @@ class TestRotation:
             assert np.max(np.abs(rotation.T @ rotation - eye)) <= 1e-13
             assert np.max(np.abs(rotation @ rotation.T - eye)) <= 1e-13
 
+    @pytest.mark.parametrize("two_j", [3, 4, 7, 20, 50])
+    def test_matches_40_digit_rotation(self, two_j):
+        # largest errors seen: 2.2e-16, 1.1e-16, 1.7e-16, 2.8e-16 and 1.3e-15
+        # (a dense eigensolver gave 4.4e-16, 1.0e-15, 1.2e-15, 2.9e-15 and 2.4e-15)
+        with mpmath.workdps(40):
+            reference = np.array(mp_rotation(two_j).apply(mpmath.re).tolist(), dtype=float)
+        rotation = symspace._rotation(two_j / 2.0, math.pi / 2.0)
+        assert np.max(np.abs(rotation - reference)) <= 2e-15
+
+    def test_orthogonal_past_the_double_range_of_the_edge_row(self):
+        # the edge row's 2^-j sqrt(C(2j, i)) is below the double range here
+        two_j = 2200
+        rotation = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=1.3)).base
+        assert np.max(np.abs(rotation.T @ rotation - np.eye(two_j + 1))) <= 1e-13
+
 
 class TestFloquet:
     def test_pure_rotation_spin_half(self):
@@ -246,9 +263,10 @@ class TestEvolve:
         assert evolved.norm_error() < 1e-9
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("n", [10**9, 10**30])
+    @pytest.mark.parametrize("n", [10**10, 10**30])
     def test_horizon_past_the_norm_tolerance_raises(self, n):
-        # the norm drifts by about 1e-6 at 1e9 kicks; U^n overflows at 1e30
+        # the norm drifts by about 5e-7 at 1e10 kicks (5e-8, under the
+        # tolerance, at 1e9); U^n overflows at 1e30
         u = symspace.floquet(KickedTopParams(j=2.0, kappa0=0.1))
         psi = symspace.coherent_state(2.0, BlochPoint(math.pi / 2, -math.pi / 2))
         with pytest.raises(ValueError, match="kicks are too many"):
