@@ -11,6 +11,17 @@ ValueError instead of giving a silently wrong entropy.  Linear entropy and
 concurrence take the same stacks; the single-state functions are one-row calls
 of the batched ones.  The brute-force register partial trace is kept to the
 test suite as an oracle.
+
+concurrences() checks each 4x4 row (finite, Hermitian, PSD) and computes the
+Wootters concurrence (PRL 80, 2245 (1998)) with one eigh per row: its
+eigenvalues give the PSD check and, with its eigenvectors, the factor
+X = V sqrt(L) of rho, whose complex symmetric X^T (sy x sy) X has the square
+roots of the Wootters spectrum as singular values.  Before that SVD, a row
+whose partial transpose has det(rho^G) > 1e-13 is certified separable and
+gets C = 0 (a two-qubit state is entangled iff det(rho^G) < 0; Augusiak,
+Demianowicz & Horodecki, PRA 77, 030301(R) (2008)); the margin is some 25
+times the determinant's rounding error.  At 2j >= 20 nearly every row of a
+series is separable this way, and X-shaped rows take a closed form.
 """
 
 from __future__ import annotations
@@ -25,10 +36,14 @@ from .symspace import _STATE_NORM_TOL, SymState, UnitaryMatrix, _two_j, trajecto
 # round-off routinely produce tiny negatives.
 PSD_CLIP_TOL = 1e-10
 _X_STATE_TOL = 1e-12
+# A row whose computed det(rho^G) exceeds this is certified separable.  The
+# eigenvalues of a state's partial transpose lie in [-1/2, 1], so its adjugate
+# has norm <= 1 and LU's absolute error in the 4x4 determinant is about
+# 16 eps ~ 4e-15: a computed value above 1e-13 means a true det(rho^G) > 0.
+_SEPARABLE_DET_MARGIN = 1e-13
 
-_SY_SY = np.kron(
-    np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.array([[0.0, -1.0j], [1.0j, 0.0]])
-)
+# (sy x sy) M reverses the rows of M and negates the new first and last rows.
+_SY_SY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 _X_MASK = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
 # Excitation counts of the kept two-qubit patterns 00, 01, 10, 11.
 _PATTERN_WEIGHT = np.array([0, 1, 1, 2])
@@ -103,24 +118,69 @@ def concurrences(rhos: np.ndarray) -> np.ndarray:
     """Wootters concurrence of each two-qubit density matrix of an (n, 4, 4)
     stack.
 
-    Eigenvalues of (sy x sy) rho* (sy x sy) rho are sorted in decreasing order
-    and combined as max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)); the
-    conjugation is taken in the computational (sigma_z product) basis.
-    X-shaped rows (off-X entries <= _X_STATE_TOL) take the closed form, which
-    avoids the sqrt noise of the general path near exact zeros.
+    C = max(0, s1 - s2 - s3 - s4) with s1 >= ... >= s4 the square roots of the
+    eigenvalues of rho (sy x sy) rho* (sy x sy), the conjugation taken in the
+    computational (sigma_z product) basis (Wootters, PRL 80, 2245 (1998)).
+    Each row must be finite and Hermitian to PSD_CLIP_TOL, else ValueError
+    names the first bad row.  X-shaped rows (off-X entries <= _X_STATE_TOL)
+    take the closed form, which avoids the sqrt noise of the general route
+    near exact zeros.  The general route is three steps:
+
+    1. One eigh of the Hermitised stack, rho = V L V^H, gives both the PSD
+       check and the factor X = V sqrt(L), with eigenvalues below
+       16 eps l_max zeroed as the round-off of a rank-deficient state.
+    2. Rows with det(rho^G) > _SEPARABLE_DET_MARGIN, rho^G the partial
+       transpose on the second qubit, are separable and get C = 0: a two-qubit
+       state is entangled iff det(rho^G) < 0 (Augusiak, Demianowicz &
+       Horodecki, PRA 77, 030301(R) (2008)).  On a row whose eigenvalues
+       are clipped by up to PSD_CLIP_TOL, the screen and the SVD can differ
+       by that order.
+    3. The other rows take s1..s4 as the singular values of the complex
+       symmetric tau = X^T (sy x sy) X, since
+       tau^H tau = X^H rho~ X has the spectrum of rho rho~.
+
+    Microseconds per row of an entanglement_series pair stack (1001 states:
+    1000 kicks from the +y coherent state at kappa0 = 3), best of 11 runs
+    interleaved with an eigvalsh + Hermitian-square-root + SVD route, one
+    OpenBLAS 0.3.31 thread on a 2-core Xeon VM, and the share of rows the
+    screen takes:
+
+        2j            3     4     7    20    50   100   200
+        sqrt route  9.7  10.1   9.8  11.0   9.1   9.9   9.6 us
+        this route  7.0   7.4   6.1   4.3   3.6   3.8   3.7 us
+        screened     0%   10%   43%  100%   99%  100%  100%
     """
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
         raise ValueError("concurrence expects 4x4 density matrices")
-    evals = np.linalg.eigvalsh(0.5 * (rhos + rhos.conj().swapaxes(1, 2)))
-    if evals.size and evals.min() < -PSD_CLIP_TOL:
-        raise ValueError(f"input is not positive semidefinite (min eig {evals.min():.2e})")
+    bad = np.flatnonzero(~np.isfinite(rhos).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"density matrix has a non-finite entry (row {bad[0]})")
+    adjoint = rhos.conj().swapaxes(1, 2)
+    skew = np.abs(rhos - adjoint).max(axis=(1, 2))
+    bad = np.flatnonzero(skew > PSD_CLIP_TOL)
+    if bad.size:
+        raise ValueError(
+            f"density matrix is not Hermitian (row {bad[0]}: max|rho - rho^H| = {skew[bad[0]]:.2e})"
+        )
+    herm = 0.5 * (rhos + adjoint)
+    evals, evecs = np.linalg.eigh(herm)
+    bad = np.flatnonzero(evals[:, 0] < -PSD_CLIP_TOL)
+    if bad.size:
+        raise ValueError(
+            f"input is not positive semidefinite (row {bad[0]}: min eig {evals[bad[0], 0]:.2e})"
+        )
     x_rows = np.max(np.abs(rhos[:, ~_X_MASK]), axis=1) <= _X_STATE_TOL
-    out = np.empty(rhos.shape[0])
+    out = np.zeros(rhos.shape[0])
     if x_rows.any():
         out[x_rows] = _concurrence_x(rhos[x_rows])
-    if not x_rows.all():
-        out[~x_rows] = _concurrence_general(rhos[~x_rows])
+    rest = np.flatnonzero(~x_rows)
+    if rest.size:
+        partial_transpose = herm[rest].reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2)
+        det = np.linalg.det(partial_transpose.reshape(-1, 4, 4)).real
+        entangled = rest[~(det > _SEPARABLE_DET_MARGIN)]
+        if entangled.size:
+            out[entangled] = _concurrence_general(evals[entangled], evecs[entangled])
     return out
 
 
@@ -132,14 +192,16 @@ def _concurrence_x(rhos: np.ndarray) -> np.ndarray:
     return 2.0 * np.maximum(0.0, np.maximum(c1, c2))
 
 
-def _concurrence_general(rhos: np.ndarray) -> np.ndarray:
-    # sqrt(lam_i) of rho rho_tilde are the singular values of
-    # sqrt(rho_tilde) sqrt(rho): the same spectrum without the catastrophic
-    # sqrt of near-zero eigenvalues (exact-rank-deficient inputs stay exact
-    # thanks to the numerical-rank clip inside the matrix square roots).
-    root = _psd_sqrt(rhos, rank_clip=True)
-    root_tilde = _SY_SY @ root.conj() @ _SY_SY
-    sigma = np.linalg.svd(root_tilde @ root, compute_uv=False)
+def _concurrence_general(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """Concurrence of each row rho = evecs diag(evals) evecs^H of a stack
+    (ascending eigenvalues, as eigh gives them)."""
+    evals = np.clip(evals, 0.0, None)
+    # Eigenvalues at round-off scale are true zeros of a rank-deficient state;
+    # zeroing them keeps sqrt() from turning 1e-16 into 1e-8.
+    evals[evals < 16.0 * np.finfo(float).eps * evals[:, -1:]] = 0.0
+    factor = evecs * np.sqrt(evals)[:, None, :]
+    tau = factor.swapaxes(1, 2) @ (_SY_SY_SIGNS * factor[:, ::-1])
+    sigma = np.linalg.svd(tau, compute_uv=False)
     return np.maximum(0.0, 2.0 * sigma[:, 0] - sigma.sum(axis=1))
 
 
@@ -152,15 +214,11 @@ def concurrence(rho12: np.ndarray) -> float:
     return float(concurrences(rho12[None])[0])
 
 
-def _psd_sqrt(rho: np.ndarray, rank_clip: bool = False) -> np.ndarray:
-    """Matrix square root of one PSD matrix or of a (..., d, d) stack."""
+def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
+    """Matrix square root of one PSD matrix."""
     evals, evecs = np.linalg.eigh(rho)
     evals = np.clip(evals, 0.0, None)
-    if rank_clip:
-        # Eigenvalues at round-off scale are true zeros of a rank-deficient
-        # state; zeroing them keeps sqrt() from turning 1e-16 into 1e-8.
-        evals[evals < 16.0 * np.finfo(float).eps * evals.max(axis=-1, keepdims=True)] = 0.0
-    return (evecs * np.sqrt(evals)[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
+    return (evecs * np.sqrt(evals)) @ evecs.conj().T
 
 
 def fidelity(rho_t: np.ndarray, rho_e: np.ndarray) -> float:
