@@ -2,6 +2,8 @@
 
 Every command writes CSV (UTF-8, '.' decimal separator, full double precision)
 or JSON and is deterministic given its flags, so reruns are byte-identical.
+evolve writes a closed-form column wherever a closed form exists, at any
+finite kappa0: the engine sees the closed forms' torsion (symspace.floquet).
 Flags may also be supplied through a JSON config file (--config); explicit
 flags win on conflict.  Exit codes: 0 success, 2 validation error, 3 I/O error.
 """
@@ -34,13 +36,6 @@ SWEEP_BLOCK_KICKS = 512
 SWEEP_BLOCK_AMPS = 2**16
 # Largest tunnel time: kick counts above 2**53 are not exact as doubles.
 MAX_TUNNEL_TIME = 2**53
-# evolve writes the 3-qubit closed columns only where they can meet the
-# closed-vs-numeric gate.  Both routes use x = kappa0/3 rounded once, but the
-# numeric torsion phase x m^2 at m^2 = 9/4 is rounded again, by up to
-# (3/8)|kappa0| eps, and that error recurs on every kick, so after n kicks the
-# routes differ by about n |kappa0| eps (measured: at most 0.06 n |kappa0| eps
-# in S and C for kappa0 = 1e2..1e12, n = 50 and 1000, three start states).
-CLOSED_GATE = 1e-10
 # Table rows formatted per % operation in _write_table; formatting a whole
 # table at once holds all of its text and raised the figures peak RSS by 14%.
 # Each block's cell values are converted from the columns as it is formatted.
@@ -190,12 +185,8 @@ def cmd_evolve(args) -> int:
         "n": np.arange(args.steps + 1),
         "S_numeric": entropies,
     }
-    drift = args.steps * abs(args.kappa0) * np.finfo(float).eps
-    resolved = args.qubits != 3 or drift <= CLOSED_GATE
-    s_closed = c_closed = None
-    if resolved:
-        s_closed = _closed_entropy_series(args.qubits, name, point, args.kappa0, args.steps)
-        c_closed = _closed_concurrence_series(args.qubits, name, args.kappa0, args.steps)
+    s_closed = _closed_entropy_series(args.qubits, name, point, args.kappa0, args.steps)
+    c_closed = _closed_concurrence_series(args.qubits, name, args.kappa0, args.steps)
     if s_closed is not None:
         columns["S_closed"] = s_closed
     if args.qubits >= 2:
@@ -203,9 +194,8 @@ def cmd_evolve(args) -> int:
     if c_closed is not None:
         columns["C_closed"] = c_closed
     if s_closed is None:
-        where = "" if resolved else f" at kappa0 = {args.kappa0!r} over {args.steps} kicks"
         print(
-            f"warning: no closed-form entropy for {args.qubits} qubits, state {args.state!r}{where};"
+            f"warning: no closed-form entropy for {args.qubits} qubits, state {args.state!r};"
             " closed-form columns omitted",
             file=sys.stderr,
         )
@@ -310,6 +300,7 @@ def cmd_husimi(args) -> int:
     _require(args.qubits >= 1, "--qubits must be >= 1")
     _require(args.n_theta >= 2 and args.n_phi >= 2, "grid must be at least 2x2")
     _require(args.kappa0 is None or math.isfinite(args.kappa0), "--kappa0 must be finite")
+    _require(args.kappa0 is None or args.steps is not None, "--kappa0 requires --steps")
     j = args.qubits / 2.0
     if args.basis_state:
         table = exact3.parity_basis_states3() if args.qubits == 3 else (
@@ -453,7 +444,7 @@ _DEFAULTS = {
     },
     "tunnel": {},
     "husimi": {"qubits": 3, "state": "zero", "n_theta": 101, "n_phi": 201},
-    "classical": {"steps": 200, "seeds": "fixed_point;period4"},
+    "classical": {"steps": 200, "seeds": "fixed_point;period4", "seed": 0},
     "tomo": {"state": "zero"},
 }
 
@@ -470,7 +461,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--config", help="JSON file with flag defaults (flags win)")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed for stochastic options")
 
     p = sub.add_parser("evolve", help="entanglement time series, numeric vs closed form")
     add_common(p)
@@ -513,6 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=None, help="add an NxN (theta,phi) seed grid")
     p.add_argument("--random-seeds", dest="random_seeds", type=int, default=None,
                    help="add N uniform random seeds drawn with --seed")
+    p.add_argument("--seed", type=int, default=None, help="RNG seed for --random-seeds")
 
     p = sub.add_parser("tomo", help="readout correction / reconstruction metrics")
     add_common(p)

@@ -4,13 +4,14 @@ One kick period is a rotation by angle p about the y axis followed by a
 torsion exp(-i kappa0 Jz^2 / 2j); the Floquet operator of that period acts on
 the (2j+1)-dimensional symmetric subspace of 2j qubits.  floquet keeps it as
 its two factors: the rotation, which is real orthogonal in this basis, and the
-diagonal torsion phases.  The rotation comes from the exact spectrum of Jy,
-m = j, ..., -j: its eigenvectors by a three-term recurrence from the edge row
-to the middle, the other half by parity, then three half-size real GEMMs over
-the even and odd rows, with no eigensolver (see _rotation).  trajectory gives
-every kick: below a measured dimension several kicks per BLAS call, from a
-stack of powers of U, and above it one real matmul with the rotation per kick.
-evolve gives one state U^n psi0 by binary powering.
+diagonal torsion phases, counted from the smallest m^2 (see floquet).  The
+rotation comes from the exact spectrum of Jy, m = j, ..., -j: its eigenvectors
+by a three-term recurrence from the edge row to the middle, the other half by
+parity, then three half-size real GEMMs over the even and odd rows, with no
+eigensolver (see _rotation).  trajectory gives every kick: below a measured
+dimension several kicks per BLAS call, from a stack of powers of U, and above
+it one real matmul with the rotation per kick.  evolve gives one state
+U^n psi0 by binary powering.
 
 Basis convention used everywhere in this package: amplitude index i holds the
 Jz eigenvalue m = j - i, i.e. amplitudes run m = j, j-1, ..., -j.  In the
@@ -99,10 +100,6 @@ class KickedTopParams:
     def dim(self) -> int:
         return _two_j(self.j) + 1
 
-    @property
-    def n_qubits(self) -> int:
-        return _two_j(self.j)
-
 
 @dataclass(frozen=True)
 class BlochPoint:
@@ -144,9 +141,6 @@ class SymState:
     def norm_error(self) -> float:
         """|<psi|psi> - 1|, the monitored drift of an evolved state."""
         return abs(np.vdot(self.amps, self.amps).real - 1.0)
-
-    def overlap(self, other: "SymState") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
 
 
 @dataclass(frozen=True)
@@ -227,6 +221,12 @@ def floquet(params: KickedTopParams | Sequence[KickedTopParams]) -> UnitaryMatri
     """One-period evolution operator exp(-i (kappa0/2j) Jz^2) exp(-i p Jy), in
     factored form: the real rotation exp(-i p Jy) and the torsion phases.
 
+    Each torsion phase is x (m^2 - m^2_min), with x = kappa0/2j rounded once
+    and m^2_min = 1/4 for odd 2j, 0 for even: a global phase exp(i kappa0/8j)
+    at odd 2j, none at even.  x times the integer m^2 - m^2_min is exact at
+    2j = 3 and 4, so every kick sees the torsion of exact3 and exact4 at any
+    kappa0; x m^2 would be rounded again, a drift of n |kappa0| eps in n kicks.
+
     One parameter set gives one dim x dim operator; a sequence of K sets that
     share j and p (a kappa0 grid) gives a stack of K, entry k equal to
     floquet(params[k]).  The rotation is built and checked once per call; each
@@ -240,7 +240,7 @@ def floquet(params: KickedTopParams | Sequence[KickedTopParams]) -> UnitaryMatri
     m = two_j / 2.0 - np.arange(two_j + 1)
     kappa0 = np.array([q.kappa0 for q in grid])
     with np.errstate(over="ignore"):
-        phases = (kappa0[:, None] / two_j) * m**2
+        phases = (kappa0[:, None] / two_j) * (m**2 - (two_j % 2) / 4.0)
     if not np.all(np.isfinite(phases)):
         raise ValueError(f"kappa0 is too large for 2j = {two_j}: its torsion phase overflows a double")
     rotation = _rotation(grid[0].j, grid[0].p)

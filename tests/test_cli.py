@@ -236,31 +236,35 @@ class TestEvolve:
         i_num, i_cl = header.index("S_numeric"), header.index("S_closed")
         assert np.max(np.abs(data[:, i_num] - data[:, i_cl])) < 1e-10
 
-    @pytest.mark.parametrize("kappa0", [1e6, 1e12])
-    @pytest.mark.parametrize("state", ["zero", "plus_y"])
-    def test_three_qubit_closed_columns_omitted_at_huge_kappa0(self, kappa0, state, tmp_path, capsys):
-        # 50 |kappa0| eps is past cli.CLOSED_GATE: the closed forms were 1.7e-10
-        # (1e6) and 1.2e-4 (1e12) off the numeric series here
+    @pytest.mark.parametrize("kappa0", [1e6, 1e12, 1e300])
+    @pytest.mark.parametrize("state", ["zero", "plus_y", "1.1,0.4"])
+    def test_three_qubit_closed_columns_kept_at_huge_kappa0(self, kappa0, state, tmp_path, capsys):
+        # floquet's torsion phases are exact multiples of kappa0/3, as in
+        # exact3, so the routes agree however large kappa0 is
         out = tmp_path / "evolve.csv"
         assert main(["evolve", "--qubits", "3", f"--kappa0={kappa0!r}", "--state", state,
-                     "--steps", "50", "--out", str(out)]) == 0
+                     "--steps", "1000", "--out", str(out)]) == 0
         header, data = read_csv(out)
-        assert header == ["n", "S_numeric", "C_numeric"]
-        assert np.all(np.isfinite(data))
-        assert "closed-form columns omitted" in capsys.readouterr().err
+        expected = ["n", "S_numeric", "S_closed", "C_numeric"] + (["C_closed"] if state == "zero" else [])
+        assert header == expected
+        cols = {name: data[:, i] for i, name in enumerate(header)}
+        assert np.max(np.abs(cols["S_numeric"] - cols["S_closed"])) <= 1e-10
+        if state == "zero":
+            assert np.max(np.abs(cols["C_numeric"] - cols["C_closed"])) <= 1e-10
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("kappa0", [9000.0, -9000.0])
     @pytest.mark.parametrize("state", ["zero", "plus_y"])
     def test_three_qubit_closed_columns_kept_within_the_bound(self, kappa0, state, tmp_path):
-        # 50 |kappa0| eps = 1.0e-10, just within cli.CLOSED_GATE
+        # a large kappa0 of either sign meets the closed-vs-numeric gate
         out = tmp_path / "evolve.csv"
         assert main(["evolve", "--qubits", "3", f"--kappa0={kappa0!r}", "--state", state,
                      "--steps", "50", "--out", str(out)]) == 0
         header, data = read_csv(out)
         cols = {name: data[:, i] for i, name in enumerate(header)}
-        assert np.max(np.abs(cols["S_numeric"] - cols["S_closed"])) < cli.CLOSED_GATE
+        assert np.max(np.abs(cols["S_numeric"] - cols["S_closed"])) < 1e-10
         if state == "zero":
-            assert np.max(np.abs(cols["C_numeric"] - cols["C_closed"])) < cli.CLOSED_GATE
+            assert np.max(np.abs(cols["C_numeric"] - cols["C_closed"])) < 1e-10
 
     def test_unsupported_closed_form_warns_not_errors(self, tmp_path, capsys):
         out = tmp_path / "evolve.csv"
@@ -447,6 +451,20 @@ class TestClassical:
                      "--random-seeds", "4", "--seed", "100", "--out", str(other)]) == 0
         assert a.read_bytes() != other.read_bytes()
 
+    def test_seed_from_config_or_default(self, tmp_path):
+        # a --config seed is the flag's default, and the default seed is 0
+        argv = ["classical", "--kappa0", "2.5", "--steps", "10", "--seeds", "", "--random-seeds", "4"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 99}))
+        outputs = {}
+        for name, extra in [("flag", ["--seed", "99"]), ("config", ["--config", str(config)]),
+                            ("zero", ["--seed", "0"]), ("default", [])]:
+            outputs[name] = tmp_path / f"{name}.csv"
+            assert main([*argv, *extra, "--out", str(outputs[name])]) == 0
+        assert outputs["config"].read_bytes() == outputs["flag"].read_bytes()
+        assert outputs["default"].read_bytes() == outputs["zero"].read_bytes()
+        assert outputs["default"].read_bytes() != outputs["flag"].read_bytes()
+
 
 class TestTomo:
     def _write_population_fixture(self, tmp_path):
@@ -599,6 +617,35 @@ class TestEdgeInputs:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--kappa0", "1", "--steps", "3"],
+        ["sweep", "--kicks", "3", "--kappa0-list", "1"],
+        ["tunnel", "--kappa0", "0.1", "--times", "0,1"],
+        ["husimi", "--n-theta", "3", "--n-phi", "3"],
+        ["tomo", "--populations", "a.csv", "--readout", "bundled"],
+    ])
+    def test_seed_only_for_classical(self, argv, tmp_path, capsys):
+        # only classical --random-seeds draws random numbers; elsewhere --seed
+        # is an unknown flag, and a --config key seed names no flag
+        out, config = tmp_path / "out.csv", tmp_path / "config.json"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        config.write_text(json.dumps({"seed": 1}))
+        assert main([*argv, "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --config key 'seed' names no {argv[0]} flag\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["--state=plus_y", "--basis-state=phi1_plus"])
+    def test_husimi_kappa0_requires_steps(self, source, tmp_path, capsys):
+        # --kappa0 only sets the torsion of the --steps evolution
+        out = tmp_path / "out.csv"
+        assert main(["husimi", "--qubits", "3", source, "--kappa0", "0.5", "--n-theta", "3",
+                     "--n-phi", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --kappa0 requires --steps\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("key,flag", [("grid", "--grid"), ("random_seeds", "--random-seeds")])
     @pytest.mark.parametrize("count", [0, -1])
     @pytest.mark.parametrize("via_config", [False, True])
@@ -712,12 +759,12 @@ def run_edge_case(argv):
 def check_edge_case(argv):
     """One edge call exits 0, 2 or 3 without a traceback, and a successful one
     writes finite closed-form columns (the tunnel series included) and
-    finite Husimi values."""
+    finite Husimi values.  Returns the output text, None unless it exits 0."""
     code, err, text = run_edge_case(argv)
     assert code in (0, 2, 3)
     assert "Traceback" not in err
     if code != 0:
-        return
+        return None
     assert text
     if argv[0] == "tunnel":
         series = json.loads(text)["overlap_series"]
@@ -729,12 +776,14 @@ def check_edge_case(argv):
                   for name in FINITE_COLUMNS if name in names]
     for column in closed:
         assert np.all(np.isfinite(column))
+    return text
 
 
 class TestEdgeFlagFuzz:
     """Edge flag values for every subcommand exit 0, 2 or 3, never with a
     traceback, and a run that exits 0 writes finite closed-form columns and
-    Husimi values.  Sizes stay small: at most 50 kicks of a per-kick series,
+    Husimi values; evolve's closed columns are within 1e-10 of the numeric
+    ones.  Sizes stay small: at most 50 kicks of a per-kick series,
     5 grid points, 8 qubits, 8 x 8 Husimi grids and tunnel times up to 10**4;
     husimi and tomo snapshots also take LONG_STEPS."""
 
@@ -746,8 +795,19 @@ class TestEdgeFlagFuzz:
     )
     @settings(max_examples=150, deadline=None)
     def test_evolve(self, qubits, kappa0, state, steps):
-        check_edge_case(["evolve", f"--qubits={qubits}", f"--kappa0={kappa0!r}",
-                         f"--state={state}", f"--steps={steps}"])
+        # wherever a closed column is written it meets the closed-vs-numeric gate
+        text = check_edge_case(["evolve", f"--qubits={qubits}", f"--kappa0={kappa0!r}",
+                                f"--state={state}", f"--steps={steps}"])
+        if text is None:
+            return
+        header, *rows = text.splitlines()
+        names = header.split(",")
+        data = np.array([[float(v) for v in row.split(",")] for row in rows])
+        for kind in ("S", "C"):
+            if f"{kind}_closed" in names:
+                closed = data[:, names.index(f"{kind}_closed")]
+                numeric = data[:, names.index(f"{kind}_numeric")]
+                assert np.max(np.abs(closed - numeric)) <= 1e-10, (kind, kappa0, state)
 
     @given(
         qubits=st.integers(-1, 8),

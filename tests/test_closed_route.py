@@ -286,13 +286,16 @@ def fixed_matmul(a, b):
 
 
 def exact_evolved(rotation, kappa0: float, amps: np.ndarray, horizons: list[int]) -> list:
-    """U^n psi0 for each n of `horizons`, with U = diag(exp(-i kappa0 m^2 / 2j)) R
-    built from the double kappa0 to 40 digits and powered by squaring in
-    fixed point, whose round-off (2**-136 per product) stays below 1e-33."""
+    """U^n psi0 for each n of `horizons`, with
+    U = diag(exp(-i kappa0 (m^2 - m^2_min) / 2j)) R in floquet's gauge
+    (m^2_min = 1/4 for odd 2j, 0 for even) built from the double kappa0 to 40
+    digits and powered by squaring in fixed point, whose round-off (2**-136
+    per product) stays below 1e-33."""
     two_j = rotation.rows - 1
     with mpmath.workdps(40):
-        j = mpmath.mpf(two_j) / 2
-        phases = [mpmath.expj(-mpmath.mpf(kappa0) * (j - r) ** 2 / two_j) for r in range(two_j + 1)]
+        j, m2_min = mpmath.mpf(two_j) / 2, mpmath.mpf(two_j % 2) / 4
+        phases = [mpmath.expj(-mpmath.mpf(kappa0) * ((j - r) ** 2 - m2_min) / two_j)
+                  for r in range(two_j + 1)]
         power = to_fixed([[phases[r] * rotation[r, c] for c in range(two_j + 1)]
                           for r in range(two_j + 1)])
     states = [to_fixed([[complex(a)] for a in amps]) for _ in horizons]
@@ -309,6 +312,14 @@ def exact_evolved(rotation, kappa0: float, amps: np.ndarray, horizons: list[int]
                       for re, im in zip(*(part[:, 0] for part in state))]) for state in states]
 
 
+# The per-kick loop's own error against the 40-digit reference.  The relative
+# gates below compare two errors, and both are O(1) when the reference's torsion
+# differs from floquet's, so this absolute bound keeps them from passing
+# vacuously.  Largest seen over 1e3..2e5 kicks: 4.1e-11 at 2j = 3, 1.2e-11 at
+# 2j = 4 and 5.2e-11 at 2j = 20.
+LOOP_ERROR_BOUND = 1e-9
+
+
 def kick_loop(stack, starts, horizons) -> dict:
     """Rows at each horizon of the per-kick dense loop, the reference the
     stepping kernels are gated against: one np.matmul of the dense stack per
@@ -323,10 +334,11 @@ def kick_loop(stack, starts, horizons) -> dict:
 
 class TestPoweringAccuracy:
     """evolve's binary powering against a 40-digit reference: as accurate as
-    the kick-by-kick np.dot loop, up to powering's own round-off.  That
-    round-off is coherent (an error in U^(2^k) recurs in every later factor),
-    so it grows like n eps and gets a margin of n eps / 4; the largest excess
-    seen over four start states is 0.13 n eps."""
+    the kick-by-kick np.dot loop, whose own error is within LOOP_ERROR_BOUND,
+    up to powering's own round-off.  That round-off is coherent (an error in
+    U^(2^k) recurs in every later factor), so it grows like n eps and gets a
+    margin of n eps / 4; the largest excess seen over four start states is
+    0.13 n eps."""
 
     HORIZONS = [10**3, 10**5, 2 * 10**5]
 
@@ -343,6 +355,7 @@ class TestPoweringAccuracy:
             for n, reference in zip(self.HORIZONS, exact):
                 powered = np.max(np.abs(symspace.evolve(u, psi0, n).amps - reference))
                 loop = np.max(np.abs(looped[n][k] - reference))
+                assert loop <= LOOP_ERROR_BOUND, (kappa0, n, loop)
                 assert powered <= loop + n * np.finfo(float).eps / 4, (kappa0, n, powered, loop)
 
 
@@ -358,8 +371,9 @@ def stepped(stack, starts, horizons, block=10_000):
 
 def assert_no_worse_than_the_kick_loop(two_j):
     """trajectory's rows against the 40-digit reference: as accurate as
-    kick_loop up to n eps / 4, the gate of TestPoweringAccuracy, for kappa0 in
-    {0.1, 2 pi, 3 pi} and up to 3e4 kicks."""
+    kick_loop, whose own error is within LOOP_ERROR_BOUND, up to n eps / 4,
+    the gate of TestPoweringAccuracy, for kappa0 in {0.1, 2 pi, 3 pi} and up
+    to 3e4 kicks."""
     horizons = [10**3, 10**4, 3 * 10**4]
     j, kappas = two_j / 2.0, [0.1, 2.0 * math.pi, 3.0 * math.pi]
     psi0 = symspace.coherent_state(j, BlochPoint(0.8, -1.3))
@@ -372,6 +386,7 @@ def assert_no_worse_than_the_kick_loop(two_j):
         for n, reference in zip(horizons, exact):
             error = np.max(np.abs(got[n][k] - reference))
             loop_error = np.max(np.abs(looped[n][k] - reference))
+            assert loop_error <= LOOP_ERROR_BOUND, (kappa0, n, loop_error)
             assert error <= loop_error + n * np.finfo(float).eps / 4, (kappa0, n, error, loop_error)
 
 

@@ -7,6 +7,11 @@ syntax tree: a name used in its own module, a `from ... import name`, or an
 attribute of a name bound to its module (`exact3.name`, `cl.name`).  Words in
 strings and comments do not count, so a local variable that shares a public
 name is not mistaken for a caller.
+
+The same holds for the public methods and properties of the package's
+classes.  Without types, a member is resolved by its name alone: any
+attribute access `anything.name` in those directories, outside the member's
+own definition, counts as a reference to every member called `name`.
 """
 
 import ast
@@ -25,6 +30,15 @@ ALLOWED_WITHOUT_CALLER = {
     "kickedtop.cheby.t_u_recurrence",  # cheby.t_u_recurrence.calls, cheby.recurrence_steps
     "kickedtop.measures.reduced_state",  # measures.reduced_state.{calls,busy_s,self_s}
     "kickedtop.measures.concurrence",  # measures.concurrence.{calls,busy_s}
+}
+
+
+# Public members kept without a caller in src/, scripts/ or bench/: the
+# drift diagnostics of an evolved state and of a classical orbit, which
+# ROADMAP item 6 reports as part of what a run can show about its accuracy.
+MEMBERS_WITHOUT_CALLER = {
+    "kickedtop.symspace.SymState.norm_error",
+    "kickedtop.classical.ClassicalPoint.norm_error",
 }
 
 
@@ -110,3 +124,63 @@ def test_resolution_sees_aliases_and_ignores_strings(tmp_path):
         "cl.portrait([], 0.0, step)\n"
     )
     assert references(source, None) == {("exact3", "avg_entropy3"), ("classical", "portrait")}
+
+
+def public_members() -> dict[str, str]:
+    """'kickedtop.module.Class.member' -> member of every public method,
+    property, classmethod and staticmethod a package class defines itself."""
+    kinds = (property, classmethod, staticmethod)
+    found = {}
+    for full, (stem, name) in public_names().items():
+        obj = getattr(importlib.import_module(f"kickedtop.{stem}"), name)
+        if inspect.isclass(obj):
+            for member, value in vars(obj).items():
+                if not member.startswith("_") and (inspect.isfunction(value) or isinstance(value, kinds)):
+                    found[f"{full}.{member}"] = member
+    return found
+
+
+def attribute_names(path: Path) -> set[str]:
+    """Names accessed as an attribute (`x.name`) in the file, outside any
+    function or method of that same name (a member's own definition)."""
+    found: set[str] = set()
+
+    def visit(node, inside: str | None):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = node.name
+        if isinstance(node, ast.Attribute) and node.attr != inside:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_every_public_member_has_a_caller_outside_the_tests():
+    used: set[str] = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= attribute_names(path)
+    for directory in ("scripts", "bench"):
+        for path in (ROOT / directory).glob("*.py"):
+            used |= attribute_names(path)
+    without_caller = {full for full, member in public_members().items() if member not in used}
+    assert without_caller == MEMBERS_WITHOUT_CALLER
+
+
+def test_member_resolution_skips_own_body_and_strings(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        '"""mentions point.overlap only in words"""\n'
+        "class Point:\n"
+        "    def norm(self):\n"
+        "        return self.norm() + self.size\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return self.norm()\n"
+        "print(Point().size, 'x.unused')\n"
+    )
+    assert attribute_names(source) == {"norm", "size"}
+    source.write_text("def norm(p):\n    return p.norm\n")
+    assert attribute_names(source) == set()

@@ -183,9 +183,10 @@ class TestFloquet:
         assert np.allclose(u.matrix, [[c, -c], [c, c]], atol=1e-14)
 
     def test_three_qubit_block_form(self):
-        # Up to the torsion's constant diagonal phase exp(-i kappa0/4), the
-        # Floquet operator is block diagonal in the parity-adapted basis with
-        # the closed-form 2x2 blocks.
+        # Up to the global phase exp(-i kappa0/6), the torsion's constant
+        # diagonal (kappa0/4)(1 - 1/2j) in floquet's gauge, the Floquet operator
+        # is block diagonal in the parity-adapted basis with the closed-form
+        # 2x2 blocks.
         kappa0 = 1.3
         u = symspace.floquet(KickedTopParams(j=1.5, kappa0=kappa0)).matrix
         basis = exact3.parity_basis_states3()
@@ -195,7 +196,7 @@ class TestFloquet:
         expected = np.zeros((4, 4), dtype=complex)
         expected[:2, :2] = block_power3(kappa0, 1, SECTOR_PLUS)
         expected[2:, 2:] = block_power3(kappa0, 1, SECTOR_MINUS)
-        got = p.conj().T @ (np.exp(1j * kappa0 / 4.0) * u) @ p
+        got = p.conj().T @ (np.exp(1j * kappa0 / 6.0) * u) @ p
         assert np.max(np.abs(got - expected)) < 1e-12
 
     @given(
@@ -220,7 +221,8 @@ class TestFloquet:
 
     def test_matches_register_construction(self, rng):
         # Independent oracle: Pauli-string construction on the full register,
-        # global gauge exp(+i kappa0/4) applied to the Dicke-space operator.
+        # global gauge exp(+i (kappa0/4)(1 - (2j mod 2)/2j)) applied to the
+        # Dicke-space operator, whose torsion phases start at the smallest m^2.
         for two_j, kappa0 in ((3, 0.7), (4, 2.1), (5, 1.1)):
             params = KickedTopParams(j=two_j / 2.0, kappa0=kappa0)
             u = symspace.floquet(params)
@@ -231,7 +233,8 @@ class TestFloquet:
             u_reg = register_floquet(two_j, kappa0)
             for _ in range(7):
                 vec = u_reg @ vec
-            expected = symspace.symmetric_to_qubits(evolved) * np.exp(1j * kappa0 / 4.0) ** 7
+            gauge = (kappa0 / 4.0) * (1.0 - (two_j % 2) / two_j)
+            expected = symspace.symmetric_to_qubits(evolved) * np.exp(1j * gauge) ** 7
             assert np.max(np.abs(vec - expected)) < 1e-12
 
 
