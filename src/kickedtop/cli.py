@@ -387,12 +387,13 @@ def cmd_classical(args) -> int:
     return 0
 
 
-def _theory_register_states(kappa0: float, point, steps: list[int]) -> list[np.ndarray]:
-    """Register density matrices of U^step psi0, one evolve call per step."""
+def _theory_register_states(kappa0: float, point, steps: list[int]) -> np.ndarray:
+    """(len(steps), 8, 8) register density matrices of U^step psi0, one
+    evolve call per step."""
     u = symspace.floquet(symspace.KickedTopParams(j=1.5, kappa0=kappa0))
     psi0 = symspace.coherent_state(1.5, point)
     vecs = [symspace.symmetric_to_qubits(symspace.evolve(u, psi0, step)) for step in steps]
-    return [np.outer(vec, vec.conj()) for vec in vecs]
+    return np.array([np.outer(vec, vec.conj()) for vec in vecs]).reshape(-1, 8, 8)
 
 
 def cmd_tomo(args) -> int:
@@ -421,14 +422,14 @@ def cmd_tomo(args) -> int:
     tables = tomo.read_expectations_csv(args.expectations)
     steps = sorted(tables)
     theory = _theory_register_states(args.kappa0, point, steps)
-    out = {"step": [], "fidelity": [], "mean_linear_entropy": [], "mean_concurrence": []}
-    for step, rho_t in zip(steps, theory):
-        metrics = tomo.pipeline_metrics(tomo.reconstruct(tables[step]), rho_t)
-        out["step"].append(float(step))
-        out["fidelity"].append(metrics.fidelity)
-        out["mean_linear_entropy"].append(metrics.mean_linear_entropy)
-        out["mean_concurrence"].append(metrics.mean_concurrence)
-    _write_table(args.out, {k: np.array(v) for k, v in out.items()})
+    measured = np.array([tomo.reconstruct(tables[step]) for step in steps]).reshape(-1, 8, 8)
+    metrics = tomo.pipeline_metrics(measured, theory)
+    _write_table(args.out, {
+        "step": np.array(steps, dtype=float),
+        "fidelity": np.array([m.fidelity for m in metrics]),
+        "mean_linear_entropy": np.array([m.mean_linear_entropy for m in metrics]),
+        "mean_concurrence": np.array([m.mean_concurrence for m in metrics]),
+    })
     return 0
 
 

@@ -5,27 +5,36 @@ from Dicke coefficients directly, which scales to hundreds of qubits: one
 batched kernel, reduced_states(), takes a whole (n, 2j+1) stack of states (a
 trajectory, say) and forms every entry of the one- or two-qubit reduced states
 as a binomially weighted band sum over neighbouring Dicke amplitudes, whose
-weights are exact ratios of integer products.  Each row's norm is checked against
-the state tolerance of symspace, so a drifted or malformed state raises
-ValueError instead of giving a silently wrong entropy.  Linear entropy and
-concurrence take the same stacks; the single-state functions are one-row calls
-of the batched ones.  The brute-force register partial trace is kept to the
-test suite as an oracle.
+weights are exact ratios of integer products, computed once per (2j, keep).
+Each row's norm is checked against the state tolerance of symspace, so a
+drifted or malformed state raises ValueError instead of giving a silently
+wrong entropy.  Linear entropy and concurrence take the same stacks; the
+single-state functions are one-row calls of the batched ones.  The
+brute-force register partial trace is kept to the test suite as an oracle.
 
-concurrences() checks each 4x4 row (finite, Hermitian, PSD) and computes the
-Wootters concurrence (PRL 80, 2245 (1998)) with one eigh per row: its
-eigenvalues give the PSD check and, with its eigenvectors, the factor
-X = V sqrt(L) of rho, whose complex symmetric X^T (sy x sy) X has the square
-roots of the Wootters spectrum as singular values.  Before that SVD, a row
-whose partial transpose has det(rho^G) > 1e-13 is certified separable and
-gets C = 0 (a two-qubit state is entangled iff det(rho^G) < 0; Augusiak,
-Demianowicz & Horodecki, PRA 77, 030301(R) (2008)); the margin is some 25
-times the determinant's rounding error.  At 2j >= 20 nearly every row of a
-series is separable this way, and X-shaped rows take a closed form.
+The Wootters concurrence (PRL 80, 2245 (1998)) has two routes that share one
+step: C = max(0, 2 s1 - sum s) from the singular values s of the complex
+symmetric tau = X^T S X, for a factor rho = X X^H and the spin flip S of its
+basis.  Before that SVD, a row whose partial transpose has
+det(rho^G) > 1e-13 is certified separable and gets C = 0 (a two-qubit state
+is entangled iff det(rho^G) < 0; Augusiak, Demianowicz & Horodecki, PRA 77,
+030301(R) (2008)); the margin is some 25 times the determinant's rounding
+error.  At 2j >= 20 nearly every row of a series is separable this way.
+
+* concurrences() takes any (n, 4, 4) stack, a tomography state say.  It
+  checks each row (finite, Hermitian, PSD) and gets X = V sqrt(L) from one
+  eigh per row; X-shaped rows take a closed form.
+* entanglement_series() takes the rows of a trajectory from their Dicke
+  factor.  The pair state lives on the triplets, where rho = X X^H for a
+  3 x (2j-1) scaled copy X of the amplitudes, so it is PSD by construction
+  and needs no check.  For 2j <= 4, tau comes from X itself, with no
+  eigensolver and no square roots; above that, from the 3 x 3 eigen factor
+  of the triplet Gram X X^H, which the band sums already give.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -42,11 +51,75 @@ _X_STATE_TOL = 1e-12
 # 16 eps ~ 4e-15: a computed value above 1e-13 means a true det(rho^G) > 0.
 _SEPARABLE_DET_MARGIN = 1e-13
 
-# (sy x sy) M reverses the rows of M and negates the new first and last rows.
-_SY_SY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
+# S M for the spin flip S of a factor's basis reverses the rows of M and
+# negates some: S = sy x sy on the computational basis 00, 01, 10, 11, and
+# [[0, 0, -1], [0, 1, 0], [-1, 0, 0]] on the triplets 00, (01 + 10)/sqrt 2, 11.
+_FLIP_SIGNS = {4: np.array([-1.0, 1.0, 1.0, -1.0])[:, None], 3: np.array([-1.0, 1.0, -1.0])[:, None]}
 _X_MASK = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
 # Excitation counts of the kept two-qubit patterns 00, 01, 10, 11.
 _PATTERN_WEIGHT = np.array([0, 1, 1, 2])
+# sqrt of the triplet multiplicities 1, 2, 1: the triplet Gram is the pair
+# bands scaled by these on both sides.
+_TRIPLET_ROOT = np.sqrt([1.0, 2.0, 1.0])
+
+
+@functools.lru_cache(maxsize=32)
+def _band_weights(two_j: int, keep: int) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, root) for `keep` qubits of a 2j-qubit register, read-only.
+
+    f_a(r) = C(2j-keep, r) / C(2j, r+a) for r < width = 2j - keep + 1 is
+    prod_{i<=a} (r+i) prod_{a<i<=keep} (2j-keep-a-r+i) / prod_{i<keep} (2j-i),
+    exact in a double up to the one division.  `diagonal` is the
+    (2j+1, keep+2) matrix whose column a <= keep holds f_a at rows
+    a..a+width-1 and whose last column is all ones, so that |c|^2 @ diagonal
+    gives every diagonal band and the squared norm; `root` holds sqrt(f_a)
+    as the rows of a (keep+1, width) array.
+    """
+    width = two_j - keep + 1
+    r = np.arange(float(width))
+    den = math.prod(range(width, two_j + 1))
+    f = [math.prod(r + i if i <= a else width - 1 - a - r + i for i in range(1, keep + 1)) / den
+         for a in range(keep + 1)]
+    diagonal = np.zeros((two_j + 1, keep + 2))
+    for a in range(keep + 1):
+        diagonal[a : a + width, a] = f[a]
+    diagonal[:, -1] = 1.0
+    root = np.sqrt(f)
+    diagonal.flags.writeable = False
+    root.flags.writeable = False
+    return diagonal, root
+
+
+def _bands(amps: np.ndarray, keep: int) -> np.ndarray:
+    """The (n, keep+1, keep+1) band sums of reduced_states(), Hermitian in
+    their last two axes, after the shape and norm checks."""
+    if keep not in (1, 2):
+        raise ValueError("keep must be 1 or 2")
+    amps = np.asarray(amps, dtype=complex)
+    if amps.ndim != 2 or amps.shape[1] < 2:
+        raise ValueError(f"expected an (n, 2j+1) amplitude array, got shape {amps.shape}")
+    two_j = amps.shape[1] - 1
+    if two_j < keep:
+        raise ValueError(f"cannot keep {keep} qubits of a {two_j}-qubit register")
+    diagonal, root = _band_weights(two_j, keep)
+    # one product gives the diagonal bands and each row's squared norm
+    sums = (amps.real**2 + amps.imag**2) @ diagonal
+    drift = np.abs(sums[:, -1] - 1.0)
+    bad = np.flatnonzero(~(drift <= _STATE_NORM_TOL))
+    if bad.size:
+        raise ValueError(
+            f"state is not normalized (row {bad[0]}: |norm^2 - 1| = {drift[bad[0]]:.2e})"
+        )
+    width = two_j - keep + 1
+    bands = np.empty((amps.shape[0], keep + 1, keep + 1), dtype=complex)
+    for a in range(keep + 1):
+        bands[:, a, a] = sums[:, a]
+        for b in range(a + 1, keep + 1):
+            # vecdot conjugates its first argument as it sums: no conj copy
+            band = np.vecdot(amps[:, b : b + width], amps[:, a : a + width] * (root[a] * root[b]))
+            bands[:, a, b] = band
+            bands[:, b, a] = band.conj()
+    return bands
 
 
 def reduced_states(amps: np.ndarray, keep: int) -> np.ndarray:
@@ -59,39 +132,10 @@ def reduced_states(amps: np.ndarray, keep: int) -> np.ndarray:
     kept patterns p, q and is the band sum sum_r w_r c[r+a] c*[r+b] with
     w_r = sqrt(f_a(r) f_b(r)) and f_a(r) = C(2j-keep, r) / C(2j, r+a), a ratio of
     integer products that is exact in a double up to one division, so any 2j
-    stays finite and memory stays O(n (2j+1)).  Every row must be normalized to
-    _STATE_NORM_TOL.
+    stays finite and memory stays O(n (2j+1)).  The weights are computed once
+    per (2j, keep).  Every row must be normalized to _STATE_NORM_TOL.
     """
-    if keep not in (1, 2):
-        raise ValueError("keep must be 1 or 2")
-    amps = np.asarray(amps, dtype=complex)
-    if amps.ndim != 2 or amps.shape[1] < 2:
-        raise ValueError(f"expected an (n, 2j+1) amplitude array, got shape {amps.shape}")
-    two_j = amps.shape[1] - 1
-    if two_j < keep:
-        raise ValueError(f"cannot keep {keep} qubits of a {two_j}-qubit register")
-    prob = amps.real**2 + amps.imag**2
-    drift = np.abs(prob.sum(axis=1) - 1.0)
-    bad = np.flatnonzero(~(drift <= _STATE_NORM_TOL))
-    if bad.size:
-        raise ValueError(
-            f"state is not normalized (row {bad[0]}: |norm^2 - 1| = {drift[bad[0]]:.2e})"
-        )
-    width = two_j - keep + 1
-    r = np.arange(float(width))
-    # f_a = prod_{i<=a} (r+i) prod_{a<i<=keep} (2j-keep-a-r+i) / prod_{i<keep} (2j-i)
-    den = math.prod(range(width, two_j + 1))
-    f = [math.prod(r + i if i <= a else width - 1 - a - r + i for i in range(1, keep + 1)) / den
-         for a in range(keep + 1)]
-    bands = np.empty((amps.shape[0], keep + 1, keep + 1), dtype=complex)
-    for a in range(keep + 1):
-        for b in range(a, keep + 1):
-            if a == b:
-                bands[:, a, a] = prob[:, a : a + width] @ f[a]
-            else:
-                w = np.sqrt(f[a] * f[b])
-                bands[:, a, b] = (amps[:, a : a + width] * amps[:, b : b + width].conj()) @ w
-                bands[:, b, a] = bands[:, a, b].conj()
+    bands = _bands(amps, keep)
     if keep == 1:
         return bands
     return bands[:, _PATTERN_WEIGHT[:, None], _PATTERN_WEIGHT]
@@ -121,10 +165,14 @@ def concurrences(rhos: np.ndarray) -> np.ndarray:
     C = max(0, s1 - s2 - s3 - s4) with s1 >= ... >= s4 the square roots of the
     eigenvalues of rho (sy x sy) rho* (sy x sy), the conjugation taken in the
     computational (sigma_z product) basis (Wootters, PRL 80, 2245 (1998)).
-    Each row must be finite and Hermitian to PSD_CLIP_TOL, else ValueError
-    names the first bad row.  X-shaped rows (off-X entries <= _X_STATE_TOL)
-    take the closed form, which avoids the sqrt noise of the general route
-    near exact zeros.  The general route is three steps:
+    This is the route for any input, a tomography state say; the rows of a
+    trajectory take entanglement_series()' factor route, which needs none of
+    the checks.  Each row must be finite and Hermitian to PSD_CLIP_TOL, else
+    ValueError names the first bad row.  X-shaped rows (off-X entries <=
+    _X_STATE_TOL) take the closed form: the eigen factor below carries sqrt
+    noise of order eps / sqrt(l_min), which reached 8e-15 against the
+    40-digit spectrum on random X states with l_min of 2e-6 to 3e-5, where
+    the closed form is exact.  The general route is three steps:
 
     1. One eigh of the Hermitised stack, rho = V L V^H, gives both the PSD
        check and the factor X = V sqrt(L), with eigenvalues below
@@ -138,17 +186,6 @@ def concurrences(rhos: np.ndarray) -> np.ndarray:
     3. The other rows take s1..s4 as the singular values of the complex
        symmetric tau = X^T (sy x sy) X, since
        tau^H tau = X^H rho~ X has the spectrum of rho rho~.
-
-    Microseconds per row of an entanglement_series pair stack (1001 states:
-    1000 kicks from the +y coherent state at kappa0 = 3), best of 11 runs
-    interleaved with an eigvalsh + Hermitian-square-root + SVD route, one
-    OpenBLAS 0.3.31 thread on a 2-core Xeon VM, and the share of rows the
-    screen takes:
-
-        2j            3     4     7    20    50   100   200
-        sqrt route  9.7  10.1   9.8  11.0   9.1   9.9   9.6 us
-        this route  7.0   7.4   6.1   4.3   3.6   3.8   3.7 us
-        screened     0%   10%   43%  100%   99%  100%  100%
     """
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
@@ -176,12 +213,22 @@ def concurrences(rhos: np.ndarray) -> np.ndarray:
         out[x_rows] = _concurrence_x(rhos[x_rows])
     rest = np.flatnonzero(~x_rows)
     if rest.size:
-        partial_transpose = herm[rest].reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2)
-        det = np.linalg.det(partial_transpose.reshape(-1, 4, 4)).real
-        entangled = rest[~(det > _SEPARABLE_DET_MARGIN)]
+        entangled = rest[_unscreened(herm[rest])]
         if entangled.size:
-            out[entangled] = _concurrence_general(evals[entangled], evecs[entangled])
+            out[entangled] = _factor_concurrences(_eigen_factor(evals[entangled], evecs[entangled]))
     return out
+
+
+def _unscreened(rhos: np.ndarray) -> np.ndarray:
+    """Indices of the rows of an (n, 4, 4) stack of states that the screen
+    does not certify separable: det(rho^G) <= _SEPARABLE_DET_MARGIN, rho^G
+    the partial transpose on the second qubit.  Entries near the smallest
+    double (a kappa0 of 1e-310, say) can make LU's determinant NaN; such a
+    row is not certified and takes the SVD."""
+    partial_transpose = rhos.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = np.linalg.det(partial_transpose).real
+    return np.flatnonzero(~(det > _SEPARABLE_DET_MARGIN))
 
 
 def _concurrence_x(rhos: np.ndarray) -> np.ndarray:
@@ -192,15 +239,22 @@ def _concurrence_x(rhos: np.ndarray) -> np.ndarray:
     return 2.0 * np.maximum(0.0, np.maximum(c1, c2))
 
 
-def _concurrence_general(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
-    """Concurrence of each row rho = evecs diag(evals) evecs^H of a stack
-    (ascending eigenvalues, as eigh gives them)."""
+def _eigen_factor(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """X = V sqrt(L) with X X^H = V diag(L) V^H, for each row of an eigh
+    result (ascending eigenvalues)."""
     evals = np.clip(evals, 0.0, None)
     # Eigenvalues at round-off scale are true zeros of a rank-deficient state;
     # zeroing them keeps sqrt() from turning 1e-16 into 1e-8.
     evals[evals < 16.0 * np.finfo(float).eps * evals[:, -1:]] = 0.0
-    factor = evecs * np.sqrt(evals)[:, None, :]
-    tau = factor.swapaxes(1, 2) @ (_SY_SY_SIGNS * factor[:, ::-1])
+    return evecs * np.sqrt(evals)[:, None, :]
+
+
+def _factor_concurrences(factor: np.ndarray) -> np.ndarray:
+    """Concurrence of each rho = X X^H of an (n, k, w) stack of factors X,
+    with k = 4 on the computational basis or k = 3 on the triplets: the
+    singular values s of tau = X^T S X, S the spin flip of that basis, are
+    those of the Wootters spectrum, and C = max(0, 2 s1 - sum s)."""
+    tau = factor.swapaxes(1, 2) @ (_FLIP_SIGNS[factor.shape[1]] * factor[:, ::-1])
     sigma = np.linalg.svd(tau, compute_uv=False)
     return np.maximum(0.0, 2.0 * sigma[:, 0] - sigma.sum(axis=1))
 
@@ -247,9 +301,67 @@ def entanglement_series(
     u: UnitaryMatrix, psi0: SymState, n_max: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Numeric (linear entropy, pairwise concurrence) series for n = 0..n_max;
-    the concurrence is NaN throughout for a single qubit."""
+    the concurrence is NaN throughout for a single qubit.
+
+    The concurrence takes the factor route of _pair_concurrences(), not
+    concurrences().  Microseconds per row of the concurrence alone, against
+    the route it replaced, concurrences(reduced_states(states, 2)) with the
+    reduced_states() of that time: medians of 25 interleaved best-of-3
+    pairs, one OpenBLAS 0.3.31 thread on a 2-core Xeon VM.  The host changes
+    speed by tens of percent, so read the ratio.  The rows are
+    1000 kicks from +y at kappa0 = 3 for 2j <= 20; 300 kicks from
+    (theta, phi) = (1.1, 0.4) at the kappa0 shown, and from +y in the regular
+    regime, where the screen takes no row, for 2j >= 50:
+
+        2j  kappa0  screened  earlier  this route  ratio
+         3   3.00       0%      8.8      3.2 us    2.83
+         4   3.00      10%      9.8      5.0 us    2.05
+         7   3.00      43%     10.1      6.9 us    1.79
+        20   3.00     100%      5.3      0.9 us    6.32
+        50   2.97      99%      6.1      1.6 us    3.94
+       100   2.83      99%      5.9      1.9 us    3.08
+       200   4.26      99%      9.1      3.9 us    2.44
+        50   0.90 +y    0%      9.6      7.7 us    1.26
+       100   1.20 +y    0%     10.8      8.3 us    1.28
+       200   0.78 +y    0%     12.7     10.1 us    1.26
+    """
     states = trajectory(u, psi0, n_max)
     entropies = linear_entropy(reduced_states(states, 1))
     if _two_j(psi0.j) < 2:
         return entropies, np.full(n_max + 1, np.nan)
-    return entropies, concurrences(reduced_states(states, 2))
+    return entropies, _pair_concurrences(states)
+
+
+def _pair_concurrences(amps: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of the two-qubit reduced state of each row of an
+    (n, 2j+1) stack of Dicke amplitudes, 2j >= 2, from its Dicke factor.
+
+    The pair state lives on the triplets, where rho = X X^H for the
+    3 x (2j-1) factor X whose column r is
+    (sqrt f_0 c_r, sqrt(2 f_1) c_{r+1}, sqrt f_2 c_{r+2}), f_a the band
+    weights of reduced_states().  So rho is PSD by construction, and the
+    screen of concurrences() needs no eigenvalue check: the rows it
+    certifies separable read exactly 0.  The other rows take
+    the singular values of tau = Y^T S Y, S the triplet spin flip.  For
+    2j <= 4, Y = X itself, so tau is at most 3 x 3 and needs no eigensolver
+    and no square roots.  Above that, Y is the 3 x 3 factor V sqrt(L) of the
+    triplet Gram X X^H = V L V^H, which is the pair bands scaled by the
+    triplet multiplicities.
+    """
+    bands = _bands(amps, 2)
+    rows = _unscreened(bands[:, _PATTERN_WEIGHT[:, None], _PATTERN_WEIGHT])
+    out = np.zeros(bands.shape[0])
+    if not rows.size:
+        return out
+    two_j = amps.shape[1] - 1
+    if two_j <= 4:
+        _, root = _band_weights(two_j, 2)
+        picked = amps[rows]
+        factor = np.stack(
+            [picked[:, a : a + two_j - 1] * (root[a] * _TRIPLET_ROOT[a]) for a in range(3)], axis=1
+        )
+    else:
+        gram = bands[rows] * (_TRIPLET_ROOT[:, None] * _TRIPLET_ROOT)
+        factor = _eigen_factor(*np.linalg.eigh(gram))
+    out[rows] = _factor_concurrences(factor)
+    return out

@@ -96,10 +96,6 @@ class KickedTopParams:
         if not math.isfinite(self.p):
             raise ValueError("p must be finite")
 
-    @property
-    def dim(self) -> int:
-        return _two_j(self.j) + 1
-
 
 @dataclass(frozen=True)
 class BlochPoint:

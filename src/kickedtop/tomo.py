@@ -171,13 +171,17 @@ def reconstruct(expectations) -> np.ndarray:
 
 
 def partial_trace_3q(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """Partial trace of an 8x8 matrix onto the given qubit subset (0-indexed)."""
-    rho = np.asarray(rho, dtype=complex).reshape((2,) * 6)
+    """Partial trace of an 8x8 matrix, or of each matrix of an (..., 8, 8)
+    stack, onto the given qubit subset (0-indexed)."""
+    rho = np.asarray(rho, dtype=complex)
+    lead = rho.shape[:-2]
+    rho = rho.reshape(*lead, *(2,) * 6)
     drop = [q for q in range(3) if q not in keep]
     for q in sorted(drop, reverse=True):
-        rho = np.trace(rho, axis1=q, axis2=q + rho.ndim // 2)
+        axis = len(lead) + q
+        rho = np.trace(rho, axis1=axis, axis2=axis + (rho.ndim - len(lead)) // 2)
     dim = 2 ** len(keep)
-    return rho.reshape(dim, dim)
+    return rho.reshape(*lead, dim, dim)
 
 
 @dataclass(frozen=True)
@@ -197,26 +201,37 @@ class PipelineMetrics:
         return sum(self.concurrences) / 3.0
 
 
-def pipeline_metrics(rho_e: np.ndarray, rho_t: np.ndarray) -> PipelineMetrics:
+def pipeline_metrics(
+    rho_e: np.ndarray, rho_t: np.ndarray
+) -> PipelineMetrics | list[PipelineMetrics]:
     """Compare an experimental 8x8 state against theory: Uhlmann fidelity plus
     the three single-qubit linear entropies and three pairwise concurrences of
-    rho_e by explicit partial traces (no symmetry assumed)."""
+    rho_e by explicit partial traces (no symmetry assumed).
+
+    One pair of matrices gives a PipelineMetrics; a pair of (n, 8, 8) stacks
+    gives a list of n, from one linear_entropy call over the 3n single-qubit
+    states and one concurrences call over the 3n pair states.  Each entry
+    equals the one-pair call on its matrices, bit for bit.
+    """
     rho_e = np.asarray(rho_e, dtype=complex)
     rho_t = np.asarray(rho_t, dtype=complex)
-    if rho_e.shape != (8, 8) or rho_t.shape != (8, 8):
+    if rho_e.ndim not in (2, 3) or rho_e.shape[-2:] != (8, 8) or rho_t.shape != rho_e.shape:
         raise ValueError("expected 8x8 density matrices")
-    singles = tuple(
-        linear_entropy(partial_trace_3q(rho_e, (q,))) for q in range(3)
-    )
+    stack_e = rho_e.reshape(-1, 8, 8)
+    singles = linear_entropy(np.stack([partial_trace_3q(stack_e, (q,)) for q in range(3)], axis=1))
     pair_states = np.stack(
-        [partial_trace_3q(rho_e, pair) for pair in ((0, 1), (1, 2), (0, 2))]
+        [partial_trace_3q(stack_e, pair) for pair in ((0, 1), (1, 2), (0, 2))], axis=1
     )
-    pairs = tuple(concurrences(pair_states).tolist())
-    return PipelineMetrics(
-        fidelity=fidelity(rho_t, rho_e),
-        linear_entropies=singles,
-        concurrences=pairs,
-    )
+    pairs = concurrences(pair_states.reshape(-1, 4, 4)).reshape(-1, 3)
+    metrics = [
+        PipelineMetrics(
+            fidelity=fidelity(t, e),
+            linear_entropies=tuple(entropies.tolist()),
+            concurrences=tuple(concurrence.tolist()),
+        )
+        for e, t, entropies, concurrence in zip(stack_e, rho_t.reshape(-1, 8, 8), singles, pairs)
+    ]
+    return metrics[0] if rho_e.ndim == 2 else metrics
 
 
 def read_populations_csv(path) -> list[tuple[int, np.ndarray]]:

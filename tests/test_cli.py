@@ -574,6 +574,18 @@ class TestEdgeInputs:
         assert 0.0 <= payload["gamma_minus"] < 2.0 * math.pi
         assert abs(math.pi - payload["gamma_minus"]) == pytest.approx(payload["splitting"], abs=1e-12)
 
+    @pytest.mark.parametrize("qubits, kappa0", [(3, "1e-310"), (3, "2.2250738585072014e-308"),
+                                                (4, "1e-307")])
+    def test_subnormal_torsion_screens_without_warnings(self, qubits, kappa0, tmp_path):
+        # pair states with entries near the smallest double give LU a NaN
+        # determinant, which must stay a silent "not certified"
+        out = tmp_path / "evolve.csv"
+        assert main(["evolve", "--qubits", str(qubits), "--kappa0", kappa0, "--state", "zero",
+                     "--steps", "50", "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        c_numeric = [float(row.split(",")[header.split(",").index("C_numeric")]) for row in rows]
+        assert max(c_numeric) <= 1e-12
+
     @pytest.mark.parametrize("argv", [
         ["evolve", "--qubits", "1030", "--kappa0", "1.0"],
         ["evolve", "--qubits", "100000", "--kappa0", "1.0"],

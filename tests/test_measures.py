@@ -177,7 +177,7 @@ class TestConcurrence:
 
     def test_x_fast_path_matches_general(self, rng):
         rhos = np.array([random_x_state(rng) for _ in range(10**4)])
-        general = measures._concurrence_general(*np.linalg.eigh(rhos))
+        general = measures._factor_concurrences(measures._eigen_factor(*np.linalg.eigh(rhos)))
         worst = np.max(np.abs(measures._concurrence_x(rhos) - general))
         assert worst < 1e-10
 
@@ -238,11 +238,16 @@ class TestConcurrence:
             measures.concurrence(rho)
 
 
+ZERO = BlochPoint(0.0, 0.0)
+PLUS_Y = BlochPoint(math.pi / 2.0, -math.pi / 2.0)
+GENERAL = BlochPoint(1.1, 0.4)
+
+
 class TestConcurrenceOracle:
-    """The kernel against the 40-digit Wootters spectrum of the exact state:
-    the worst error measured is 1.7e-15 (random rank 1..4: 1.0e-15, series
-    rows 1.7e-15), and the eigvalsh + Hermitian square root route this kernel
-    replaced measured 1.7e-15 as well."""
+    """Both routes against the 40-digit Wootters spectrum of the exact state:
+    the worst error measured is 1.7e-15 for concurrences() (random rank 1..4:
+    1.0e-15, series rows 1.7e-15) and 1.4e-15 for the factor route of
+    entanglement_series()."""
 
     BOUND = 4e-15
 
@@ -263,6 +268,52 @@ class TestConcurrenceOracle:
         got = measures.concurrences(measures.reduced_states(states, 2))
         expected = [mp_concurrence(mp_pair_state(amps)) for amps in states]
         assert np.max(np.abs(got - expected)) <= self.BOUND
+
+    # Row 0 of every series is the coherent product state: its pair state has
+    # rank 1 and det(rho^G) = 0, so the screen leaves it to the factor.  The
+    # zero state is X-shaped at even kicks, and kappa0 in {2pi, 3pi, 4pi} is
+    # resonant.
+    @pytest.mark.parametrize("two_j, kappa0, point", [
+        (2, 1.3, GENERAL),
+        (3, 3.0, PLUS_Y),
+        (3, 2.0 * math.pi, ZERO),
+        (4, 1.3, GENERAL),
+        (4, 3.0 * math.pi, ZERO),
+        (7, 2.0, GENERAL),
+        (7, 4.0 * math.pi, PLUS_Y),
+        (7, 1.3, ZERO),
+        (50, 1.3, GENERAL),
+        (50, 3.0 * math.pi, ZERO),
+        (200, 0.78, PLUS_Y),  # regular: the screen takes no row
+    ])
+    def test_entanglement_series_rows(self, two_j, kappa0, point):
+        u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=kappa0))
+        psi0 = symspace.coherent_state(two_j / 2.0, point)
+        _, got = measures.entanglement_series(u, psi0, 24)
+        states = symspace.trajectory(u, psi0, 24)
+        expected = [mp_concurrence(mp_pair_state(amps)) for amps in states]
+        assert np.max(np.abs(got - expected)) <= self.BOUND
+
+    @pytest.mark.parametrize("two_j, kappa0, point", [
+        (2, 1.3, GENERAL),
+        (3, 3.0, PLUS_Y),
+        (4, 3.0, PLUS_Y),
+        (7, 3.0, PLUS_Y),
+        (20, 3.0, PLUS_Y),
+        (50, 0.9, PLUS_Y),
+    ])
+    def test_eigh_sees_only_unscreened_rows_above_2j_4(self, two_j, kappa0, point, monkeypatch):
+        u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=kappa0))
+        psi0 = symspace.coherent_state(two_j / 2.0, point)
+        pairs = measures.reduced_states(symspace.trajectory(u, psi0, 200), 2)
+        unscreened = sum(not partial_transpose_det(rho) > 1e-13 for rho in pairs)
+        seen = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(len(a)) or eigh(a))
+        measures.entanglement_series(u, psi0, 200)
+        assert sum(seen) == (unscreened if two_j > 4 else 0)
+        if two_j == 20:
+            assert unscreened < 5  # nearly every row is certified separable
 
 
 class TestFidelity:

@@ -9,9 +9,15 @@ strings and comments do not count, so a local variable that shares a public
 name is not mistaken for a caller.
 
 The same holds for the public methods and properties of the package's
-classes.  Without types, a member is resolved by its name alone: any
-attribute access `anything.name` in those directories, outside the member's
-own definition, counts as a reference to every member called `name`.
+classes.  A member whose name no other package class uses is resolved by its
+name alone: any attribute access `anything.name` in those directories,
+outside the member's own definition, counts.  A name that two classes share
+is resolved by the receiver's type, read from annotations: `self` and `cls`
+in a method, an annotated parameter or variable, a name bound to a class
+call (`C(...)`, `C.from_x(...)`) or to a call of a package function with a
+return annotation, or such a call itself.  An access to a shared name whose
+receiver has no such type fails the test, so that one live member cannot
+hide a dead namesake in another class.
 """
 
 import ast
@@ -126,47 +132,156 @@ def test_resolution_sees_aliases_and_ignores_strings(tmp_path):
     assert references(source, None) == {("exact3", "avg_entropy3"), ("classical", "portrait")}
 
 
-def public_members() -> dict[str, str]:
-    """'kickedtop.module.Class.member' -> member of every public method,
-    property, classmethod and staticmethod a package class defines itself."""
-    kinds = (property, classmethod, staticmethod)
-    found = {}
-    for full, (stem, name) in public_names().items():
-        obj = getattr(importlib.import_module(f"kickedtop.{stem}"), name)
-        if inspect.isclass(obj):
-            for member, value in vars(obj).items():
-                if not member.startswith("_") and (inspect.isfunction(value) or isinstance(value, kinds)):
-                    found[f"{full}.{member}"] = member
-    return found
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def attribute_names(path: Path) -> set[str]:
-    """Names accessed as an attribute (`x.name`) in the file, outside any
-    function or method of that same name (a member's own definition)."""
-    found: set[str] = set()
+def class_table(trees) -> tuple[dict[str, set[str]], dict[str, str]]:
+    """(class name -> its public members, function name -> the package class
+    its return annotation names) over the module-level definitions of the
+    given syntax trees.  Every public method is a member: plain methods,
+    properties, classmethods and staticmethods alike."""
+    classes: dict[str, set[str]] = {}
+    returns: dict[str, ast.expr] = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = {item.name for item in node.body
+                                      if isinstance(item, ast.FunctionDef)
+                                      and not item.name.startswith("_")}
+            elif isinstance(node, ast.FunctionDef) and node.returns is not None:
+                returns[node.name] = node.returns
+    typed = {}
+    for name, annotation in returns.items():
+        found = annotated_classes(annotation, classes)
+        if len(found) == 1:
+            typed[name] = found.pop()
+    return classes, typed
 
-    def visit(node, inside: str | None):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+
+def annotated_classes(annotation, classes) -> set[str]:
+    """Package classes an annotation names: C, module.C, "C", C | None and
+    Optional[C]; a container such as list[C] names none."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        return annotated_classes(ast.parse(annotation.value, mode="eval").body, classes)
+    if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
+        return annotated_classes(annotation.left, classes) | annotated_classes(annotation.right, classes)
+    if (isinstance(annotation, ast.Subscript) and isinstance(annotation.value, ast.Name)
+            and annotation.value.id == "Optional"):
+        return annotated_classes(annotation.slice, classes)
+    name = getattr(annotation, "id", None) or getattr(annotation, "attr", None)
+    return {name} if name in classes else set()
+
+
+def member_accesses(path: Path, classes, returns) -> tuple[set[tuple[str, str]], list[str]]:
+    """((class, member) pairs the file refers to, accesses it cannot type).
+
+    A pair's class is "" for a member name that at most one package class
+    defines; an access to a shared name counts for each class its receiver
+    resolves to, and is listed as untyped (with its line) when it resolves to
+    none."""
+    shared = {name for name in set().union(*classes.values())
+              if sum(name in members for members in classes.values()) > 1}
+    found: set[tuple[str, str]] = set()
+    untyped: list[str] = []
+
+    def call_types(call) -> set[str]:
+        func = call.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name in classes:
+            return {name}
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                and func.value.id in classes:
+            return {func.value.id}  # a classmethod constructor, C.from_x(...)
+        return {returns[name]} if name in returns else set()
+
+    def types_of(node, env) -> set[str]:
+        if isinstance(node, ast.Name):
+            return env.get(node.id, set())
+        if isinstance(node, ast.Call):
+            return call_types(node)
+        return set()
+
+    def scope(body_owner, env: dict[str, set[str]], owner_class: str | None) -> dict[str, set[str]]:
+        env = dict(env)
+        if isinstance(body_owner, FUNCTIONS):
+            params = body_owner.args.posonlyargs + body_owner.args.args + body_owner.args.kwonlyargs
+            for i, arg in enumerate(params):
+                if i == 0 and owner_class and arg.arg in ("self", "cls"):
+                    env[arg.arg] = {owner_class}
+                else:
+                    env[arg.arg] = annotated_classes(arg.annotation, classes)
+        for node in own_nodes(body_owner):
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                env[node.target.id] = env.get(node.target.id, set()) | annotated_classes(
+                    node.annotation, classes)
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        env[target.id] = env.get(target.id, set()) | call_types(node.value)
+        return env
+
+    def visit(node, env, owner_class: str | None, inside: str | None):
+        if isinstance(node, ast.ClassDef):
+            owner_class = node.name
+        elif isinstance(node, FUNCTIONS):
+            env = scope(node, env, owner_class)
             inside = node.name
         if isinstance(node, ast.Attribute) and node.attr != inside:
-            found.add(node.attr)
+            if node.attr not in shared:
+                found.add(("", node.attr))
+            else:
+                receivers = types_of(node.value, env)
+                found.update((cls, node.attr) for cls in receivers)
+                if not receivers:
+                    untyped.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
         for child in ast.iter_child_nodes(node):
-            visit(child, inside)
+            visit(child, env, None if isinstance(node, FUNCTIONS) else owner_class, inside)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), None)
-    return found
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    visit(tree, scope(tree, {}, None), None, None)
+    return found, untyped
+
+
+def own_nodes(owner):
+    """The nodes of a module or function body, without those of the
+    functions and classes defined in it."""
+    stack = list(ast.iter_child_nodes(owner))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (*FUNCTIONS, ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def dead_members(paths, classes, returns) -> tuple[set[str], list[str]]:
+    """('Class.member' of every member the files never refer to, untyped
+    accesses to shared names)."""
+    used: set[tuple[str, str]] = set()
+    untyped: list[str] = []
+    for path in paths:
+        found, missed = member_accesses(path, classes, returns)
+        used |= found
+        untyped += missed
+    dead = {f"{cls}.{member}" for cls, members in classes.items() for member in members
+            if ("", member) not in used and (cls, member) not in used}
+    return dead, untyped
+
+
+def caller_paths() -> list[Path]:
+    paths = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    for directory in ("scripts", "bench"):
+        paths += (ROOT / directory).glob("*.py")
+    return paths
 
 
 def test_every_public_member_has_a_caller_outside_the_tests():
-    used: set[str] = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name != "__init__.py":
-            used |= attribute_names(path)
-    for directory in ("scripts", "bench"):
-        for path in (ROOT / directory).glob("*.py"):
-            used |= attribute_names(path)
-    without_caller = {full for full, member in public_members().items() if member not in used}
-    assert without_caller == MEMBERS_WITHOUT_CALLER
+    classes, returns = class_table(ast.parse(path.read_text(encoding="utf-8"))
+                                   for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+    public = {name for _, name in public_names().values()}
+    classes = {name: members for name, members in classes.items() if name in public}
+    dead, untyped = dead_members(caller_paths(), classes, returns)
+    assert untyped == []
+    assert dead == {full.split(".", 2)[2] for full in MEMBERS_WITHOUT_CALLER}
 
 
 def test_member_resolution_skips_own_body_and_strings(tmp_path):
@@ -181,6 +296,39 @@ def test_member_resolution_skips_own_body_and_strings(tmp_path):
         "        return self.norm()\n"
         "print(Point().size, 'x.unused')\n"
     )
-    assert attribute_names(source) == {"norm", "size"}
+    classes = {"Point": {"norm", "size"}}
+    assert member_accesses(source, classes, {}) == ({("", "norm"), ("", "size")}, [])
     source.write_text("def norm(p):\n    return p.norm\n")
-    assert attribute_names(source) == set()
+    assert member_accesses(source, classes, {}) == (set(), [])
+
+
+def test_shared_member_names_resolve_by_receiver_type(tmp_path):
+    # Grid.size is live and Cell.size is dead: by name alone, the live one
+    # would hide the dead one.
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "class Grid:\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 3\n"
+        "class Cell:\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "    def area(self) -> 'Grid':\n"
+        "        return Grid()\n"
+        "def make() -> Grid:\n"
+        "    return Grid()\n"
+        "def total(grid: Grid, extra: 'Grid | None'):\n"
+        "    return grid.size + extra.size\n"
+        "g = make()\n"
+        "print(g.size, make().size, Grid().size)\n"
+    )
+    classes, returns = class_table([ast.parse(source.read_text())])
+    assert classes == {"Grid": {"size"}, "Cell": {"size", "area"}}
+    assert returns == {"make": "Grid"}
+    found, untyped = member_accesses(source, classes, returns)
+    assert found == {("Grid", "size")} and untyped == []
+    assert dead_members([source], classes, returns) == ({"Cell.size", "Cell.area"}, [])
+    source.write_text(source.read_text() + "def size_of(thing):\n    return thing.size\n")
+    assert member_accesses(source, classes, returns)[1] == ["sample.py:18: thing.size"]

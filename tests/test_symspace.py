@@ -26,10 +26,6 @@ JS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.5, 10.0]
 
 
 class TestParams:
-    def test_dim(self):
-        assert KickedTopParams(j=1.5, kappa0=0.5).dim == 4
-        assert KickedTopParams(j=2.0, kappa0=0.5).dim == 5
-
     def test_rejects_bad_j(self):
         with pytest.raises(ValueError):
             KickedTopParams(j=0.7, kappa0=1.0)

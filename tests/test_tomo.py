@@ -238,6 +238,19 @@ class TestPipelineMetrics:
         with pytest.raises(ValueError):
             tomo.pipeline_metrics(np.eye(4) / 4.0, np.eye(8) / 8.0)
 
+    def test_stack_equals_one_pair_calls(self, rng):
+        measured, theory = [], []
+        for step, rank in enumerate((1, 2, 3, 8) * 3):
+            vecs = rng.standard_normal((8, rank)) + 1j * rng.standard_normal((8, rank))
+            rho = vecs @ vecs.conj().T
+            measured.append(rho / np.trace(rho).real)
+            theory.append(kicked_top_register_state(0.9, step))
+        stacked = tomo.pipeline_metrics(np.array(measured), np.array(theory))
+        assert stacked == [tomo.pipeline_metrics(e, t) for e, t in zip(measured, theory)]
+        assert tomo.pipeline_metrics(np.empty((0, 8, 8)), np.empty((0, 8, 8))) == []
+        with pytest.raises(ValueError):
+            tomo.pipeline_metrics(np.array(measured), np.array(theory[:-1]))
+
     def test_pair_concurrences_equal_one_row_calls(self, rng):
         for rank in (1, 2, 3, 8) * 10:
             vecs = rng.standard_normal((8, rank)) + 1j * rng.standard_normal((8, rank))
