@@ -170,7 +170,6 @@ def _closed_avg_entropy(two_j: int, name: str | None, kappa0: float) -> float | 
 
 def _numeric_series(two_j: int, point, kappa0: float, n_max: int):
     params = symspace.KickedTopParams(j=two_j / 2.0, kappa0=kappa0)
-    # the state first: it rejects a 2j too large before floquet builds the matrix
     psi0 = symspace.coherent_state(params.j, point)
     u = symspace.floquet(params)
     return measures.entanglement_series(u, psi0, n_max)
@@ -209,7 +208,7 @@ def _sweep_averages(two_j: int, point, grid: list[float], kicks: int) -> np.ndar
     stepped a chunk at a time, block by block in kick order, and each sum is
     kept per point, so no cell depends on the chunk its point is stepped in."""
     j = two_j / 2.0
-    psi = symspace.coherent_state(j, point)  # before floquet, as in _numeric_series
+    psi = symspace.coherent_state(j, point)
     u = symspace.floquet([symspace.KickedTopParams(j=j, kappa0=k) for k in grid])
     per_chunk = max(1, SWEEP_BLOCK_AMPS // (SWEEP_BLOCK_KICKS * u.dim))
     totals = np.zeros(len(grid))

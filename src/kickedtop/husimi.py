@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symspace import SymState, _binomials, _two_j
+from .symspace import SymState, _coherent_moduli, _two_j
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,9 @@ def husimi_grid(psi: SymState, n_theta: int = 101, n_phi: int = 201) -> SphereGr
     two_j = _two_j(psi.j)
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(-math.pi, math.pi, n_phi)
-    k = np.arange(two_j + 1)
-    # <psi|theta,phi> = sum_k conj(psi_k) sqrt(C) c^(2j-k) s^k e^(-i k phi):
-    # separable in theta and phi, so one matrix product covers the grid.
-    c = np.cos(thetas / 2.0)[:, None]
-    s = np.sin(thetas / 2.0)[:, None]
-    theta_part = psi.amps.conj()[None, :] * np.sqrt(_binomials(two_j)) * c ** (two_j - k) * s**k
-    phi_part = np.exp(-1j * np.outer(k, phis))
+    # <psi|theta,phi> = sum_k conj(psi_k) |<k|theta>| e^(-i k phi): separable
+    # in theta and phi, so one matrix product covers the grid.
+    theta_part = psi.amps.conj()[None, :] * _coherent_moduli(two_j, thetas)
+    phi_part = np.exp(-1j * np.outer(np.arange(two_j + 1), phis))
     overlaps = theta_part @ phi_part
     return SphereGrid(thetas=thetas, phis=phis, values=np.abs(overlaps) ** 2)

@@ -587,13 +587,13 @@ class TestEdgeInputs:
         assert max(c_numeric) <= 1e-12
 
     @pytest.mark.parametrize("argv", [
-        ["evolve", "--qubits", "1030", "--kappa0", "1.0"],
+        ["evolve", "--qubits", str(symspace.MAX_TWO_J + 1), "--kappa0", "1.0"],
         ["evolve", "--qubits", "100000", "--kappa0", "1.0"],
-        ["sweep", "--qubits", "1030", "--kicks", "5", "--kappa0-list", "1.0"],
+        ["sweep", "--qubits", str(symspace.MAX_TWO_J + 1), "--kicks", "5", "--kappa0-list", "1.0"],
         ["sweep", "--qubits", "3", "--kicks", "5", "--kappa0-list", "1.0,nan"],
         ["sweep", "--qubits", "3", "--kicks", "5", "--kappa0-list", "inf,1.0"],
         ["sweep", "--qubits", "50", "--kicks", "5", "--kappa0-list", "0.5,2.0,-inf"],
-        ["husimi", "--qubits", "1030"],
+        ["husimi", "--qubits", str(symspace.MAX_TWO_J + 1)],
         ["classical", "--kappa0", "nan"],
         ["classical", "--kappa0", "1.0", "--seeds", "nan,0,0"],
         ["classical", "--kappa0", "1.0", "--seeds", "1e308,0,0"],
@@ -616,6 +616,30 @@ class TestEdgeInputs:
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--qubits", "100000", "--kappa0", "1.0"],
+        ["sweep", "--qubits", str(symspace.MAX_TWO_J + 1), "--kicks", "5", "--kappa0-list", "1.0"],
+        ["husimi", "--qubits", str(symspace.MAX_TWO_J + 1)],
+    ])
+    def test_size_limit_exits_before_the_rotation(self, argv, tmp_path, capsys, monkeypatch):
+        def refuse(j, p):
+            raise AssertionError("the rotation of a 2j past the limit was built")
+
+        monkeypatch.setattr(symspace, "_rotation", refuse)
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"the limit is 2j <= {symspace.MAX_TWO_J}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_past_the_old_binomial_limit(self, tmp_path):
+        # C(1030, 515) overflows a double; the coherent state needs no binomial
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--qubits", "1030", "--kicks", "5", "--kappa0-list", "1.0",
+                     "--out", str(out)]) == 0
+        header, data = read_csv(out)
+        s_avg = data[:, header.index("S_avg_numeric")]
+        assert np.all((0.0 < s_avg) & (s_avg <= 0.5))
 
     @pytest.mark.parametrize("flags,message", [
         (["--steps", "0", "--kappa0", "0.5"], "--steps must be >= 1"),

@@ -1,10 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from kickedtop import exact3, exact4, husimi, symspace
 from kickedtop.symspace import BlochPoint, SymState
+
+from test_symspace import mp_coherent_state
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
 
@@ -56,12 +59,32 @@ class TestGrid:
             assert grid.phis[jx] == pytest.approx(phi_peak, abs=0.02)
             assert grid.values[i, jx] == pytest.approx(0.75, abs=1e-3)
 
-    def test_rejects_two_j_past_binomial_limit(self):
-        two_j = symspace.MAX_BINOMIAL_TWO_J + 1
-        amps = np.zeros(two_j + 1)
-        amps[0] = 1.0
-        with pytest.raises(ValueError, match="overflows a double"):
-            husimi.husimi_grid(SymState(two_j / 2.0, amps), 3, 3)
+    def test_grid_past_the_old_binomial_limit(self):
+        # C(1030, 515) overflows a double; the grid's theta factor needs none
+        two_j = 1030
+        grid = husimi.husimi_grid(SymState(two_j / 2.0, np.eye(1, two_j + 1)[0]), 7, 3)
+        expected = np.cos(grid.thetas / 2.0) ** (2 * two_j)
+        assert np.max(np.abs(grid.values - expected[:, None])) <= 1e-15
+
+    def test_matches_40_digit_overlaps(self):
+        # the coherent state on the grid node (pi/2, 0) plus as much random
+        # state, so values run from 1e-5 to 0.5; largest error seen: 2.2e-16
+        two_j = 2000
+        noise = np.random.default_rng(7).standard_normal((two_j + 1, 2)) @ [1.0, 1j]
+        amps = symspace.coherent_state(two_j / 2.0, BlochPoint(math.pi / 2.0, 0.0)).amps
+        amps = amps + noise / np.linalg.norm(noise)
+        psi = SymState(two_j / 2.0, amps / np.linalg.norm(amps))
+        grid = husimi.husimi_grid(psi, n_theta=5, n_phi=3)
+        with mpmath.workdps(40):
+            bra = [mpmath.mpc(a).conjugate() for a in psi.amps]
+            phases = [[mpmath.expj(-k * mpmath.mpf(phi)) for k in range(two_j + 1)]
+                      for phi in grid.phis]
+            reference = []
+            for theta in grid.thetas:  # the moduli |<k|theta>|, shared by every phi
+                weights = [b * a for b, a in zip(bra, mp_coherent_state(two_j, theta, 0.0))]
+                reference.append([float(abs(mpmath.fsum(w * e for w, e in zip(weights, row))) ** 2)
+                                  for row in phases])
+        assert np.max(np.abs(grid.values - reference)) <= two_j * 1e-16
 
     def test_values_in_unit_interval(self):
         psi = SymState(2.0, exact4.parity_basis_states4()["phi3_plus"])
