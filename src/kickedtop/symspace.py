@@ -8,7 +8,10 @@ diagonal torsion phases, counted from the smallest m^2 (see floquet).  The
 rotation comes from the exact spectrum of Jy, m = j, ..., -j: its eigenvectors
 by a three-term recurrence from the edge row to the middle, the other half by
 parity, then three half-size real GEMMs over the even and odd rows, with no
-eigensolver (see _rotation).  trajectory gives every kick: below a measured
+eigensolver (see _rotation).  The rotation depends on 2j and p alone, so it is
+built and checked once per (2j, p) per process and kept, up to
+_ROTATION_CACHE_BYTES in all; a one-shot CLI run builds its one rotation as
+before.  trajectory gives every kick: below a measured
 dimension several kicks per BLAS call, from a stack of powers of U, and above
 it one real matmul with the rotation per kick.  evolve gives one state
 U^n psi0 by binary powering.
@@ -23,6 +26,7 @@ hbar = 1 and kick period tau = 1 throughout.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -62,6 +66,12 @@ _FACTORED_MIN_DIM = 111
 # b (2j+1) <= 512 = cli.SWEEP_BLOCK_KICKS, so a sweep chunk's power stacks
 # hold no more amplitudes than its block of states.
 _KICK_BLOCKS = ((71, 2), (41, 4), (12, 8), (2, 32))
+# Bytes of checked rotations that floquet keeps for the life of the process,
+# one per (2j, p), the least recently used dropped first.  8 MiB holds one
+# rotation up to 2j = 1023; those of 2j = 50, 100 and 200 take 0.43 MB in all.
+# A larger rotation is built and checked on each call and not kept.
+_ROTATION_CACHE_BYTES = 8 * 2**20
+_rotations: OrderedDict[tuple[int, str], np.ndarray] = OrderedDict()
 
 
 def _two_j(j: float) -> int:
@@ -170,7 +180,9 @@ class UnitaryMatrix:
     `base` is the real orthogonal rotation, checked once (R^T R = I to
     _UNITARY_TOL in Frobenius norm); `phases` holds the unit-modulus torsion
     diagonal, a (dim,) row for one operator or a (K, dim) stack of rows.  The
-    dense `matrix` is formed on each use, and a stack can be sliced.
+    dense `matrix` is formed on each use, and a stack can be sliced.  floquet
+    and slicing put already checked, read-only factors together through
+    _of_checked, with no copy and no R^T R product.
     trajectory keeps the power stack it builds on the operator it stepped, so
     later calls with that operator (a sweep chunk's blocks) build none.
     """
@@ -186,20 +198,23 @@ class UnitaryMatrix:
             base = base.copy()  # a frozen array that owns its data is taken over as is
         if base.ndim != 2 or base.shape[0] != base.shape[1]:
             raise ValueError("the rotation must be a square matrix")
-        dim = base.shape[0]
-        defect = np.linalg.norm(base.T @ base - np.eye(dim))
-        if not defect <= _UNITARY_TOL:  # a NaN entry fails too
-            raise ValueError(f"matrix is not unitary (defect {defect:.2e})")
-        phases = np.array(self.phases, dtype=complex)
-        if phases.ndim not in (1, 2) or phases.shape[-1] != dim:
-            raise ValueError("phases need rows of the rotation's dimension")
-        if not np.all(np.abs(np.abs(phases) - 1.0) <= _UNITARY_TOL):  # NaN fails too
-            raise ValueError("phases must have modulus 1")
+        _check_orthogonal(base)
+        phases = _unit_phases(np.array(self.phases, dtype=complex), base.shape[0])
         base.flags.writeable = False
-        phases.flags.writeable = False
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "dim", base.shape[0])
+
+    @classmethod
+    def _of_checked(cls, base: np.ndarray, phases: np.ndarray) -> UnitaryMatrix:
+        """diag(phases) @ base from factors that are already checked and
+        read-only: a rotation that passed _check_orthogonal and rows from
+        _unit_phases.  Neither is copied or checked again."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "base", base)
+        object.__setattr__(u, "phases", phases)
+        object.__setattr__(u, "dim", base.shape[0])
+        return u
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -217,11 +232,24 @@ class UnitaryMatrix:
         """Sub-stack of a stack; it shares the already checked rotation."""
         if self.phases.ndim != 2 or not isinstance(index, slice):
             raise TypeError("only a stack can be sliced, and only by a slice")
-        sub = object.__new__(UnitaryMatrix)
-        object.__setattr__(sub, "base", self.base)
-        object.__setattr__(sub, "phases", self.phases[index])
-        object.__setattr__(sub, "dim", self.dim)
-        return sub
+        return UnitaryMatrix._of_checked(self.base, self.phases[index])
+
+
+def _check_orthogonal(base: np.ndarray) -> None:
+    """Raise unless R^T R = I to _UNITARY_TOL in Frobenius norm (a d^3 product)."""
+    defect = np.linalg.norm(base.T @ base - np.eye(len(base)))
+    if not defect <= _UNITARY_TOL:  # a NaN entry fails too
+        raise ValueError(f"matrix is not unitary (defect {defect:.2e})")
+
+
+def _unit_phases(phases: np.ndarray, dim: int) -> np.ndarray:
+    """phases, read-only, after checking that they are (dim,) or (K, dim) rows of modulus 1."""
+    if phases.ndim not in (1, 2) or phases.shape[-1] != dim:
+        raise ValueError("phases need rows of the rotation's dimension")
+    if not np.all(np.abs(np.abs(phases) - 1.0) <= _UNITARY_TOL):  # NaN fails too
+        raise ValueError("phases must have modulus 1")
+    phases.flags.writeable = False
+    return phases
 
 
 def coherent_state(j: float, point: BlochPoint) -> SymState:
@@ -244,8 +272,10 @@ def floquet(params: KickedTopParams | Sequence[KickedTopParams]) -> UnitaryMatri
 
     One parameter set gives one dim x dim operator; a sequence of K sets that
     share j and p (a kappa0 grid) gives a stack of K, entry k equal to
-    floquet(params[k]).  The rotation is built and checked once per call; each
-    kappa0 only adds its row of torsion phases.
+    floquet(params[k]).  Each kappa0 only adds its row of torsion phases, checked
+    on every call.  The rotation is built and checked (R^T R = I) once per
+    (2j, p) per process, then shared read-only by every later operator; see
+    _checked_rotation for the bound on what is kept.
     """
     single = isinstance(params, KickedTopParams)
     grid = [params] if single else list(params)
@@ -258,10 +288,30 @@ def floquet(params: KickedTopParams | Sequence[KickedTopParams]) -> UnitaryMatri
         phases = (kappa0[:, None] / two_j) * (m**2 - (two_j % 2) / 4.0)
     if not np.all(np.isfinite(phases)):
         raise ValueError(f"kappa0 is too large for 2j = {two_j}: its torsion phase overflows a double")
-    rotation = _rotation(grid[0].j, grid[0].p)
-    rotation.flags.writeable = False  # UnitaryMatrix takes it over without a copy
     torsion = np.exp(-1j * phases)
-    return UnitaryMatrix(rotation, torsion[0] if single else torsion)
+    rotation = _checked_rotation(two_j, grid[0].p)
+    return UnitaryMatrix._of_checked(rotation, _unit_phases(torsion[0] if single else torsion, two_j + 1))
+
+
+def _checked_rotation(two_j: int, p: float) -> np.ndarray:
+    """The read-only rotation exp(-i p Jy) of floquet, built by _rotation and
+    checked by _check_orthogonal before its first use.  It is kept in
+    _rotations under (2j, the bits of p) when it fits in
+    _ROTATION_CACHE_BYTES, and the least recently used are dropped until all
+    that is kept fits again; a larger one is built per call and not kept."""
+    key = (two_j, float(p).hex())  # -0.0 and 0.0 give rotations with different zeros
+    rotation = _rotations.get(key)
+    if rotation is not None:
+        _rotations.move_to_end(key)
+        return rotation
+    rotation = _rotation(two_j / 2.0, p)
+    _check_orthogonal(rotation)
+    rotation.flags.writeable = False
+    if rotation.nbytes <= _ROTATION_CACHE_BYTES:
+        _rotations[key] = rotation
+        while sum(kept.nbytes for kept in _rotations.values()) > _ROTATION_CACHE_BYTES:
+            _rotations.popitem(last=False)
+    return rotation
 
 
 def _rotation(j: float, p: float) -> np.ndarray:

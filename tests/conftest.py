@@ -10,6 +10,7 @@ live here rather than in the package.
 """
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -61,6 +62,14 @@ def register_reduced(vec: np.ndarray, n_qubits: int, keep) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
+
+
+@pytest.fixture
+def fresh_rotations(monkeypatch):
+    """An empty floquet rotation cache for the test; the process's own comes
+    back afterwards, so nothing a patched _rotation built outlives the test."""
+    monkeypatch.setattr(symspace, "_rotations", OrderedDict())
+    return symspace._rotations
 
 
 def random_symmetric_amps(rng, dim: int) -> np.ndarray:

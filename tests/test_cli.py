@@ -622,7 +622,8 @@ class TestEdgeInputs:
         ["sweep", "--qubits", str(symspace.MAX_TWO_J + 1), "--kicks", "5", "--kappa0-list", "1.0"],
         ["husimi", "--qubits", str(symspace.MAX_TWO_J + 1)],
     ])
-    def test_size_limit_exits_before_the_rotation(self, argv, tmp_path, capsys, monkeypatch):
+    def test_size_limit_exits_before_the_rotation(self, argv, tmp_path, capsys, monkeypatch,
+                                                  fresh_rotations):
         def refuse(j, p):
             raise AssertionError("the rotation of a 2j past the limit was built")
 

@@ -212,6 +212,82 @@ class TestRotation:
         assert np.max(np.abs(rotation.T @ rotation - np.eye(two_j + 1))) <= 1e-13
 
 
+class TestRotationReuse:
+    """floquet builds and checks exp(-i p Jy) once per (2j, p) and keeps it,
+    up to symspace._ROTATION_CACHE_BYTES in all."""
+
+    @staticmethod
+    def counted_rotation(monkeypatch):
+        built = []
+        build = symspace._rotation
+
+        def counted(j, p):
+            built.append((j, p))
+            return build(j, p)
+
+        monkeypatch.setattr(symspace, "_rotation", counted)
+        return built
+
+    def test_one_rotation_per_j_and_p(self, fresh_rotations, monkeypatch):
+        build = symspace._rotation
+        built = self.counted_rotation(monkeypatch)
+        first = symspace.floquet(KickedTopParams(j=3.5, kappa0=0.4))
+        second = symspace.floquet([KickedTopParams(j=3.5, kappa0=k) for k in (1.0, 2.0)])
+        assert second.base is first.base
+        assert built == [(3.5, math.pi / 2)]
+        assert np.array_equal(first.base, build(3.5, math.pi / 2))
+
+    def test_each_j_and_p_gets_its_own(self, fresh_rotations, monkeypatch):
+        build = symspace._rotation
+        built = self.counted_rotation(monkeypatch)
+        keys = [(3.5, math.pi / 2), (3.5, 0.3), (4.0, math.pi / 2), (1.0, 0.0), (1.0, -0.0)]
+        bases = [symspace.floquet(KickedTopParams(j=j, kappa0=1.0, p=p)).base for j, p in keys]
+        assert built == keys and len(fresh_rotations) == len(keys)
+        assert len({id(base) for base in bases}) == len(keys)
+        for (j, p), base in zip(keys, bases):
+            assert np.array_equal(base, build(j, p))
+            assert symspace.floquet(KickedTopParams(j=j, kappa0=2.0, p=p)).base is base
+        assert built == keys
+
+    def test_a_rotation_that_is_not_orthogonal_is_refused_and_not_kept(self, fresh_rotations,
+                                                                       monkeypatch):
+        built = []
+        monkeypatch.setattr(symspace, "_rotation", lambda j, p: built.append(j) or 1.01 * np.eye(4))
+        for _ in range(2):  # checked again, since it was not kept
+            with pytest.raises(ValueError, match="not unitary"):
+                symspace.floquet(KickedTopParams(j=1.5, kappa0=0.4))
+        assert built == [1.5, 1.5] and len(fresh_rotations) == 0
+
+    def test_the_kept_rotation_is_read_only(self, fresh_rotations):
+        u = symspace.floquet(KickedTopParams(j=2.0, kappa0=0.4))
+        (kept,) = fresh_rotations.values()
+        assert kept is u.base and not kept.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            u.base[0, 0] = 2.0
+
+    def test_kept_bytes_stay_within_the_bound(self, fresh_rotations, monkeypatch):
+        bound = 21 * 21 * 8 + 600  # one 2j = 20 rotation (3528 bytes) and a few small ones
+        monkeypatch.setattr(symspace, "_ROTATION_CACHE_BYTES", bound)
+        build = symspace._rotation
+        built = self.counted_rotation(monkeypatch)
+        for two_j in (20, 7, 4, 20, 3, 4, 30, 21):
+            u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=1.3))
+            assert np.array_equal(u.base, build(two_j / 2.0, math.pi / 2))
+            assert sum(kept.nbytes for kept in fresh_rotations.values()) <= bound
+        # 4 pushes out 20 and the second 20 pushes out 7, each the least recently
+        # used; 30 (7688 bytes) is built but not kept; 21 (3872) pushes out 20 and 3
+        assert [2 * j for j, _ in built] == [20, 7, 4, 20, 3, 30, 21]
+        assert [key[0] for key in fresh_rotations] == [4, 21]
+
+    def test_a_rotation_past_the_bound_is_not_kept(self, fresh_rotations):
+        # the bound holds one rotation up to 2j = 1023, and none past it
+        for two_j, kept in ((1023, True), (1024, False)):
+            u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=1.3))
+            assert (u.base.nbytes <= symspace._ROTATION_CACHE_BYTES) == kept
+            assert any(base is u.base for base in fresh_rotations.values()) == kept
+        assert [key[0] for key in fresh_rotations] == [1023]
+
+
 class TestFloquet:
     def test_pure_rotation_spin_half(self):
         u = symspace.floquet(KickedTopParams(j=0.5, kappa0=0.0))
