@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symspace import SymState, _coherent_moduli, _two_j
+from .symspace import SymState, _coherent_moduli, _phase_factors, _two_j
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,6 @@ def husimi_grid(psi: SymState, n_theta: int = 101, n_phi: int = 201) -> SphereGr
     # <psi|theta,phi> = sum_k conj(psi_k) |<k|theta>| e^(-i k phi): separable
     # in theta and phi, so one matrix product covers the grid.
     theta_part = psi.amps.conj()[None, :] * _coherent_moduli(two_j, thetas)
-    phi_part = np.exp(-1j * np.outer(np.arange(two_j + 1), phis))
+    phi_part = _phase_factors(two_j, phis)
     overlaps = theta_part @ phi_part
     return SphereGrid(thetas=thetas, phis=phis, values=np.abs(overlaps) ** 2)

@@ -86,6 +86,24 @@ class TestGrid:
                                   for row in phases])
         assert np.max(np.abs(grid.values - reference)) <= two_j * 1e-16
 
+    def test_matches_40_digit_overlaps_off_the_axes(self):
+        # a random state on the Dicke indices 440..560, which the theta = pi/2
+        # coherent states cover, so the phases exp(-i k phi) of neighbouring k
+        # interfere in each value; the phi nodes step by pi/3, where k phi is
+        # not a double.  Values reach 0.024; largest error seen 1.7e-17 (one
+        # rounded product k phi in the phases gave 1.0e-15)
+        two_j = 1000
+        amps = np.zeros(two_j + 1, dtype=complex)
+        amps[440:561] = np.random.default_rng(11).standard_normal((121, 2)) @ [1.0, 1j]
+        psi = SymState(two_j / 2.0, amps / np.linalg.norm(amps))
+        grid = husimi.husimi_grid(psi, n_theta=5, n_phi=7)
+        with mpmath.workdps(40):
+            bra = [mpmath.mpc(a).conjugate() for a in psi.amps]
+            reference = [[float(abs(mpmath.fsum(b * a for b, a in zip(bra, ket))) ** 2)
+                          for ket in (mp_coherent_state(two_j, theta, phi) for phi in grid.phis)]
+                         for theta in grid.thetas]
+        assert np.max(np.abs(grid.values - reference)) <= 1e-16
+
     def test_values_in_unit_interval(self):
         psi = SymState(2.0, exact4.parity_basis_states4()["phi3_plus"])
         grid = husimi.husimi_grid(psi)

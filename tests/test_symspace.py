@@ -137,12 +137,11 @@ def mp_coherent_state(two_j: int, theta: float, phi: float) -> list:
 
 
 class TestCoherentAccuracy:
-    """coherent_state against the 40-digit state: within 2j * 1e-16 at every
-    size up to the limit.  Largest errors seen over these angles: 2.2e-15,
-    4.4e-14, 8.9e-14 and 1.0e-13 at 2j = 50, 1000, 2000 and 4096 (a route
-    through the binomials C(2j, k) as doubles: 5.7e-16 and 4.4e-14 at 50 and
-    1000).  Nearly all of it is the rounding of k phi in the phases; the
-    moduli alone are within 3.3e-16."""
+    """coherent_state against the 40-digit state: within 1e-15 at every size
+    up to the limit.  Largest errors seen over these angles: 1.6e-16,
+    1.7e-16, 2.0e-16 and 3.0e-16 at 2j = 50, 1000, 2000 and 4096.  The phases
+    take k phi in two exact parts; one rounded product k phi gave 2.2e-15,
+    4.4e-14, 8.9e-14 and 1.0e-13 here.  The moduli alone are within 3.3e-16."""
 
     THETAS = [0.0, 1e-300, 0.3, 1.1, math.pi / 2.0, 3.0, math.pi]
 
@@ -151,7 +150,7 @@ class TestCoherentAccuracy:
         for theta in self.THETAS:
             got = symspace.coherent_state(two_j / 2.0, BlochPoint(theta, -1.3)).amps
             reference = np.array([complex(a) for a in mp_coherent_state(two_j, theta, -1.3)])
-            assert np.max(np.abs(got - reference)) <= two_j * 1e-16, theta
+            assert np.max(np.abs(got - reference)) <= 1e-15, theta
 
 
 class TestCollectiveOps:
