@@ -311,7 +311,7 @@ def _checked_rotation(two_j: int, p: float) -> np.ndarray:
     _rotations under (2j, the bits of p) when it fits in
     _ROTATION_CACHE_BYTES, and the least recently used are dropped until all
     that is kept fits again; a larger one is built per call and not kept."""
-    key = (two_j, float(p).hex())  # -0.0 and 0.0 give rotations with different zeros
+    key = (two_j, float(p).hex())  # reused only for the very bits of p it was built from
     rotation = _rotations.get(key)
     if rotation is not None:
         _rotations.move_to_end(key)
