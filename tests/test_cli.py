@@ -161,6 +161,114 @@ class TestWriteTable:
             assert_table_bytes_match(directory, {"few": column, "index": np.arange(column.size)})
 
 
+# One CSV command and the JSON one: each writes through cli._open_output.
+OUTPUT_ARGV = {
+    "evolve": ["evolve", "--qubits", "3", "--kappa0", "1.2", "--steps", "5"],
+    "tunnel": ["tunnel", "--kappa0", "0.5", "--times", "0,1,2,3"],
+}
+# Older output text, longer than any new one and made of bytes no new one has.
+OLD_TEXT = b"#" * 20000
+
+
+def write_output(command, out):
+    return main([*OUTPUT_ARGV[command], "--out", str(out)])
+
+
+@pytest.fixture
+def fresh_bytes(tmp_path):
+    """The bytes a command writes into a new file."""
+    def written(command):
+        fresh = tmp_path / f"fresh_{command}"
+        assert write_output(command, fresh) == 0
+        return fresh.read_bytes()
+    return written
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_ARGV))
+class TestOutputFiles:
+    """An output is written over the old file's bytes and then cut to the
+    length written; links are written through and special files are not cut."""
+
+    def test_longer_file_is_replaced_and_rerun_is_identical(self, command, tmp_path, fresh_bytes):
+        out = tmp_path / "out"
+        out.write_bytes(OLD_TEXT)
+        assert write_output(command, out) == 0
+        assert out.read_bytes() == fresh_bytes(command)
+        assert write_output(command, out) == 0
+        assert out.read_bytes() == fresh_bytes(command)
+
+    def test_dev_null(self, command):
+        assert write_output(command, os.devnull) == 0
+
+    def test_links_are_written_through(self, command, tmp_path, fresh_bytes):
+        target, symlink, hard = tmp_path / "target", tmp_path / "symlink", tmp_path / "hard"
+        target.write_bytes(OLD_TEXT)
+        symlink.symlink_to(target)
+        os.link(target, hard)
+        assert write_output(command, symlink) == 0
+        assert symlink.is_symlink()
+        assert target.read_bytes() == hard.read_bytes() == fresh_bytes(command)
+
+    def test_modes_of_existing_and_new_files(self, command, tmp_path):
+        out, new, reference = tmp_path / "out", tmp_path / "new", tmp_path / "reference"
+        out.write_bytes(OLD_TEXT)
+        out.chmod(0o640)
+        reference.write_text("")  # a file as open(path, "w") creates it
+        assert write_output(command, out) == 0
+        assert write_output(command, new) == 0
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert new.stat().st_mode == reference.stat().st_mode
+
+    def test_failed_write_leaves_a_prefix_and_no_old_tail(self, command, tmp_path, fresh_bytes,
+                                                          monkeypatch):
+        expected = fresh_bytes(command)
+        out = tmp_path / "out"
+        out.write_bytes(OLD_TEXT)
+        if command == "tunnel":
+            dump = json.dump
+
+            def half_then_raise(obj, fh, **kwargs):
+                text = io.StringIO()
+                dump(obj, text, **kwargs)
+                fh.write(text.getvalue()[: len(text.getvalue()) // 2])
+                raise ValueError("formatter failed")
+
+            monkeypatch.setattr(json, "dump", half_then_raise)
+        else:
+            # raise at the first column of the second block of two rows
+            columns = expected.splitlines()[0].count(b",") + 1
+            converted = []
+
+            def convert(part):
+                converted.append(part)
+                if len(converted) > columns:
+                    raise ValueError("formatter failed")
+                return part.tolist()
+
+            monkeypatch.setattr(cli, "TABLE_BLOCK_ROWS", 2)
+            monkeypatch.setattr(cli, "_PLAIN_CELLS", ("%.17g", convert))
+        assert write_output(command, out) == 2
+        written = out.read_bytes()
+        assert written and expected.startswith(written) and len(written) < len(expected)
+        if command == "evolve":
+            assert written.count(b"\n") == 3  # the header and the first block
+
+    @pytest.mark.parametrize("where", ["directory", "missing_parent", "read_only"])
+    def test_unwritable_output_exits_3(self, command, where, tmp_path, capsys):
+        out = {"directory": tmp_path, "missing_parent": tmp_path / "absent" / "out",
+               "read_only": tmp_path / "read_only"}[where]
+        if where == "read_only":
+            if hasattr(os, "geteuid") and os.geteuid() == 0:
+                pytest.skip("root writes files whatever their mode bits")
+            out.write_bytes(OLD_TEXT)
+            out.chmod(0o444)
+        assert write_output(command, out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "Traceback" not in err
+        if where == "read_only":
+            assert out.read_bytes() == OLD_TEXT
+
+
 class TestParserCache:
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()

@@ -246,8 +246,8 @@ GENERAL = BlochPoint(1.1, 0.4)
 class TestConcurrenceOracle:
     """Both routes against the 40-digit Wootters spectrum of the exact state:
     the worst error measured is 1.7e-15 for concurrences() (random rank 1..4:
-    1.0e-15, series rows 1.7e-15) and 1.4e-15 for the factor route of
-    entanglement_series()."""
+    1.0e-15, series rows 1.7e-15) and 3.5e-15 for the factor route of
+    entanglement_series() (1.4e-15 outside the rows of small eigenvalues)."""
 
     BOUND = 4e-15
 
@@ -293,6 +293,20 @@ class TestConcurrenceOracle:
         states = symspace.trajectory(u, psi0, 24)
         expected = [mp_concurrence(mp_pair_state(amps)) for amps in states]
         assert np.max(np.abs(got - expected)) <= self.BOUND
+
+    # Pair states with eigenvalues down to 2.6e-5 and 6.9e-8, where
+    # concurrences() is 1.5e-14 and 4.9e-15 off; the factor route is 0 and
+    # 3.5e-15 off.
+    @pytest.mark.parametrize("two_j, kappa0, point, row", [
+        (4, 0.62429957206355, BlochPoint(0.6379390348614216, 1.3800608505707324), 44),
+        (50, 2.086223936003227, BlochPoint(1.272588332940135, 0.09848559643750976), 1),
+    ])
+    def test_entanglement_series_rows_of_small_eigenvalues(self, two_j, kappa0, point, row):
+        u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=kappa0))
+        psi0 = symspace.coherent_state(two_j / 2.0, point)
+        _, got = measures.entanglement_series(u, psi0, row)
+        amps = symspace.trajectory(u, psi0, row)[row]
+        assert abs(got[row] - mp_concurrence(mp_pair_state(amps))) <= self.BOUND
 
     @pytest.mark.parametrize("two_j, kappa0, point", [
         (2, 1.3, GENERAL),

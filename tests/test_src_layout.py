@@ -332,3 +332,81 @@ def test_shared_member_names_resolve_by_receiver_type(tmp_path):
     assert dead_members([source], classes, returns) == ({"Cell.size", "Cell.area"}, [])
     source.write_text(source.read_text() + "def size_of(thing):\n    return thing.size\n")
     assert member_accesses(source, classes, returns)[1] == ["sample.py:18: thing.size"]
+
+
+# Every output the command line writes goes through cli._open_output, which
+# writes over the old file's bytes and then cuts it to length; a second way
+# to open a file for writing would bypass it.
+OUTPUT_OPENER = "_open_output"
+
+
+def file_writes(path: Path, allowed: str | None) -> list[str]:
+    """'file:line: call' of each call in the file that opens a file for
+    writing, outside the function named allowed: os.open, Path.write_text and
+    write_bytes, and open(...) or x.open(...) with a mode that is not a read
+    mode.  A mode that is not a string literal counts as a write."""
+    found = []
+
+    def writes(call: ast.Call) -> bool:
+        func = call.func
+        if not isinstance(func, ast.Attribute):
+            return isinstance(func, ast.Name) and func.id == "open" and opens_for_writing(call, 1)
+        receiver = getattr(func.value, "id", None)
+        if func.attr in ("write_text", "write_bytes") or (func.attr, receiver) == ("open", "os"):
+            return True
+        # io.open(file, mode) as the builtin; path.open(mode) otherwise
+        return func.attr == "open" and opens_for_writing(call, 1 if receiver in ("io", "builtins") else 0)
+
+    def visit(node):
+        if isinstance(node, FUNCTIONS) and node.name == allowed:
+            return
+        if isinstance(node, ast.Call) and writes(node):
+            found.append((node.lineno, node.col_offset, f"{path.name}:{node.lineno}: {ast.unparse(node)}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")))
+    return [text for *_, text in sorted(found)]
+
+
+def opens_for_writing(call: ast.Call, mode_position: int) -> bool:
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    if mode is None and len(call.args) > mode_position:
+        mode = call.args[mode_position]
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def test_outputs_are_opened_only_by_the_output_opener():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert file_writes(path, OUTPUT_OPENER if path.name == "cli.py" else None) == []
+    assert file_writes(PACKAGE / "cli.py", None)  # the opener's own calls are seen
+
+
+def test_write_detection_sees_modes_and_ignores_strings(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        '"""mentions open(path, "w") only in words"""\n'
+        "import io, os\n"
+        "from pathlib import Path\n"
+        "def read(path, mode):\n"
+        "    open(path).read(), open(path, 'rb'), open('x.csv', encoding='utf-8')\n"
+        "    Path(path).open(), Path(path).open('r'), io.open(path, mode='r')\n"
+        "    return open(path, mode)\n"
+        "def opener(path):\n"
+        "    return os.open(path, os.O_WRONLY)\n"
+        "open('x.csv', 'w'), io.open('y', mode='a+'), open('z', 'r+b')\n"
+        "Path('z').open('x'), Path('z').write_text(''), Path('z').write_bytes(b'')\n"
+    )
+    assert file_writes(source, "opener") == [
+        "sample.py:7: open(path, mode)",
+        "sample.py:10: open('x.csv', 'w')",
+        "sample.py:10: io.open('y', mode='a+')",
+        "sample.py:10: open('z', 'r+b')",
+        "sample.py:11: Path('z').open('x')",
+        "sample.py:11: Path('z').write_text('')",
+        "sample.py:11: Path('z').write_bytes(b'')",
+    ]
+    assert file_writes(source, None)[1] == "sample.py:9: os.open(path, os.O_WRONLY)"
