@@ -24,8 +24,8 @@ from .measures import (
     entanglement_series,
     fidelity,
     linear_entropy,
+    qubit_entropies,
     reduced_state,
-    reduced_states,
     rmt_average,
 )
 from .exact3 import (

@@ -240,7 +240,10 @@ def _sweep_averages(two_j: int, point, grid: list[float], kicks: int) -> np.ndar
     """Mean single-qubit linear entropy over kicks 1..kicks for each kappa0 of
     the grid, from one floquet call: the grid shares one rotation.  Points are
     stepped a chunk at a time, block by block in kick order, and each sum is
-    kept per point, so no cell depends on the chunk its point is stepped in."""
+    kept per point, so no cell depends on the chunk its point is stepped in.
+    The entropies are taken one qubit_entropies call per point and block:
+    one call over a chunk's points held temporaries that pushed the heap past
+    glibc's trim threshold, so its pages were faulted in again every block."""
     j = two_j / 2.0
     psi = symspace.coherent_state(j, point)
     u = symspace.floquet([symspace.KickedTopParams(j=j, kappa0=k) for k in grid])
@@ -252,8 +255,7 @@ def _sweep_averages(two_j: int, point, grid: list[float], kicks: int) -> np.ndar
         for first_kick in range(0, kicks, SWEEP_BLOCK_KICKS):
             states = symspace.trajectory(chunk, amps, min(SWEEP_BLOCK_KICKS, kicks - first_kick))
             for i in range(len(amps)):
-                entropies = measures.linear_entropy(measures.reduced_states(states[1:, i], 1))
-                totals[lo + i] += entropies.sum()
+                totals[lo + i] += measures.qubit_entropies(states[1:, i]).sum()
             amps = states[-1].copy()
             del states  # free this block before the next one is allocated
     return totals / kicks

@@ -1,16 +1,19 @@
 """Entanglement and comparison metrics for symmetric (and general) qubit states.
 
 Reduced density matrices of permutation-symmetric pure states are computed
-from Dicke coefficients directly, which scales to hundreds of qubits: one
-batched kernel, reduced_states(), takes a whole (n, 2j+1) stack of states (a
-trajectory, say) and forms every entry of the one- or two-qubit reduced states
-as a binomially weighted band sum over neighbouring Dicke amplitudes, whose
-weights are exact ratios of integer products, computed once per (2j, keep).
-Each row's norm is checked against the state tolerance of symspace, so a
-drifted or malformed state raises ValueError instead of giving a silently
-wrong entropy.  Linear entropy and concurrence take the same stacks; the
-single-state functions are one-row calls of the batched ones.  The
-brute-force register partial trace is kept to the test suite as an oracle.
+from Dicke coefficients directly, which scales to hundreds of qubits: every
+entry of the one- or two-qubit reduced state of each row of an (n, 2j+1)
+stack of states (a trajectory, say) is a binomially weighted band sum over
+neighbouring Dicke amplitudes, whose weights are exact ratios of integer
+products, computed once per (2j, keep).  Each row's norm is checked against
+the state tolerance of symspace, so a drifted or malformed state raises
+ValueError instead of giving a silently wrong entropy.  qubit_entropies()
+takes the single-qubit linear entropy of each row straight from its three
+band sums, with no 2 x 2 matrix formed; the pair concurrence takes the
+bands of the pair state (entanglement_series()).  reduced_state() gives one
+state's matrix, and linear_entropy() and concurrences() take any stack of
+matrices, a tomography state say.  The brute-force register partial trace
+is kept to the test suite as an oracle.
 
 The Wootters concurrence (PRL 80, 2245 (1998)) has two routes that share one
 step: C = max(0, 2 s1 - sum s) from the singular values s of the complex
@@ -90,9 +93,16 @@ def _band_weights(two_j: int, keep: int) -> tuple[np.ndarray, np.ndarray]:
     return diagonal, root
 
 
-def _bands(amps: np.ndarray, keep: int) -> np.ndarray:
-    """The (n, keep+1, keep+1) band sums of reduced_states(), Hermitian in
-    their last two axes, after the shape and norm checks."""
+def _band_sums(amps: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(amps, sums, root) for `keep` qubits of each row of an (n, 2j+1) stack
+    of Dicke amplitudes, after the shape and norm checks.
+
+    amps comes back as a complex array, sums = |amps|^2 @ diagonal holds the
+    keep+1 diagonal bands and each row's squared norm, and diagonal and root
+    come from _band_weights().  Every row must be normalized to
+    _STATE_NORM_TOL; a NaN row fails too, and the message names the first bad
+    row.
+    """
     if keep not in (1, 2):
         raise ValueError("keep must be 1 or 2")
     amps = np.asarray(amps, dtype=complex)
@@ -110,7 +120,22 @@ def _bands(amps: np.ndarray, keep: int) -> np.ndarray:
         raise ValueError(
             f"state is not normalized (row {bad[0]}: |norm^2 - 1| = {drift[bad[0]]:.2e})"
         )
-    width = two_j - keep + 1
+    return amps, sums, root
+
+
+def _bands(amps: np.ndarray, keep: int) -> np.ndarray:
+    """The (n, keep+1, keep+1) band sums of the reduced states of `keep`
+    qubits (1 or 2) of each row of an (n, 2j+1) stack, Hermitian in their
+    last two axes.
+
+    Entry (a, b) is sum_r w_r c[r+a] c*[r+b] with w_r = sqrt(f_a(r) f_b(r)),
+    f_a the weights of _band_weights(), so any 2j stays finite and memory
+    stays O(n (2j+1)).  Entry (p, q) of the reduced state is the entry of the
+    excitation counts of the kept patterns p and q (_PATTERN_WEIGHT); for one
+    qubit the bands are the reduced state itself.
+    """
+    amps, sums, root = _band_sums(amps, keep)
+    width = amps.shape[1] - keep
     bands = np.empty((amps.shape[0], keep + 1, keep + 1), dtype=complex)
     for a in range(keep + 1):
         bands[:, a, a] = sums[:, a]
@@ -122,32 +147,35 @@ def _bands(amps: np.ndarray, keep: int) -> np.ndarray:
     return bands
 
 
-def reduced_states(amps: np.ndarray, keep: int) -> np.ndarray:
-    """Reduced density matrices of `keep` qubits (1 or 2) for a stack of
-    symmetric states.
+def qubit_entropies(amps: np.ndarray) -> np.ndarray:
+    """Single-qubit linear entropy 1 - Tr(rho^2) of each row of an (n, 2j+1)
+    stack of Dicke amplitudes (a trajectory, say), checked as _band_sums()
+    checks it.
 
-    `amps` is an (n, 2j+1) array of Dicke amplitudes, one state per row (a
-    trajectory, say); the result is the (n, 2**keep, 2**keep) stack of reduced
-    states.  Entry (p, q) depends only on the excitation counts a, b of the
-    kept patterns p, q and is the band sum sum_r w_r c[r+a] c*[r+b] with
-    w_r = sqrt(f_a(r) f_b(r)) and f_a(r) = C(2j-keep, r) / C(2j, r+a), a ratio of
-    integer products that is exact in a double up to one division, so any 2j
-    stays finite and memory stays O(n (2j+1)).  The weights are computed once
-    per (2j, keep).  Every row must be normalized to _STATE_NORM_TOL.
+    rho is [[s0, b], [b*, s1]] for the two diagonal band sums s0, s1 and the
+    one off-diagonal band b = sum_r sqrt(f_0(r) f_1(r)) c_r c*_(r+1), so
+    S = 1 - (s0^2 + s1^2 + 2 |b|^2) needs no 2 x 2 matrix.  A lone qubit
+    (2j = 1) is its own pure state and reads exactly 0.  The diagonal sums
+    are the one BLAS product of _band_sums(); with OpenBLAS 0.3.31 the last
+    n mod 4 rows of an n-row call can round differently from the same rows
+    in a longer call (seen from 2j = 20), so a row's last bit can depend on
+    where its call ends.
     """
-    bands = _bands(amps, keep)
-    if keep == 1:
-        return bands
-    return bands[:, _PATTERN_WEIGHT[:, None], _PATTERN_WEIGHT]
+    amps, sums, root = _band_sums(amps, 1)
+    if amps.shape[1] == 2:
+        return np.zeros(amps.shape[0])
+    band = np.vecdot(amps[:, 1:], amps[:, :-1] * (root[0] * root[1]))
+    return 1.0 - (sums[:, 0] ** 2 + sums[:, 1] ** 2 + 2.0 * (band.real**2 + band.imag**2))
 
 
 def reduced_state(psi: SymState, keep: int) -> np.ndarray:
     """Reduced density matrix of `keep` qubits (1 or 2) of a symmetric state.
 
     By permutation symmetry any choice of kept qubits is equivalent.  One row
-    of reduced_states().
+    of _bands(), expanded to the kept patterns.
     """
-    return reduced_states(psi.amps[None, :], keep)[0]
+    bands = _bands(psi.amps[None, :], keep)[0]
+    return bands if keep == 1 else bands[_PATTERN_WEIGHT[:, None], _PATTERN_WEIGHT]
 
 
 def linear_entropy(rho: np.ndarray):
@@ -305,8 +333,9 @@ def entanglement_series(
 
     The concurrence takes the factor route of _pair_concurrences(), not
     concurrences().  Microseconds per row of the concurrence alone, against
-    the route it replaced, concurrences(reduced_states(states, 2)) with the
-    reduced_states() of that time: medians of 25 interleaved best-of-3
+    the route it replaced, concurrences() of the full 4 x 4 pair states that
+    a reduced_states() kernel of that time gave (now a test reference in
+    tests/conftest.py): medians of 25 interleaved best-of-3
     pairs, one OpenBLAS 0.3.31 thread on a 2-core Xeon VM.  The host changes
     speed by tens of percent, so read the ratio.  The rows are
     1000 kicks from +y at kappa0 = 3 for 2j <= 20; 300 kicks from
@@ -326,7 +355,7 @@ def entanglement_series(
        200   0.78 +y    0%     12.7     10.1 us    1.26
     """
     states = trajectory(u, psi0, n_max)
-    entropies = linear_entropy(reduced_states(states, 1))
+    entropies = qubit_entropies(states)
     if _two_j(psi0.j) < 2:
         return entropies, np.full(n_max + 1, np.nan)
     return entropies, _pair_concurrences(states)
@@ -339,7 +368,7 @@ def _pair_concurrences(amps: np.ndarray) -> np.ndarray:
     The pair state lives on the triplets, where rho = X X^H for the
     3 x (2j-1) factor X whose column r is
     (sqrt f_0 c_r, sqrt(2 f_1) c_{r+1}, sqrt f_2 c_{r+2}), f_a the band
-    weights of reduced_states().  So rho is PSD by construction, and the
+    weights of _band_weights().  So rho is PSD by construction, and the
     screen of concurrences() needs no eigenvalue check: the rows it
     certifies separable read exactly 0.  The other rows take
     the singular values of tau = Y^T S Y, S the triplet spin flip.  For

@@ -59,6 +59,23 @@ def register_reduced(vec: np.ndarray, n_qubits: int, keep) -> np.ndarray:
     return register_partial_trace(np.outer(vec, vec.conj()), n_qubits, keep)
 
 
+def reduced_states(amps: np.ndarray, keep: int) -> np.ndarray:
+    """Reduced density matrices of `keep` qubits (1 or 2) for a stack of
+    symmetric states: the (n, 2**keep, 2**keep) expansion of the band sums of
+    measures._bands to the kept patterns.
+
+    `amps` is an (n, 2j+1) array of Dicke amplitudes, one state per row.
+    Entry (p, q) depends only on the excitation counts a, b of the kept
+    patterns p, q.  The package takes the single-qubit entropy from the band
+    sums directly (measures.qubit_entropies) and the pair concurrence from
+    their factor, so the full matrices serve only as the tests' reference.
+    """
+    bands = measures._bands(amps, keep)
+    if keep == 1:
+        return bands
+    return bands[:, measures._PATTERN_WEIGHT[:, None], measures._PATTERN_WEIGHT]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
@@ -309,4 +326,4 @@ def haar_symmetric_sample(j: float, count: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    return float(np.mean(measures.linear_entropy(measures.reduced_states(psi, 1))))
+    return float(np.mean(measures.linear_entropy(reduced_states(psi, 1))))

@@ -12,6 +12,7 @@ from kickedtop.symspace import BlochPoint, KickedTopParams, SymState
 from conftest import (
     haar_symmetric_sample,
     random_symmetric_amps,
+    reduced_states,
     register_floquet,
     register_reduced,
     stepped_alone,
@@ -265,7 +266,7 @@ class TestConcurrenceOracle:
     def test_series_rows(self, two_j, kappa0, point):
         u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=kappa0))
         states = symspace.trajectory(u, symspace.coherent_state(two_j / 2.0, point), 24)
-        got = measures.concurrences(measures.reduced_states(states, 2))
+        got = measures.concurrences(reduced_states(states, 2))
         expected = [mp_concurrence(mp_pair_state(amps)) for amps in states]
         assert np.max(np.abs(got - expected)) <= self.BOUND
 
@@ -319,7 +320,7 @@ class TestConcurrenceOracle:
     def test_eigh_sees_only_unscreened_rows_above_2j_4(self, two_j, kappa0, point, monkeypatch):
         u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=kappa0))
         psi0 = symspace.coherent_state(two_j / 2.0, point)
-        pairs = measures.reduced_states(symspace.trajectory(u, psi0, 200), 2)
+        pairs = reduced_states(symspace.trajectory(u, psi0, 200), 2)
         unscreened = sum(not partial_transpose_det(rho) > 1e-13 for rho in pairs)
         seen = []
         eigh = np.linalg.eigh
@@ -473,7 +474,7 @@ class TestExactWeights:
     @pytest.mark.parametrize("two_j", [20, 200, 1000, 2000])
     def test_matches_40_digit_band_sum(self, two_j, keep, rng):
         amps = random_symmetric_amps(rng, two_j + 1)
-        rho = measures.reduced_states(amps[None], keep)[0]
+        rho = reduced_states(amps[None], keep)[0]
         first_pattern = [0, 1, 3]  # a kept pattern of each excitation count: 0, 1, 11
         width = two_j - keep + 1
         with mpmath.workdps(40):
@@ -487,9 +488,26 @@ class TestExactWeights:
                     got = rho[first_pattern[a], first_pattern[b]]
                     assert abs(got - complex(band)) <= 1e-15
 
+    @pytest.mark.parametrize("two_j", [20, 200, 1000, 2000])
+    def test_qubit_entropy_matches_40_digit_bands(self, two_j, rng):
+        amps = np.array([random_symmetric_amps(rng, two_j + 1) for _ in range(3)])
+        got = measures.qubit_entropies(amps)
+        with mpmath.workdps(40):
+            root_binom = [mpmath.sqrt(math.comb(two_j, k)) for k in range(two_j + 1)]
+            rest = [mpmath.mpf(math.comb(two_j - 1, r)) for r in range(two_j)]
+            for row, entropy in zip(amps, got):
+                c = [mpmath.mpc(v.real, v.imag) for v in row]
+
+                def band(a, b):
+                    return mpmath.fsum(rest[r] / (root_binom[r + a] * root_binom[r + b])
+                                       * c[r + a] * c[r + b].conjugate() for r in range(two_j))
+
+                purity = band(0, 0).real ** 2 + band(1, 1).real ** 2 + 2 * abs(band(0, 1)) ** 2
+                assert abs(entropy - float(1 - purity)) <= 2e-15
+
     def test_pair_patterns_expand_the_bands_as_a_double_index_did(self, rng):
         states = np.array([random_symmetric_amps(rng, 8) for _ in range(50)])
-        pairs = measures.reduced_states(states, 2)
+        pairs = reduced_states(states, 2)
         bands = pairs[:, [0, 1, 3]][:, :, [0, 1, 3]]  # a kept pattern of each excitation count
         assert np.array_equal(pairs, bands[:, [0, 1, 1, 2]][:, :, [0, 1, 1, 2]])
 
@@ -502,8 +520,8 @@ class TestBatchedKernel:
         psi0 = _initial_state(two_j, kind, rng)
         u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=kappa0))
         states = symspace.trajectory(u, psi0, 12)
-        singles = measures.reduced_states(states, 1)
-        pairs = measures.reduced_states(states, 2) if two_j >= 2 else None
+        singles = reduced_states(states, 1)
+        pairs = reduced_states(states, 2) if two_j >= 2 else None
         register_u = register_floquet(two_j, kappa0)
         vec = symspace.symmetric_to_qubits(psi0)
         expected_pairs = []
@@ -528,10 +546,10 @@ class TestBatchedKernel:
         u = symspace.floquet(KickedTopParams(j=25.0, kappa0=kappa0))
         states = symspace.trajectory(u, psi0, 20)
         for keep in (1, 2):
-            batch = measures.reduced_states(states, keep)
+            batch = reduced_states(states, keep)
             rows = [measures.reduced_state(SymState(25.0, amps), keep) for amps in states]
             assert np.max(np.abs(batch - np.array(rows))) <= 1e-12
-        pairs = measures.reduced_states(states, 2)
+        pairs = reduced_states(states, 2)
         one_row = [measures.concurrence(rho) for rho in pairs]
         assert np.max(np.abs(measures.concurrences(pairs) - one_row)) <= 1e-12
 
@@ -552,37 +570,98 @@ class TestBatchedKernel:
         psi0 = symspace.coherent_state(0.5, BlochPoint(1.0, 0.2))
         u = symspace.floquet(KickedTopParams(j=0.5, kappa0=1.0))
         entropies, concurrences = measures.entanglement_series(u, psi0, 5)
-        assert np.allclose(entropies, 0.0, atol=1e-13)
+        assert np.all(entropies == 0.0)
         assert np.all(np.isnan(concurrences))
 
     def test_rejects_row_off_normalization(self, rng):
         states = np.array([random_symmetric_amps(rng, 6) for _ in range(5)])
         states[3] *= math.sqrt(1.0 + 1e-6)
         with pytest.raises(ValueError, match="row 3"):
-            measures.reduced_states(states, 1)
+            reduced_states(states, 1)
 
     def test_rejects_non_finite_row(self, rng):
         states = np.array([random_symmetric_amps(rng, 6) for _ in range(3)])
         states[1, 2] = np.nan
         with pytest.raises(ValueError, match="not normalized"):
-            measures.reduced_states(states, 2)
+            reduced_states(states, 2)
 
     def test_rejects_bad_shapes_and_keep(self, rng):
         amps = random_symmetric_amps(rng, 4)
         with pytest.raises(ValueError):
-            measures.reduced_states(amps, 1)  # one state must still be a row
+            reduced_states(amps, 1)  # one state must still be a row
         with pytest.raises(ValueError):
-            measures.reduced_states(amps[None], 3)
+            reduced_states(amps[None], 3)
         with pytest.raises(ValueError):
-            measures.reduced_states(np.array([[0.0, 1.0]]), 2)  # 2j = 1 < keep
+            reduced_states(np.array([[0.0, 1.0]]), 2)  # 2j = 1 < keep
         with pytest.raises(ValueError):
             measures.concurrences(np.eye(4)[None, :2])
 
     def test_large_spin_stays_finite(self, rng):
         states = np.array([random_symmetric_amps(rng, 401) for _ in range(3)])
-        pairs = measures.reduced_states(states, 2)
+        pairs = reduced_states(states, 2)
         assert np.all(np.isfinite(pairs))
         assert np.allclose(np.trace(pairs, axis1=1, axis2=2), 1.0, atol=1e-12)
+
+
+def register_vector(amps: np.ndarray) -> np.ndarray:
+    """The 2^(2j) register amplitudes of a Dicke state: index i spread evenly
+    over the bit strings with i ones, built here for any 2j."""
+    two_j = len(amps) - 1
+    ones = np.zeros(1, dtype=int)
+    for _ in range(two_j):
+        ones = np.concatenate([ones, ones + 1])  # bit counts of 0..2^(2j) - 1
+    return (amps / np.sqrt([float(math.comb(two_j, k)) for k in range(two_j + 1)]))[ones]
+
+
+class TestQubitEntropies:
+    @pytest.mark.parametrize("two_j", [1, 2, 3, 4, 7, 20])
+    def test_matches_register_partial_trace(self, two_j, rng):
+        states = np.array([random_symmetric_amps(rng, two_j + 1) for _ in range(4)])
+        got = measures.qubit_entropies(states)
+        for entropy, amps in zip(got, states):
+            vec = register_vector(amps)
+            if two_j <= 7:
+                rho = register_reduced(vec, two_j, (0,))
+            else:  # the outer product has 2^40 entries: trace the pure state's factor
+                factor = vec.reshape(2, -1)
+                rho = factor @ factor.conj().T
+            # the register sums run over 2^(2j-1) strings: 4.9e-14 off at 2j = 20
+            assert abs(entropy - (1.0 - np.trace(rho @ rho).real)) <= 1e-12
+
+    def test_lone_qubit_is_exactly_pure(self, rng):
+        states = np.array([random_symmetric_amps(rng, 2) for _ in range(1000)])
+        assert np.all(measures.qubit_entropies(states) == 0.0)
+
+    @pytest.mark.parametrize("two_j", [200, 4096])
+    def test_matches_bloch_vector_length(self, two_j, rng):
+        # rho = (1 + r.sigma)/2 with r = <J>/j, so S = (1 - |<J>|^2 / j^2)/2
+        j, k = two_j / 2.0, np.arange(two_j + 1)
+        states = [random_symmetric_amps(rng, two_j + 1) for _ in range(3)]
+        states.append(symspace.coherent_state(j, BlochPoint(1.1, 0.4)).amps)
+        got = measures.qubit_entropies(np.array(states))
+        for entropy, amps in zip(got, states):
+            jz = np.sum((j - k) * np.abs(amps) ** 2)
+            j_plus = np.sum(np.sqrt((k[:-1] + 1) * (two_j - k[:-1])) * amps[:-1] * amps[1:].conj())
+            assert entropy == pytest.approx((1.0 - (jz**2 + abs(j_plus) ** 2) / j**2) / 2.0, abs=1e-14)
+
+    def test_rejects_drifted_and_non_finite_rows(self, rng):
+        states = np.array([random_symmetric_amps(rng, 6) for _ in range(5)])
+        drifted = states.copy()
+        drifted[3] *= math.sqrt(1.0 + 1e-6)
+        with pytest.raises(ValueError, match=r"not normalized \(row 3:"):
+            measures.qubit_entropies(drifted)
+        states[1, 2] = np.nan
+        with pytest.raises(ValueError, match=r"not normalized \(row 1:"):
+            measures.qubit_entropies(states)
+
+    @pytest.mark.parametrize("two_j", [2, 3, 7, 20, 50, 200])
+    def test_block_rows_read_as_in_a_longer_call(self, two_j):
+        # a 512-kick sweep block gives its rows the bits they have in one
+        # call over the whole trajectory
+        u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=2.1))
+        states = symspace.trajectory(u, symspace.coherent_state(two_j / 2.0, BlochPoint(0.7, -2.0)), 999)
+        assert np.array_equal(measures.qubit_entropies(states)[1:513],
+                              measures.qubit_entropies(states[1:513]))
 
 
 def per_point_sweep(two_j, point, kappa0, kicks):
@@ -594,7 +673,7 @@ def per_point_sweep(two_j, point, kappa0, kicks):
     total = 0.0
     for start in range(0, kicks, 512):
         states = stepped_alone(u, vec, min(512, kicks - start))
-        total += measures.linear_entropy(measures.reduced_states(states[1:], 1)).sum()
+        total += measures.qubit_entropies(states[1:]).sum()
         vec = states[-1]
     return total / kicks
 
@@ -610,7 +689,7 @@ class TestSweepBlocks:
         point = BlochPoint(1.1, 0.4)
         u = symspace.floquet(KickedTopParams(j=2.0, kappa0=2.1))
         states = symspace.trajectory(u, symspace.coherent_state(2.0, point), kicks)
-        unblocked = float(np.mean(measures.linear_entropy(measures.reduced_states(states[1:], 1))))
+        unblocked = float(np.mean(measures.linear_entropy(reduced_states(states[1:], 1))))
         averages = cli._sweep_averages(4, point, self.GRID, kicks)
         assert averages[1] == pytest.approx(unblocked, abs=1e-12)
         reference = [per_point_sweep(4, point, k, kicks) for k in self.GRID]
@@ -628,7 +707,7 @@ class TestSweepBlocks:
             total = 0.0
             for first in range(0, kicks, cli.SWEEP_BLOCK_KICKS):
                 rows = states[first + 1 : first + 1 + cli.SWEEP_BLOCK_KICKS]
-                total += measures.linear_entropy(measures.reduced_states(rows, 1)).sum()
+                total += measures.qubit_entropies(rows).sum()
             assert cell == total / kicks
 
     @pytest.mark.parametrize("two_j", [1, 3, 7, 8, 20, 24, 40, 50, 70, 89, 100, 109])
@@ -700,3 +779,21 @@ class TestSweepBlocks:
         finally:
             tracemalloc.stop()
         assert peak < full_trajectory / 4
+
+    def test_entropy_step_adds_no_transient_memory(self):
+        # One qubit_entropies call per point and block.  The bound is the
+        # tracemalloc peak of this call when the entropies came from
+        # linear_entropy of the 2 x 2 reduced states, one point per call:
+        # 922 KiB (numpy 2.4.6; 881 KiB with this kernel).  One call over
+        # both points of the chunk peaked at 1389 KiB, and its temporaries
+        # made the heap fault its pages in again every block: about 1300
+        # minor faults per pass of the sweep benchmark, against under 10.
+        args = (20, BlochPoint(1.1, 0.4), [1.3, 2.7], 1000)
+        cli._sweep_averages(*args)  # the rotation and band weights are cached from here on
+        tracemalloc.start()
+        try:
+            cli._sweep_averages(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 922 * 1024
