@@ -9,7 +9,6 @@ cross-check in the test suite.
 
 from .symspace import (
     BlochPoint,
-    KickedTopParams,
     SymState,
     UnitaryMatrix,
     coherent_state,

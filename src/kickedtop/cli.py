@@ -203,9 +203,8 @@ def _closed_avg_entropy(two_j: int, name: str | None, kappa0: float) -> float | 
 
 
 def _numeric_series(two_j: int, point, kappa0: float, n_max: int):
-    params = symspace.KickedTopParams(j=two_j / 2.0, kappa0=kappa0)
-    psi0 = symspace.coherent_state(params.j, point)
-    u = symspace.floquet(params)
+    u = symspace.floquet(two_j / 2.0, kappa0)
+    psi0 = symspace.coherent_state(two_j / 2.0, point)
     return measures.entanglement_series(u, psi0, n_max)
 
 
@@ -246,7 +245,7 @@ def _sweep_averages(two_j: int, point, grid: list[float], kicks: int) -> np.ndar
     glibc's trim threshold, so its pages were faulted in again every block."""
     j = two_j / 2.0
     psi = symspace.coherent_state(j, point)
-    u = symspace.floquet([symspace.KickedTopParams(j=j, kappa0=k) for k in grid])
+    u = symspace.floquet(j, grid)
     per_chunk = max(1, SWEEP_BLOCK_AMPS // (SWEEP_BLOCK_KICKS * u.dim))
     totals = np.zeros(len(grid))
     for lo in range(0, len(grid), per_chunk):
@@ -354,7 +353,7 @@ def cmd_husimi(args) -> int:
         # snapshots of evolved states, e.g. mid-tunneling configurations
         _require(args.steps >= 1, "--steps must be >= 1")
         _require(args.kappa0 is not None, "--steps requires --kappa0")
-        u = symspace.floquet(symspace.KickedTopParams(j=j, kappa0=args.kappa0))
+        u = symspace.floquet(j, args.kappa0)
         psi = symspace.evolve(u, psi, args.steps)
     grid = husimi.husimi_grid(psi, n_theta=args.n_theta, n_phi=args.n_phi)
     theta_col = np.repeat(grid.thetas, grid.n_phi)
@@ -425,7 +424,7 @@ def cmd_classical(args) -> int:
 def _theory_register_states(kappa0: float, point, steps: list[int]) -> np.ndarray:
     """(len(steps), 8, 8) register density matrices of U^step psi0, one
     evolve call per step."""
-    u = symspace.floquet(symspace.KickedTopParams(j=1.5, kappa0=kappa0))
+    u = symspace.floquet(1.5, kappa0)
     psi0 = symspace.coherent_state(1.5, point)
     vecs = [symspace.symmetric_to_qubits(symspace.evolve(u, psi0, step)) for step in steps]
     return np.array([np.outer(vec, vec.conj()) for vec in vecs]).reshape(-1, 8, 8)

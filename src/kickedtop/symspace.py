@@ -1,6 +1,6 @@
 """Spin-j kicked top engine on the permutation-symmetric (Dicke) subspace.
 
-One kick period is a rotation by angle p about the y axis followed by a
+One kick period is a quarter turn, p = pi/2, about the y axis followed by a
 torsion exp(-i kappa0 Jz^2 / 2j); the Floquet operator of that period acts on
 the (2j+1)-dimensional symmetric subspace of 2j qubits.  floquet keeps it as
 its two factors: the rotation, which is real orthogonal in this basis, and the
@@ -8,8 +8,8 @@ diagonal torsion phases, counted from the smallest m^2 (see floquet).  The
 rotation comes from the exact spectrum of Jy, m = j, ..., -j: its eigenvectors
 by a three-term recurrence from the edge row to the middle, the other half by
 parity, then three half-size real GEMMs over the even and odd rows, with no
-eigensolver (see _rotation).  The rotation depends on 2j and p alone, so it is
-built and checked once per (2j, p) per process and kept, up to
+eigensolver (see _rotation).  The rotation depends on 2j alone, so it is
+built and checked once per 2j per process and kept, up to
 _ROTATION_CACHE_BYTES in all; a one-shot CLI run builds its one rotation as
 before.  trajectory gives every kick: below a measured
 dimension several kicks per BLAS call, from a stack of powers of U, and above
@@ -28,13 +28,13 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 _HALF_INT_TOL = 1e-9
 _STATE_NORM_TOL = 1e-7  # loose: evolved states are allowed monitored drift
 _UNITARY_TOL = 1e-10
+_KICK_ANGLE = math.pi / 2  # p of the rotation exp(-i p Jy): the paper's quarter turn
 QUBIT_EXPANSION_LIMIT = 14  # largest 2j for which full-register expansion is allowed
 # Largest 2j accepted anywhere: floquet's rotation R holds (2j+1)^2 doubles,
 # 134 MB at 2j = 4096.  One floquet call in a fresh process peaked at an RSS of
@@ -67,11 +67,11 @@ _FACTORED_MIN_DIM = 111
 # hold no more amplitudes than its block of states.
 _KICK_BLOCKS = ((71, 2), (41, 4), (12, 8), (2, 32))
 # Bytes of checked rotations that floquet keeps for the life of the process,
-# one per (2j, p), the least recently used dropped first.  8 MiB holds one
+# one per 2j, the least recently used dropped first.  8 MiB holds one
 # rotation up to 2j = 1023; those of 2j = 50, 100 and 200 take 0.43 MB in all.
 # A larger rotation is built and checked on each call and not kept.
 _ROTATION_CACHE_BYTES = 8 * 2**20
-_rotations: OrderedDict[tuple[int, str], np.ndarray] = OrderedDict()
+_rotations: OrderedDict[int, np.ndarray] = OrderedDict()
 
 
 def _two_j(j: float) -> int:
@@ -124,22 +124,6 @@ def _phase_factors(two_j: int, phis) -> np.ndarray:
     hi = phis.astype(np.float32).astype(float)
     k = np.arange(two_j + 1.0)
     return np.exp(-1j * np.outer(k, hi)) * np.exp(-1j * np.outer(k, phis - hi))
-
-
-@dataclass(frozen=True)
-class KickedTopParams:
-    """System configuration: spin j, torsion strength kappa0, rotation angle p."""
-
-    j: float
-    kappa0: float
-    p: float = math.pi / 2
-
-    def __post_init__(self):
-        _two_j(self.j)
-        if not math.isfinite(self.kappa0):
-            raise ValueError("kappa0 must be finite")
-        if not math.isfinite(self.p):
-            raise ValueError("p must be finite")
 
 
 @dataclass(frozen=True)
@@ -272,9 +256,10 @@ def coherent_state(j: float, point: BlochPoint) -> SymState:
     return SymState(j, _coherent_moduli(two_j, [point.theta0])[0] * phases)
 
 
-def floquet(params: KickedTopParams | Sequence[KickedTopParams]) -> UnitaryMatrix:
-    """One-period evolution operator exp(-i (kappa0/2j) Jz^2) exp(-i p Jy), in
-    factored form: the real rotation exp(-i p Jy) and the torsion phases.
+def floquet(j: float, kappa0: float | list[float] | np.ndarray) -> UnitaryMatrix:
+    """One-period evolution operator exp(-i (kappa0/2j) Jz^2) exp(-i p Jy) of
+    spin j, p = pi/2, in factored form: the real rotation exp(-i p Jy)
+    and the torsion phases.
 
     Each torsion phase is x (m^2 - m^2_min), with x = kappa0/2j rounded once
     and m^2_min = 1/4 for odd 2j, 0 for even: a global phase exp(i kappa0/8j)
@@ -282,52 +267,51 @@ def floquet(params: KickedTopParams | Sequence[KickedTopParams]) -> UnitaryMatri
     2j = 3 and 4, so every kick sees the torsion of exact3 and exact4 at any
     kappa0; x m^2 would be rounded again, a drift of n |kappa0| eps in n kicks.
 
-    One parameter set gives one dim x dim operator; a sequence of K sets that
-    share j and p (a kappa0 grid) gives a stack of K, entry k equal to
-    floquet(params[k]).  Each kappa0 only adds its row of torsion phases, checked
-    on every call.  The rotation is built and checked (R^T R = I) once per
-    (2j, p) per process, then shared read-only by every later operator; see
+    A number kappa0 gives one dim x dim operator; a non-empty 1-D sequence of
+    K (a kappa0 grid) gives a stack of K, entry k equal to floquet(j,
+    kappa0[k]).  Each kappa0 only adds its row of torsion phases, checked on
+    every call.  The rotation is built and checked (R^T R = I) once per 2j per
+    process, then shared read-only by every later operator; see
     _checked_rotation for the bound on what is kept.
     """
-    single = isinstance(params, KickedTopParams)
-    grid = [params] if single else list(params)
-    if not grid or any(q.j != grid[0].j or q.p != grid[0].p for q in grid):
-        raise ValueError("a Floquet stack needs one or more parameter sets with one j and one p")
-    two_j = _two_j(grid[0].j)
+    two_j = _two_j(j)
+    grid = np.asarray(kappa0, dtype=float)
+    if grid.ndim > 1 or grid.size == 0:
+        raise ValueError("kappa0 must be a number or a non-empty 1-D sequence")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("kappa0 must be finite")
     m = two_j / 2.0 - np.arange(two_j + 1)
-    kappa0 = np.array([q.kappa0 for q in grid])
     with np.errstate(over="ignore"):
-        phases = (kappa0[:, None] / two_j) * (m**2 - (two_j % 2) / 4.0)
+        phases = (grid[..., None] / two_j) * (m**2 - (two_j % 2) / 4.0)  # (dim,) or (K, dim)
     if not np.all(np.isfinite(phases)):
         raise ValueError(f"kappa0 is too large for 2j = {two_j}: its torsion phase overflows a double")
-    torsion = np.exp(-1j * phases)
-    rotation = _checked_rotation(two_j, grid[0].p)
-    return UnitaryMatrix._of_checked(rotation, _unit_phases(torsion[0] if single else torsion, two_j + 1))
+    rotation = _checked_rotation(two_j)
+    return UnitaryMatrix._of_checked(rotation, _unit_phases(np.exp(-1j * phases), two_j + 1))
 
 
-def _checked_rotation(two_j: int, p: float) -> np.ndarray:
+def _checked_rotation(two_j: int) -> np.ndarray:
     """The read-only rotation exp(-i p Jy) of floquet, built by _rotation and
     checked by _check_orthogonal before its first use.  It is kept in
-    _rotations under (2j, the bits of p) when it fits in
-    _ROTATION_CACHE_BYTES, and the least recently used are dropped until all
-    that is kept fits again; a larger one is built per call and not kept."""
-    key = (two_j, float(p).hex())  # reused only for the very bits of p it was built from
-    rotation = _rotations.get(key)
+    _rotations under 2j when it fits in _ROTATION_CACHE_BYTES, and the least
+    recently used are dropped until all that is kept fits again; a larger one
+    is built per call and not kept."""
+    rotation = _rotations.get(two_j)
     if rotation is not None:
-        _rotations.move_to_end(key)
+        _rotations.move_to_end(two_j)
         return rotation
-    rotation = _rotation(two_j / 2.0, p)
+    rotation = _rotation(two_j)
     _check_orthogonal(rotation)
     rotation.flags.writeable = False
     if rotation.nbytes <= _ROTATION_CACHE_BYTES:
-        _rotations[key] = rotation
+        _rotations[two_j] = rotation
         while sum(kept.nbytes for kept in _rotations.values()) > _ROTATION_CACHE_BYTES:
             _rotations.popitem(last=False)
     return rotation
 
 
-def _rotation(j: float, p: float) -> np.ndarray:
-    """exp(-i p Jy), a real orthogonal matrix, from the exact spectrum of Jy.
+def _rotation(two_j: int) -> np.ndarray:
+    """exp(-i p Jy) of spin j = two_j / 2, p = pi/2, a real orthogonal matrix,
+    from the exact spectrum of Jy.
 
     S = diag(i^a) takes Jy to the real symmetric tridiagonal T = S^dag Jy S,
     with a zero diagonal and off-diagonal b_a = sqrt((a+1)(2j-a))/2 between
@@ -361,7 +345,6 @@ def _rotation(j: float, p: float) -> np.ndarray:
       dense  0.028  0.027  0.033  0.073  0.291   1.40   5.07   27.4
       here   0.024  0.028  0.034  0.062  0.126   0.25   0.66    2.3
     """
-    two_j = _two_j(j)
     half = two_j // 2 + 1  # rows 0 .. half-1, and the columns lam = j, j-1, ... >= 0
     lam = np.arange(two_j / 2.0, -0.25, -1.0)
     # (1 + sqrt(2j))^period <= 2^500 bounds a column's growth between scalings
@@ -389,7 +372,7 @@ def _rotation(j: float, p: float) -> np.ndarray:
     v /= np.sqrt(np.einsum("ai,ai->i", v, v))
     v[2::4] *= -1.0  # (-1)^(a // 2): the phase i^(a-b) folded into the rows
     v[3::4] *= -1.0
-    theta = p * lam
+    theta = _KICK_ANGLE * lam
     cos, sin = 2.0 * np.cos(theta), 2.0 * np.sin(theta)
     if two_j % 2 == 0:
         cos[-1] = 1.0  # lam = 0 is its own partner

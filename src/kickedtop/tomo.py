@@ -78,15 +78,25 @@ class ReadoutModel:
     @classmethod
     def from_json(cls, path) -> "ReadoutModel":
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            return cls._of_payload(json.load(fh))
+
+    @classmethod
+    def _of_payload(cls, payload) -> "ReadoutModel":
+        """The model of a readout JSON object {"f0": [..], "f1": [..]}, one
+        fidelity per qubit in each list; any other shape raises ValueError."""
+        if not isinstance(payload, dict):
+            raise ValueError("readout JSON must be an object with the keys 'f0' and 'f1'")
+        for key in ("f0", "f1"):
+            values = payload.get(key)
+            if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
+                raise ValueError(f"readout JSON needs a list of numbers under {key!r}")
         return cls(tuple(payload["f0"]), tuple(payload["f1"]))
 
 
 def bundled_readout_model() -> ReadoutModel:
     """The three-transmon readout fidelities shipped with the package."""
     ref = resources.files("kickedtop").joinpath("data/readout_fidelities_3q.json")
-    payload = json.loads(ref.read_text(encoding="utf-8"))
-    return ReadoutModel(tuple(payload["f0"]), tuple(payload["f1"]))
+    return ReadoutModel._of_payload(json.loads(ref.read_text(encoding="utf-8")))
 
 
 def correct_populations(model: ReadoutModel, p_m: np.ndarray) -> np.ndarray:
@@ -234,30 +244,34 @@ def pipeline_metrics(
     return metrics[0] if rho_e.ndim == 2 else metrics
 
 
+def _csv_records(path, kind: str, columns: list[str]):
+    """The records of a CSV file whose header has the given columns.  A missing
+    column raises ValueError, and so does a row with fewer cells than the
+    header (csv.DictReader fills them with None), naming its line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or any(c not in reader.fieldnames for c in columns):
+            raise ValueError(f"{kind} CSV must have columns {','.join(columns)}")
+        for record in reader:
+            if None in record.values():
+                raise ValueError(f"{kind} CSV line {reader.line_num} has fewer cells than the header")
+            yield record
+
+
 def read_populations_csv(path) -> list[tuple[int, np.ndarray]]:
     """Rows of (step, populations) from a CSV with columns step, p000..p111."""
     labels = [f"p{i:03b}" for i in range(8)]
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or any(c not in reader.fieldnames for c in ["step", *labels]):
-            raise ValueError(f"populations CSV must have columns step,{','.join(labels)}")
-        for record in reader:
-            probs = np.array([float(record[c]) for c in labels])
-            rows.append((int(record["step"]), probs))
+    for record in _csv_records(path, "populations", ["step", *labels]):
+        probs = np.array([float(record[c]) for c in labels])
+        rows.append((int(record["step"]), probs))
     return rows
 
 
 def read_expectations_csv(path) -> dict[int, dict[str, float]]:
     """Per-step Pauli expectation tables from a CSV with columns step,label,value."""
     tables: dict[int, dict[str, float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or any(
-            c not in reader.fieldnames for c in ("step", "label", "value")
-        ):
-            raise ValueError("expectations CSV must have columns step,label,value")
-        for record in reader:
-            step = int(record["step"])
-            tables.setdefault(step, {})[record["label"].strip()] = float(record["value"])
+    for record in _csv_records(path, "expectations", ["step", "label", "value"]):
+        step = int(record["step"])
+        tables.setdefault(step, {})[record["label"].strip()] = float(record["value"])
     return tables

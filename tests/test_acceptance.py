@@ -28,7 +28,7 @@ from kickedtop import classical as cl
 from kickedtop import exact3, exact4, measures, symspace, tomo
 from kickedtop.exact3 import STATE_PLUS_Y, STATE_ZERO
 from kickedtop.exact4 import SECTOR_PLUS
-from kickedtop.symspace import BlochPoint, KickedTopParams, SymState
+from kickedtop.symspace import BlochPoint, SymState
 
 from conftest import (
     avg_entropy_3pi2,
@@ -54,7 +54,7 @@ def _kicks(n_max):
 
 
 def _series(two_j, point, kappa0, n_max):
-    u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=kappa0))
+    u = symspace.floquet(two_j / 2.0, kappa0)
     psi = symspace.coherent_state(two_j / 2.0, point)
     return measures.entanglement_series(u, psi, n_max)
 
@@ -186,7 +186,7 @@ def test_criterion_05_time_average_convergence():
 def test_criterion_06_three_pi_halves_structure():
     start = time.perf_counter()
     kappa0 = 1.5 * math.pi
-    u = symspace.floquet(KickedTopParams(j=1.5, kappa0=kappa0)).matrix
+    u = symspace.floquet(1.5, kappa0).matrix
     u12 = np.linalg.matrix_power(u, 12)
     phase = u12[0, 0] / abs(u12[0, 0])
     defect = np.max(np.abs(u12 - phase * np.eye(4)))
@@ -301,7 +301,7 @@ def test_criterion_11_tomography():
         worst_rt = max(worst_rt, np.max(np.abs(f @ tomo.correct_populations(model, p) - p)))
     assert worst_rt <= 1e-10
 
-    u = symspace.floquet(KickedTopParams(j=1.5, kappa0=2.5))
+    u = symspace.floquet(1.5, 2.5)
     psi = symspace.evolve(u, symspace.coherent_state(1.5, ZERO), 5)
     vec = symspace.symmetric_to_qubits(psi)
     rho = np.outer(vec, vec.conj())
@@ -316,7 +316,7 @@ def test_criterion_12_large_spin_trends():
     start = time.perf_counter()
 
     def normalized_average(two_j, point, kappa0, kicks=1000):
-        u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=kappa0)).matrix
+        u = symspace.floquet(two_j / 2.0, kappa0).matrix
         vec = symspace.coherent_state(two_j / 2.0, point).amps.copy()
         total = 0.0
         for _ in range(kicks):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from kickedtop import cli, symspace
-from kickedtop.symspace import BlochPoint, KickedTopParams
+from kickedtop.symspace import BlochPoint
 
 from conftest import expectations_of
 
@@ -35,7 +35,7 @@ def write_inputs(tmp_path):
     populations.write_text(
         "step," + ",".join(f"p{i:03b}" for i in range(8)) + "\n0," + ",".join(["0.125"] * 8) + "\n"
     )
-    u = symspace.floquet(KickedTopParams(j=1.5, kappa0=0.5))
+    u = symspace.floquet(1.5, 0.5)
     psi = symspace.coherent_state(1.5, BlochPoint(0.0, 0.0))
     lines = ["step,label,value"]
     for step in (0, 2):

@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 import kickedtop
 from kickedtop import cli, symspace, tomo
 from kickedtop.cli import main
-from kickedtop.symspace import BlochPoint, KickedTopParams
+from kickedtop.symspace import BlochPoint
 
 from conftest import expectations_of, per_cell_write_table
 
@@ -48,6 +48,8 @@ def float_bits(bits):
 
 # raw float64 bit patterns, every NaN payload, subnormal and signed zero included
 FLOAT_BITS = st.integers(0, 2**64 - 1)
+
+POPULATIONS_HEADER = "step," + ",".join(f"p{i:03b}" for i in range(8))
 
 
 class TestWriteTable:
@@ -591,8 +593,7 @@ class TestTomo:
         return path, true
 
     def _write_expectation_fixture(self, tmp_path, kappa0=0.5, steps=(0, 1, 2, 3)):
-        params = KickedTopParams(j=1.5, kappa0=kappa0)
-        u = symspace.floquet(params)
+        u = symspace.floquet(1.5, kappa0)
         psi0 = symspace.coherent_state(1.5, BlochPoint(0.0, 0.0))
         lines = ["step,label,value"]
         for step in steps:
@@ -628,7 +629,7 @@ class TestTomo:
         out = tmp_path / "metrics.csv"
         assert main(["tomo", "--expectations", str(path), "--kappa0", "0.5",
                      "--state", "plus_y", "--out", str(out)]) == 0
-        u = symspace.floquet(KickedTopParams(j=1.5, kappa0=0.5))
+        u = symspace.floquet(1.5, 0.5)
         psi0 = symspace.coherent_state(1.5, BlochPoint(math.pi / 2.0, -math.pi / 2.0))
         tables = tomo.read_expectations_csv(path)
         columns = {"step": [], "fidelity": [], "mean_linear_entropy": [], "mean_concurrence": []}
@@ -732,7 +733,7 @@ class TestEdgeInputs:
     ])
     def test_size_limit_exits_before_the_rotation(self, argv, tmp_path, capsys, monkeypatch,
                                                   fresh_rotations):
-        def refuse(j, p):
+        def refuse(two_j):
             raise AssertionError("the rotation of a 2j past the limit was built")
 
         monkeypatch.setattr(symspace, "_rotation", refuse)
@@ -851,17 +852,30 @@ class TestEdgeInputs:
         assert by_config.read_bytes() == by_flags.read_bytes()
 
     @pytest.mark.parametrize("flag,text", [
-        ("--populations", "step," + ",".join(f"p{i:03b}" for i in range(8))
-         + "\n0,1e308,1e308,-1e308,0,0,0,0,0\n"),
+        ("--populations", POPULATIONS_HEADER + "\n0,1e308,1e308,-1e308,0,0,0,0,0\n"),
         ("--expectations", "step,label,value\n" + "".join(
             f"{10**30},{label},{value!r}\n"
             for label, value in expectations_of(np.diag([1.0, 0, 0, 0, 0, 0, 0, 0])).items())),
+        # rows with missing cells, which csv.DictReader fills with None
+        ("--populations", POPULATIONS_HEADER + "\n0,0.125,0.125\n"),
+        ("--expectations", "step,label,value\n0,III\n"),
+        # readout JSON without f0, not an object, or with scalar fidelities
+        ("--readout", '{"f1": [0.9, 0.9, 0.9]}'),
+        ("--readout", "[0.9]"),
+        ("--readout", '{"f0": 0.9, "f1": 0.9}'),
     ])
     def test_tomo_table_exits_2_with_message(self, flag, text, tmp_path, capsys):
         table, out = tmp_path / "table.csv", tmp_path / "out.csv"
         table.write_text(text)
-        extra = ["--readout", "bundled"] if flag == "--populations" else ["--kappa0", "0.1"]
-        assert main(["tomo", flag, str(table), *extra, "--out", str(out)]) == 2
+        if flag == "--readout":
+            populations = tmp_path / "populations.csv"
+            populations.write_text(POPULATIONS_HEADER + "\n0,1,0,0,0,0,0,0,0\n")
+            argv = ["--populations", str(populations), "--readout", str(table)]
+        elif flag == "--populations":
+            argv = [flag, str(table), "--readout", "bundled"]
+        else:
+            argv = [flag, str(table), "--kappa0", "0.1"]
+        assert main(["tomo", *argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 

@@ -10,7 +10,7 @@ import pytest
 
 from kickedtop import cheby, cli, exact3, exact4, symspace
 from kickedtop.exact3 import STATE_PLUS_Y, STATE_ZERO, GeneralState3
-from kickedtop.symspace import BlochPoint, KickedTopParams
+from kickedtop.symspace import BlochPoint
 
 KAPPAS = [0.0, 0.3, 1.3, 2.7, 1.5 * math.pi, 2.0 * math.pi, 3.0 * math.pi, 4.4, -2.0]
 GENERAL = GeneralState3.from_bloch(BlochPoint(1.1, 0.4))
@@ -346,11 +346,11 @@ class TestPoweringAccuracy:
     def test_no_worse_than_the_kick_loop(self, two_j):
         j, kappas = two_j / 2.0, [0.1, 2.0 * math.pi, 3.0 * math.pi]
         psi0 = symspace.coherent_state(j, BlochPoint(0.8, -1.3))
-        stack = symspace.floquet([KickedTopParams(j=j, kappa0=k) for k in kappas]).matrix
+        stack = symspace.floquet(j, kappas).matrix
         looped = kick_loop(stack, np.tile(psi0.amps, (len(kappas), 1)), self.HORIZONS)
         rotation = mp_rotation(two_j)
         for k, kappa0 in enumerate(kappas):
-            u = symspace.floquet(KickedTopParams(j=j, kappa0=kappa0))
+            u = symspace.floquet(j, kappa0)
             exact = exact_evolved(rotation, kappa0, psi0.amps, self.HORIZONS)
             for n, reference in zip(self.HORIZONS, exact):
                 powered = np.max(np.abs(symspace.evolve(u, psi0, n).amps - reference))
@@ -377,7 +377,7 @@ def assert_no_worse_than_the_kick_loop(two_j):
     horizons = [10**3, 10**4, 3 * 10**4]
     j, kappas = two_j / 2.0, [0.1, 2.0 * math.pi, 3.0 * math.pi]
     psi0 = symspace.coherent_state(j, BlochPoint(0.8, -1.3))
-    stack = symspace.floquet([KickedTopParams(j=j, kappa0=k) for k in kappas])
+    stack = symspace.floquet(j, kappas)
     starts = np.tile(psi0.amps, (len(kappas), 1))
     got, looped = stepped(stack, starts, horizons), kick_loop(stack.matrix, starts, horizons)
     rotation = mp_rotation(two_j)

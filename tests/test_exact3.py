@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from kickedtop import cheby, exact3, measures, symspace
 from kickedtop.exact3 import STATE_PLUS_Y, STATE_ZERO, GeneralState3
 from kickedtop.exact4 import SECTOR_MINUS, SECTOR_PLUS
-from kickedtop.symspace import BlochPoint, KickedTopParams, SymState
+from kickedtop.symspace import BlochPoint, SymState
 
 from conftest import (
     avg_entropy_3pi2,
@@ -213,7 +213,7 @@ class TestEntropyClosedForm:
         (STATE_PLUS_Y, BlochPoint(math.pi / 2.0, -math.pi / 2.0)),
     ])
     def test_cross_oracle_vs_engine(self, kappa0, state_id, point):
-        u = symspace.floquet(KickedTopParams(j=1.5, kappa0=kappa0))
+        u = symspace.floquet(1.5, kappa0)
         psi = symspace.coherent_state(1.5, point)
         numeric, _ = measures.entanglement_series(u, psi, 40)
         closed = exact3.entropy3_closed(state_id, np.arange(41), kappa0)
@@ -254,7 +254,7 @@ class TestConcurrenceClosedForm:
 
     @pytest.mark.parametrize("kappa0", KAPPAS)
     def test_cross_oracle_vs_engine(self, kappa0):
-        u = symspace.floquet(KickedTopParams(j=1.5, kappa0=kappa0))
+        u = symspace.floquet(1.5, kappa0)
         psi = symspace.coherent_state(1.5, BlochPoint(0.0, 0.0))
         _, numeric = measures.entanglement_series(u, psi, 40)
         closed = exact3.concurrence3_000(np.arange(41), kappa0)
@@ -334,7 +334,7 @@ class TestAverageOverAllStates:
         # At kappa0 = 3pi/2 the dynamics has period 12, so the infinite-time
         # average is the exact mean over one period.
         kappa0 = 1.5 * math.pi
-        u = symspace.floquet(KickedTopParams(j=1.5, kappa0=kappa0))
+        u = symspace.floquet(1.5, kappa0)
         for point in (BlochPoint(0.7, 1.1), BlochPoint(2.0, -2.4), BlochPoint(1.2, 0.4)):
             psi = symspace.coherent_state(1.5, point)
             entropies, _ = measures.entanglement_series(u, psi, 12)
@@ -412,7 +412,7 @@ class TestGeneralState:
 
     def test_matches_engine_for_random_states(self, rng):
         for kappa0 in (0.5, 1.2, 2.5):
-            u = symspace.floquet(KickedTopParams(j=1.5, kappa0=kappa0))
+            u = symspace.floquet(1.5, kappa0)
             for _ in range(5):
                 amps = random_symmetric_amps(rng, 4)
                 state = GeneralState3.from_dicke(amps)
@@ -442,7 +442,7 @@ class TestLocalUnitaryStructure:
         _, jy, _ = collective_ops(1.5)
         evals, evecs = np.linalg.eigh(jy)
         r_dag = (evecs * np.exp(1j * (math.pi / 2.0) * evals)) @ evecs.conj().T
-        u = symspace.floquet(KickedTopParams(j=1.5, kappa0=kappa0))
+        u = symspace.floquet(1.5, kappa0)
         psi = symspace.coherent_state(1.5, BlochPoint(0.0, 0.0))
         traj = symspace.trajectory(u, psi, 41)
         for m in range(1, 21):
@@ -455,13 +455,13 @@ class TestLocalUnitaryStructure:
 
     def test_period_twelve_at_three_pi_halves(self):
         kappa0 = 1.5 * math.pi
-        u = symspace.floquet(KickedTopParams(j=1.5, kappa0=kappa0)).matrix
+        u = symspace.floquet(1.5, kappa0).matrix
         u12 = np.linalg.matrix_power(u, 12)
         phase = u12[0, 0] / abs(u12[0, 0])
         assert np.max(np.abs(u12 - phase * np.eye(4))) < 1e-10
 
     def test_entanglement_period_six_at_three_pi_halves(self, rng):
-        u = symspace.floquet(KickedTopParams(j=1.5, kappa0=1.5 * math.pi))
+        u = symspace.floquet(1.5, 1.5 * math.pi)
         # holds for arbitrary initial states, not only the featured ones
         for _ in range(3):
             amps = random_symmetric_amps(rng, 4)

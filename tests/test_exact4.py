@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kickedtop import cli, exact3, exact4, measures, symspace
 from kickedtop.exact3 import STATE_PLUS_Y, STATE_ZERO
-from kickedtop.symspace import BlochPoint, KickedTopParams, SymState
+from kickedtop.symspace import BlochPoint, SymState
 
 from conftest import register_floquet
 
@@ -118,13 +118,13 @@ class TestSingletEigenvector:
         # constant-diagonal-free gauge times the torsion's global phase).
         v = exact4.parity_basis_states4()["phi1_plus"]
         for kappa0 in rng.uniform(0.05, 4.0 * math.pi, size=20):
-            u = symspace.floquet(KickedTopParams(j=2.0, kappa0=float(kappa0))).matrix
+            u = symspace.floquet(2.0, float(kappa0)).matrix
             residual = np.linalg.norm(u @ v - (-cmath.exp(-0.25j * kappa0)) * v)
             assert residual < 1e-10
 
     def test_ghz_minus_has_period_two_entanglement(self):
         # phi2- = (|0000> - |1111>)/sqrt(2) lives in the period-2 sector.
-        u = symspace.floquet(KickedTopParams(j=2.0, kappa0=1.7))
+        u = symspace.floquet(2.0, 1.7)
         psi = SymState(2.0, exact4.parity_basis_states4()["phi2_minus"])
         entropies, _ = measures.entanglement_series(u, psi, 12)
         assert np.max(np.abs(entropies[2:] - entropies[:-2])) < 1e-12
@@ -167,7 +167,7 @@ class TestEntropyClosedForm:
         (STATE_PLUS_Y, PLUS_Y),
     ])
     def test_cross_oracle_vs_engine(self, kappa0, state_id, point):
-        u = symspace.floquet(KickedTopParams(j=2.0, kappa0=kappa0))
+        u = symspace.floquet(2.0, kappa0)
         psi = symspace.coherent_state(2.0, point)
         numeric, _ = measures.entanglement_series(u, psi, 40)
         closed = exact4.entropy4_closed(state_id, np.arange(41), kappa0)
@@ -177,7 +177,7 @@ class TestEntropyClosedForm:
         # complex conjugation maps the +-y coherent pair into each other and
         # flips the torsion sign, under which the closed form is invariant
         for kappa0 in (0.5, 1.2, 2.5):
-            u = symspace.floquet(KickedTopParams(j=2.0, kappa0=kappa0))
+            u = symspace.floquet(2.0, kappa0)
             psi = symspace.coherent_state(2.0, MINUS_Y)
             numeric, _ = measures.entanglement_series(u, psi, 30)
             closed = exact4.entropy4_closed(STATE_PLUS_Y, np.arange(31), kappa0)
@@ -313,7 +313,7 @@ class TestTunnelingOverlap:
 
     def test_matches_engine(self):
         kappa0 = 0.8
-        u = symspace.floquet(KickedTopParams(j=2.0, kappa0=kappa0))
+        u = symspace.floquet(2.0, kappa0)
         plus = symspace.coherent_state(2.0, PLUS_Y)
         minus = symspace.coherent_state(2.0, MINUS_Y)
         traj = symspace.trajectory(u, plus, 50)
@@ -323,7 +323,7 @@ class TestTunnelingOverlap:
 
     def test_ghz_fidelity_matches_engine(self):
         kappa0 = 0.8
-        u = symspace.floquet(KickedTopParams(j=2.0, kappa0=kappa0))
+        u = symspace.floquet(2.0, kappa0)
         plus = symspace.coherent_state(2.0, PLUS_Y)
         minus = symspace.coherent_state(2.0, MINUS_Y)
         ghz = (plus.amps - 1j * minus.amps) / math.sqrt(2.0)
@@ -334,7 +334,7 @@ class TestTunnelingOverlap:
 
     def test_evolved_state_reconstruction_matches_engine(self):
         kappa0 = 0.9
-        u = symspace.floquet(KickedTopParams(j=2.0, kappa0=kappa0))
+        u = symspace.floquet(2.0, kappa0)
         psi = symspace.coherent_state(2.0, PLUS_Y)
         traj = symspace.trajectory(u, psi, 40)
         for n in (0, 1, 2, 7, 25, 40):
@@ -436,7 +436,7 @@ class TestTunnelingCondition:
         # eigenstates with phases exp(-+ i p j); they are degenerate (and
         # tunneling-capable) exactly when 2j is a multiple of 4 (p = pi/2)
         j = two_j / 2.0
-        u = symspace.floquet(KickedTopParams(j=j, kappa0=0.0)).matrix
+        u = symspace.floquet(j, 0.0).matrix
         plus = symspace.coherent_state(j, PLUS_Y).amps
         minus = symspace.coherent_state(j, MINUS_Y).amps
         lam_plus = np.vdot(plus, u @ plus)
@@ -445,22 +445,6 @@ class TestTunnelingCondition:
         assert np.linalg.norm(u @ plus - lam_plus * plus) < 1e-12
         assert np.linalg.norm(u @ minus - lam_minus * minus) < 1e-12
         if two_j % 4 == 0:
-            assert abs(lam_plus - lam_minus) < 1e-12
-        else:
-            assert abs(lam_plus - lam_minus) > 0.5
-
-    @pytest.mark.parametrize("two_j", [3, 4, 5, 6, 7, 8, 9])
-    def test_degeneracy_condition_scales_with_rotation_angle(self, two_j):
-        # for rotation angle p the degeneracy needs the qubit count to be a
-        # multiple of 2 pi / p; here p = 2 pi / 3 -> multiples of 3
-        j = two_j / 2.0
-        p = 2.0 * math.pi / 3.0
-        u = symspace.floquet(KickedTopParams(j=j, kappa0=0.0, p=p)).matrix
-        plus = symspace.coherent_state(j, PLUS_Y).amps
-        minus = symspace.coherent_state(j, MINUS_Y).amps
-        lam_plus = np.vdot(plus, u @ plus)
-        lam_minus = np.vdot(minus, u @ minus)
-        if two_j % 3 == 0:
             assert abs(lam_plus - lam_minus) < 1e-12
         else:
             assert abs(lam_plus - lam_minus) > 0.5

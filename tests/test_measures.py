@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kickedtop import cli, measures, symspace
-from kickedtop.symspace import BlochPoint, KickedTopParams, SymState
+from kickedtop.symspace import BlochPoint, SymState
 
 from conftest import (
     haar_symmetric_sample,
@@ -171,7 +171,7 @@ class TestConcurrence:
         # 0, +-1, where the closed form says concurrence vanishes although the
         # entropy is maximal.
         kappa0 = 1.5 * math.pi
-        u = symspace.floquet(KickedTopParams(j=1.5, kappa0=kappa0))
+        u = symspace.floquet(1.5, kappa0)
         psi = symspace.coherent_state(1.5, BlochPoint(0.0, 0.0))
         _, concurrences = measures.entanglement_series(u, psi, 30)
         assert np.nanmax(concurrences) < 1e-10
@@ -264,7 +264,7 @@ class TestConcurrenceOracle:
         (50, 1.3, BlochPoint(1.1, 0.4)),
     ])
     def test_series_rows(self, two_j, kappa0, point):
-        u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=kappa0))
+        u = symspace.floquet(two_j / 2.0, kappa0)
         states = symspace.trajectory(u, symspace.coherent_state(two_j / 2.0, point), 24)
         got = measures.concurrences(reduced_states(states, 2))
         expected = [mp_concurrence(mp_pair_state(amps)) for amps in states]
@@ -288,7 +288,7 @@ class TestConcurrenceOracle:
         (200, 0.78, PLUS_Y),  # regular: the screen takes no row
     ])
     def test_entanglement_series_rows(self, two_j, kappa0, point):
-        u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=kappa0))
+        u = symspace.floquet(two_j / 2.0, kappa0)
         psi0 = symspace.coherent_state(two_j / 2.0, point)
         _, got = measures.entanglement_series(u, psi0, 24)
         states = symspace.trajectory(u, psi0, 24)
@@ -303,7 +303,7 @@ class TestConcurrenceOracle:
         (50, 2.086223936003227, BlochPoint(1.272588332940135, 0.09848559643750976), 1),
     ])
     def test_entanglement_series_rows_of_small_eigenvalues(self, two_j, kappa0, point, row):
-        u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=kappa0))
+        u = symspace.floquet(two_j / 2.0, kappa0)
         psi0 = symspace.coherent_state(two_j / 2.0, point)
         _, got = measures.entanglement_series(u, psi0, row)
         amps = symspace.trajectory(u, psi0, row)[row]
@@ -318,7 +318,7 @@ class TestConcurrenceOracle:
         (50, 0.9, PLUS_Y),
     ])
     def test_eigh_sees_only_unscreened_rows_above_2j_4(self, two_j, kappa0, point, monkeypatch):
-        u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=kappa0))
+        u = symspace.floquet(two_j / 2.0, kappa0)
         psi0 = symspace.coherent_state(two_j / 2.0, point)
         pairs = reduced_states(symspace.trajectory(u, psi0, 200), 2)
         unscreened = sum(not partial_transpose_det(rho) > 1e-13 for rho in pairs)
@@ -447,7 +447,7 @@ class TestMonogamy:
     def test_max_entropy_forces_zero_concurrence(self):
         # kappa0 = 3pi/2 drives the entropy to its 1/2 ceiling; pairwise
         # entanglement must vanish there.
-        u = symspace.floquet(KickedTopParams(j=1.5, kappa0=1.5 * math.pi))
+        u = symspace.floquet(1.5, 1.5 * math.pi)
         psi = symspace.coherent_state(1.5, BlochPoint(0.0, 0.0))
         entropies, concurrences = measures.entanglement_series(u, psi, 60)
         saturated = entropies > 0.5 - 1e-9
@@ -518,7 +518,7 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("two_j", [1, 2, 3, 4, 7])
     def test_matches_register_oracle(self, two_j, kappa0, kind, rng):
         psi0 = _initial_state(two_j, kind, rng)
-        u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=kappa0))
+        u = symspace.floquet(two_j / 2.0, kappa0)
         states = symspace.trajectory(u, psi0, 12)
         singles = reduced_states(states, 1)
         pairs = reduced_states(states, 2) if two_j >= 2 else None
@@ -543,7 +543,7 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("kappa0", [0.3, 2.0 * math.pi, 3.0 * math.pi])
     def test_large_spin_matches_one_row_api(self, kappa0):
         psi0 = symspace.coherent_state(25.0, BlochPoint(1.1, 0.4))
-        u = symspace.floquet(KickedTopParams(j=25.0, kappa0=kappa0))
+        u = symspace.floquet(25.0, kappa0)
         states = symspace.trajectory(u, psi0, 20)
         for keep in (1, 2):
             batch = reduced_states(states, keep)
@@ -555,7 +555,7 @@ class TestBatchedKernel:
 
     def test_entanglement_series_is_one_batch(self):
         psi0 = symspace.coherent_state(3.5, BlochPoint(1.1, 0.4))
-        u = symspace.floquet(KickedTopParams(j=3.5, kappa0=2.1))
+        u = symspace.floquet(3.5, 2.1)
         entropies, concurrences = measures.entanglement_series(u, psi0, 30)
         for n in (0, 7, 30):
             psi = symspace.evolve(u, psi0, n)
@@ -568,7 +568,7 @@ class TestBatchedKernel:
 
     def test_single_qubit_series_has_nan_concurrence(self):
         psi0 = symspace.coherent_state(0.5, BlochPoint(1.0, 0.2))
-        u = symspace.floquet(KickedTopParams(j=0.5, kappa0=1.0))
+        u = symspace.floquet(0.5, 1.0)
         entropies, concurrences = measures.entanglement_series(u, psi0, 5)
         assert np.all(entropies == 0.0)
         assert np.all(np.isnan(concurrences))
@@ -658,7 +658,7 @@ class TestQubitEntropies:
     def test_block_rows_read_as_in_a_longer_call(self, two_j):
         # a 512-kick sweep block gives its rows the bits they have in one
         # call over the whole trajectory
-        u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=2.1))
+        u = symspace.floquet(two_j / 2.0, 2.1)
         states = symspace.trajectory(u, symspace.coherent_state(two_j / 2.0, BlochPoint(0.7, -2.0)), 999)
         assert np.array_equal(measures.qubit_entropies(states)[1:513],
                               measures.qubit_entropies(states[1:513]))
@@ -668,7 +668,7 @@ def per_point_sweep(two_j, point, kappa0, kicks):
     """The per-point sweep algorithm: its own Floquet operator and its own
     explicit loop, the one trajectory gives it alone, with the entropies of
     each 512-kick block summed."""
-    u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=kappa0))
+    u = symspace.floquet(two_j / 2.0, kappa0)
     vec = symspace.coherent_state(two_j / 2.0, point).amps
     total = 0.0
     for start in range(0, kicks, 512):
@@ -687,7 +687,7 @@ class TestSweepBlocks:
     def test_blocked_mean_equals_unblocked(self, kicks):
         assert cli.SWEEP_BLOCK_KICKS == 512  # the block length of per_point_sweep
         point = BlochPoint(1.1, 0.4)
-        u = symspace.floquet(KickedTopParams(j=2.0, kappa0=2.1))
+        u = symspace.floquet(2.0, 2.1)
         states = symspace.trajectory(u, symspace.coherent_state(2.0, point), kicks)
         unblocked = float(np.mean(measures.linear_entropy(reduced_states(states[1:], 1))))
         averages = cli._sweep_averages(4, point, self.GRID, kicks)
@@ -702,7 +702,7 @@ class TestSweepBlocks:
         point, kicks = BlochPoint(0.7, -2.0), 2 * cli.SWEEP_BLOCK_KICKS + 37
         averages = cli._sweep_averages(two_j, point, self.GRID[:2], kicks)
         for cell, kappa0 in zip(averages, self.GRID):
-            u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=kappa0))
+            u = symspace.floquet(two_j / 2.0, kappa0)
             states = symspace.trajectory(u, symspace.coherent_state(two_j / 2.0, point), kicks)
             total = 0.0
             for first in range(0, kicks, cli.SWEEP_BLOCK_KICKS):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kickedtop import cli, exact3, measures, symspace
 from kickedtop.exact4 import SECTOR_MINUS, SECTOR_PLUS
-from kickedtop.symspace import BlochPoint, KickedTopParams, SymState
+from kickedtop.symspace import BlochPoint, SymState
 
 from conftest import (
     block_power3,
@@ -27,14 +27,15 @@ JS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.5, 10.0]
 
 class TestParams:
     def test_rejects_bad_j(self):
-        with pytest.raises(ValueError):
-            KickedTopParams(j=0.7, kappa0=1.0)
-        with pytest.raises(ValueError):
-            KickedTopParams(j=0.0, kappa0=1.0)
+        with pytest.raises(ValueError, match="half-integer"):
+            symspace.floquet(0.7, 1.0)
+        with pytest.raises(ValueError, match=">= 1/2"):
+            symspace.floquet(0.0, 1.0)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            KickedTopParams(j=1.5, kappa0=math.inf)
+        for kappa0 in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="kappa0 must be finite"):
+                symspace.floquet(1.5, kappa0)
         with pytest.raises(ValueError):
             BlochPoint(math.nan, 0.0)
 
@@ -113,7 +114,7 @@ class TestCoherentState:
         for two_j in (1030, limit):
             assert symspace.coherent_state(two_j / 2.0, BlochPoint(1.0, 0.5)).norm_error() < 1e-12
         for make in (lambda j: symspace.coherent_state(j, BlochPoint(1.0, 0.5)),
-                     lambda j: KickedTopParams(j=j, kappa0=1.0),
+                     lambda j: symspace.floquet(j, 1.0),
                      lambda j: SymState(j, np.eye(1, limit + 2)[0])):
             with pytest.raises(ValueError, match=f"too large: the limit is 2j <= {limit}"):
                 make((limit + 1) / 2.0)
@@ -181,19 +182,17 @@ class TestRotation:
     def test_matches_eigh_of_collective_jy(self, two_j):
         # the complex eigh gives the same rotation up to round-off, which in
         # its imaginary part (up to 7e-15 at 2j = 200) is pure error
-        for p in (math.pi / 2.0, 0.3):
-            rotation = symspace._rotation(two_j / 2.0, p)
-            assert rotation.dtype == float
-            assert np.max(np.abs(rotation - eigh_rotation(two_j / 2.0, p))) <= 1e-14
+        rotation = symspace._rotation(two_j)
+        assert rotation.dtype == float
+        assert np.max(np.abs(rotation - eigh_rotation(two_j / 2.0, math.pi / 2.0))) <= 1e-14
 
     @pytest.mark.parametrize("two_j", [*ROUND_OFF, 1029])
     def test_real_orthogonal(self, two_j):
         eye = np.eye(two_j + 1)
-        for p in (math.pi / 2.0, -2.9):
-            rotation = symspace._rotation(two_j / 2.0, p)
-            assert rotation.dtype == float
-            assert np.max(np.abs(rotation.T @ rotation - eye)) <= 1e-13
-            assert np.max(np.abs(rotation @ rotation.T - eye)) <= 1e-13
+        rotation = symspace._rotation(two_j)
+        assert rotation.dtype == float
+        assert np.max(np.abs(rotation.T @ rotation - eye)) <= 1e-13
+        assert np.max(np.abs(rotation @ rotation.T - eye)) <= 1e-13
 
     @pytest.mark.parametrize("two_j", [3, 4, 7, 20, 50])
     def test_matches_40_digit_rotation(self, two_j):
@@ -201,63 +200,63 @@ class TestRotation:
         # (a dense eigensolver gave 4.4e-16, 1.0e-15, 1.2e-15, 2.9e-15 and 2.4e-15)
         with mpmath.workdps(40):
             reference = np.array(mp_rotation(two_j).apply(mpmath.re).tolist(), dtype=float)
-        rotation = symspace._rotation(two_j / 2.0, math.pi / 2.0)
+        rotation = symspace._rotation(two_j)
         assert np.max(np.abs(rotation - reference)) <= 2e-15
 
     def test_orthogonal_past_the_double_range_of_the_edge_row(self):
         # the edge row's 2^-j sqrt(C(2j, i)) is below the double range here
         two_j = 2200
-        rotation = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=1.3)).base
+        rotation = symspace.floquet(two_j / 2.0, 1.3).base
         assert np.max(np.abs(rotation.T @ rotation - np.eye(two_j + 1))) <= 1e-13
 
 
 class TestRotationReuse:
-    """floquet builds and checks exp(-i p Jy) once per (2j, p) and keeps it,
-    up to symspace._ROTATION_CACHE_BYTES in all."""
+    """floquet builds and checks exp(-i p Jy) once per 2j and keeps it, up to
+    symspace._ROTATION_CACHE_BYTES in all."""
 
     @staticmethod
     def counted_rotation(monkeypatch):
-        """The (j, p) of every _rotation call from now on, and the unpatched _rotation."""
+        """The 2j of every _rotation call from now on, and the unpatched _rotation."""
         built = []
         build = symspace._rotation
 
-        def counted(j, p):
-            built.append((j, p))
-            return build(j, p)
+        def counted(two_j):
+            built.append(two_j)
+            return build(two_j)
 
         monkeypatch.setattr(symspace, "_rotation", counted)
         return built, build
 
     def test_one_rotation_per_j_and_p(self, fresh_rotations, monkeypatch):
         built, build = self.counted_rotation(monkeypatch)
-        first = symspace.floquet(KickedTopParams(j=3.5, kappa0=0.4))
-        second = symspace.floquet([KickedTopParams(j=3.5, kappa0=k) for k in (1.0, 2.0)])
+        first = symspace.floquet(3.5, 0.4)
+        second = symspace.floquet(3.5, (1.0, 2.0))
         assert second.base is first.base
-        assert built == [(3.5, math.pi / 2)]
-        assert np.array_equal(first.base, build(3.5, math.pi / 2))
+        assert built == [7]
+        assert np.array_equal(first.base, build(7))
 
     def test_each_j_and_p_gets_its_own(self, fresh_rotations, monkeypatch):
         built, build = self.counted_rotation(monkeypatch)
-        keys = [(3.5, math.pi / 2), (3.5, 0.3), (4.0, math.pi / 2), (1.0, 0.0), (1.0, -0.0)]
-        bases = [symspace.floquet(KickedTopParams(j=j, kappa0=1.0, p=p)).base for j, p in keys]
-        assert built == keys and len(fresh_rotations) == len(keys)
+        keys = [7, 8, 2, 1]
+        bases = [symspace.floquet(two_j / 2.0, 1.0).base for two_j in keys]
+        assert built == keys and list(fresh_rotations) == keys
         assert len({id(base) for base in bases}) == len(keys)
-        for (j, p), base in zip(keys, bases):
-            assert np.array_equal(base, build(j, p))
-            assert symspace.floquet(KickedTopParams(j=j, kappa0=2.0, p=p)).base is base
+        for two_j, base in zip(keys, bases):
+            assert np.array_equal(base, build(two_j))
+            assert symspace.floquet(two_j / 2.0, 2.0).base is base
         assert built == keys
 
     def test_a_rotation_that_is_not_orthogonal_is_refused_and_not_kept(self, fresh_rotations,
                                                                        monkeypatch):
         built = []
-        monkeypatch.setattr(symspace, "_rotation", lambda j, p: built.append(j) or 1.01 * np.eye(4))
+        monkeypatch.setattr(symspace, "_rotation", lambda two_j: built.append(two_j) or 1.01 * np.eye(4))
         for _ in range(2):  # checked again, since it was not kept
             with pytest.raises(ValueError, match="not unitary"):
-                symspace.floquet(KickedTopParams(j=1.5, kappa0=0.4))
-        assert built == [1.5, 1.5] and len(fresh_rotations) == 0
+                symspace.floquet(1.5, 0.4)
+        assert built == [3, 3] and len(fresh_rotations) == 0
 
     def test_the_kept_rotation_is_read_only(self, fresh_rotations):
-        u = symspace.floquet(KickedTopParams(j=2.0, kappa0=0.4))
+        u = symspace.floquet(2.0, 0.4)
         (kept,) = fresh_rotations.values()
         assert kept is u.base and not kept.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -268,26 +267,26 @@ class TestRotationReuse:
         monkeypatch.setattr(symspace, "_ROTATION_CACHE_BYTES", bound)
         built, build = self.counted_rotation(monkeypatch)
         for two_j in (20, 7, 4, 20, 3, 4, 30, 21):
-            u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=1.3))
-            assert np.array_equal(u.base, build(two_j / 2.0, math.pi / 2))
+            u = symspace.floquet(two_j / 2.0, 1.3)
+            assert np.array_equal(u.base, build(two_j))
             assert sum(kept.nbytes for kept in fresh_rotations.values()) <= bound
         # 4 pushes out 20 and the second 20 pushes out 7, each the least recently
         # used; 30 (7688 bytes) is built but not kept; 21 (3872) pushes out 20 and 3
-        assert [2 * j for j, _ in built] == [20, 7, 4, 20, 3, 30, 21]
-        assert [key[0] for key in fresh_rotations] == [4, 21]
+        assert built == [20, 7, 4, 20, 3, 30, 21]
+        assert list(fresh_rotations) == [4, 21]
 
     def test_a_rotation_past_the_bound_is_not_kept(self, fresh_rotations):
         # the bound holds one rotation up to 2j = 1023, and none past it
         for two_j, kept in ((1023, True), (1024, False)):
-            u = symspace.floquet(KickedTopParams(j=two_j / 2.0, kappa0=1.3))
+            u = symspace.floquet(two_j / 2.0, 1.3)
             assert (u.base.nbytes <= symspace._ROTATION_CACHE_BYTES) == kept
             assert any(base is u.base for base in fresh_rotations.values()) == kept
-        assert [key[0] for key in fresh_rotations] == [1023]
+        assert list(fresh_rotations) == [1023]
 
 
 class TestFloquet:
     def test_pure_rotation_spin_half(self):
-        u = symspace.floquet(KickedTopParams(j=0.5, kappa0=0.0))
+        u = symspace.floquet(0.5, 0.0)
         c = math.sqrt(2.0) / 2.0
         assert np.allclose(u.matrix, [[c, -c], [c, c]], atol=1e-14)
 
@@ -297,7 +296,7 @@ class TestFloquet:
         # is block diagonal in the parity-adapted basis with the closed-form
         # 2x2 blocks.
         kappa0 = 1.3
-        u = symspace.floquet(KickedTopParams(j=1.5, kappa0=kappa0)).matrix
+        u = symspace.floquet(1.5, kappa0).matrix
         basis = exact3.parity_basis_states3()
         p = np.column_stack(
             [basis["phi1_plus"], basis["phi2_plus"], basis["phi1_minus"], basis["phi2_minus"]]
@@ -311,32 +310,21 @@ class TestFloquet:
     @given(
         j=st.sampled_from(JS),
         kappa0=st.floats(min_value=-15.0, max_value=15.0),
-        p=st.floats(min_value=-7.0, max_value=7.0),
     )
     @settings(max_examples=60, deadline=None)
-    def test_unitarity(self, j, kappa0, p):
-        u = symspace.floquet(KickedTopParams(j=j, kappa0=kappa0, p=p))
+    def test_unitarity(self, j, kappa0):
+        u = symspace.floquet(j, kappa0)
         defect = np.linalg.norm(u.matrix.conj().T @ u.matrix - np.eye(u.dim))
         assert defect < 1e-10
-
-    def test_rotation_angles_compose(self):
-        # at zero torsion the one-kick operator is a pure rotation, so the
-        # configurable angle p obeys the group law
-        for j in (1.5, 2.0):
-            u1 = symspace.floquet(KickedTopParams(j=j, kappa0=0.0, p=0.8)).matrix
-            u2 = symspace.floquet(KickedTopParams(j=j, kappa0=0.0, p=1.7)).matrix
-            u12 = symspace.floquet(KickedTopParams(j=j, kappa0=0.0, p=2.5)).matrix
-            assert np.max(np.abs(u1 @ u2 - u12)) < 1e-12
 
     def test_matches_register_construction(self, rng):
         # Independent oracle: Pauli-string construction on the full register,
         # global gauge exp(+i (kappa0/4)(1 - (2j mod 2)/2j)) applied to the
         # Dicke-space operator, whose torsion phases start at the smallest m^2.
         for two_j, kappa0 in ((3, 0.7), (4, 2.1), (5, 1.1)):
-            params = KickedTopParams(j=two_j / 2.0, kappa0=kappa0)
-            u = symspace.floquet(params)
+            u = symspace.floquet(two_j / 2.0, kappa0)
             amps = random_symmetric_amps(rng, two_j + 1)
-            psi = SymState(params.j, amps)
+            psi = SymState(two_j / 2.0, amps)
             evolved = symspace.evolve(u, psi, 7)
             vec = symspace.symmetric_to_qubits(psi)
             u_reg = register_floquet(two_j, kappa0)
@@ -349,27 +337,25 @@ class TestFloquet:
 
 class TestEvolve:
     def test_zero_steps_identity(self):
-        params = KickedTopParams(j=1.5, kappa0=0.8)
-        u = symspace.floquet(params)
+        u = symspace.floquet(1.5, 0.8)
         psi = symspace.coherent_state(1.5, BlochPoint(0.3, 0.4))
         assert np.array_equal(symspace.evolve(u, psi, 0).amps, psi.amps)
 
     def test_dimension_mismatch(self):
-        u = symspace.floquet(KickedTopParams(j=1.5, kappa0=0.8))
+        u = symspace.floquet(1.5, 0.8)
         psi = symspace.coherent_state(2.0, BlochPoint(0.3, 0.4))
         with pytest.raises(ValueError):
             symspace.evolve(u, psi, 1)
 
     @pytest.mark.parametrize("two_j", [1, 3, 4, 20, 200])
     def test_bit_identical_to_matmul_loop(self, two_j):
-        params = KickedTopParams(j=two_j / 2.0, kappa0=1.7)
-        u = symspace.floquet(params)
-        psi = symspace.coherent_state(params.j, BlochPoint(0.8, -1.3))
+        u = symspace.floquet(two_j / 2.0, 1.7)
+        psi = symspace.coherent_state(two_j / 2.0, BlochPoint(0.8, -1.3))
         steps = 300
         assert np.array_equal(symspace.trajectory(u, psi, steps), stepped_alone(u, psi.amps, steps))
 
     def test_norm_preserved_million_steps(self):
-        u = symspace.floquet(KickedTopParams(j=1.5, kappa0=2.5))
+        u = symspace.floquet(1.5, 2.5)
         psi = symspace.coherent_state(1.5, BlochPoint(1.0, -0.5))
         evolved = symspace.evolve(u, psi, 10**6)
         assert evolved.norm_error() < 1e-9
@@ -379,14 +365,13 @@ class TestEvolve:
     def test_horizon_past_the_norm_tolerance_raises(self, n):
         # the norm drifts by about 5e-7 at 1e10 kicks (5e-8, under the
         # tolerance, at 1e9); U^n overflows at 1e30
-        u = symspace.floquet(KickedTopParams(j=2.0, kappa0=0.1))
+        u = symspace.floquet(2.0, 0.1)
         psi = symspace.coherent_state(2.0, BlochPoint(math.pi / 2, -math.pi / 2))
         with pytest.raises(ValueError, match="kicks are too many"):
             symspace.evolve(u, psi, n)
 
     def test_zero_state_matches_closed_form_metrics(self):
-        params = KickedTopParams(j=1.5, kappa0=0.5)
-        u = symspace.floquet(params)
+        u = symspace.floquet(1.5, 0.5)
         psi = symspace.coherent_state(1.5, BlochPoint(0.0, 0.0))
         entropies, concurrences = measures.entanglement_series(u, psi, 10)
         for n in range(1, 11):
@@ -400,10 +385,9 @@ class TestEvolve:
     @pytest.mark.parametrize("two_j", [3, 4])
     def test_parity_conserved(self, two_j, rng):
         parity = parity_op(two_j / 2.0)
-        params = KickedTopParams(j=two_j / 2.0, kappa0=1.9)
-        u = symspace.floquet(params)
+        u = symspace.floquet(two_j / 2.0, 1.9)
         amps = random_symmetric_amps(rng, two_j + 1)
-        traj = symspace.trajectory(u, SymState(params.j, amps), 50)
+        traj = symspace.trajectory(u, SymState(two_j / 2.0, amps), 50)
         expectations = np.einsum("ni,ij,nj->n", traj.conj(), parity, traj).real
         assert np.max(np.abs(expectations - expectations[0])) < 1e-10
 
@@ -413,7 +397,7 @@ class TestEvolve:
         # states stay unentangled forever.
         j = two_j / 2.0
         kappa0 = 2.0 * math.pi * j * k
-        u = symspace.floquet(KickedTopParams(j=j, kappa0=kappa0))
+        u = symspace.floquet(j, kappa0)
         psi = symspace.coherent_state(j, BlochPoint(0.9, 1.1))
         entropies, _ = measures.entanglement_series(u, psi, 25)
         assert np.max(entropies) < 1e-10
@@ -425,29 +409,28 @@ class TestFloquetStack:
     @pytest.mark.parametrize("two_j", [1, 3, 4, 7, 20, 100, 200])
     def test_entries_equal_scalar_calls(self, two_j):
         j = two_j / 2.0
-        stack = symspace.floquet([KickedTopParams(j=j, kappa0=k) for k in self.KAPPAS])
+        stack = symspace.floquet(j, self.KAPPAS)
         assert stack.matrix.shape == (len(self.KAPPAS), two_j + 1, two_j + 1)
         assert stack.dim == two_j + 1
         for k, kappa0 in enumerate(self.KAPPAS):
-            single = symspace.floquet(KickedTopParams(j=j, kappa0=kappa0))
+            single = symspace.floquet(j, kappa0)
             assert np.array_equal(stack.matrix[k], single.matrix)
 
     def test_one_element_sequence_is_a_stack(self):
-        params = KickedTopParams(j=1.5, kappa0=0.9, p=1.1)
-        stack = symspace.floquet([params])
+        stack = symspace.floquet(1.5, [0.9])
         assert stack.matrix.shape == (1, 4, 4)
-        assert np.array_equal(stack.matrix[0], symspace.floquet(params).matrix)
+        assert np.array_equal(stack.matrix[0], symspace.floquet(1.5, 0.9).matrix)
 
     def test_rejects_mixed_or_empty_grids(self):
-        with pytest.raises(ValueError, match="one j and one p"):
-            symspace.floquet([KickedTopParams(j=1.5, kappa0=1.0), KickedTopParams(j=2.0, kappa0=1.0)])
-        with pytest.raises(ValueError, match="one j and one p"):
-            symspace.floquet([KickedTopParams(j=1.5, kappa0=1.0), KickedTopParams(j=1.5, kappa0=1.0, p=1.0)])
-        with pytest.raises(ValueError):
-            symspace.floquet([])
+        # a NaN among finite torsions, no torsion at all, and a grid that is not 1-D
+        with pytest.raises(ValueError, match="kappa0 must be finite"):
+            symspace.floquet(1.5, [1.0, math.nan])
+        for grid in ([], np.ones((2, 2))):
+            with pytest.raises(ValueError, match="non-empty 1-D sequence"):
+                symspace.floquet(1.5, grid)
 
     def test_every_matrix_of_a_stack_is_checked(self):
-        good = symspace.floquet([KickedTopParams(j=1.0, kappa0=k) for k in (0.4, 0.5, 0.6)])
+        good = symspace.floquet(1.0, (0.4, 0.5, 0.6))
         with pytest.raises(ValueError, match="modulus 1"):
             symspace.UnitaryMatrix(good.base, good.phases * np.array([[1.0], [1.0], [1.01]]))
         with pytest.raises(ValueError, match="modulus 1"):
@@ -458,14 +441,14 @@ class TestFloquetStack:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_an_overflowing_torsion_phase(self):
         with pytest.raises(ValueError, match="kappa0"):
-            symspace.floquet([KickedTopParams(j=4.0, kappa0=k) for k in (1.0, 1e308)])
+            symspace.floquet(4.0, (1.0, 1e308))
         with pytest.raises(ValueError):
             symspace.UnitaryMatrix(np.ones((2, 3, 4)), np.ones(4))
         with pytest.raises(ValueError):
             symspace.UnitaryMatrix(np.ones((1, 1, 2, 2)), np.ones(2))
 
     def test_copies_unless_handed_a_frozen_owner(self):
-        u = symspace.floquet(KickedTopParams(j=1.0, kappa0=0.4))
+        u = symspace.floquet(1.0, 0.4)
         mine, phases = u.base.copy(), u.phases.copy()
         copied = symspace.UnitaryMatrix(mine, phases)
         assert copied.base is not mine and mine.flags.writeable  # the caller's array stays theirs
@@ -476,14 +459,14 @@ class TestFloquetStack:
         assert symspace.UnitaryMatrix(frozen[None][0], phases).base is not frozen  # a view is copied
 
     def test_slices_share_the_checked_matrices(self):
-        stack = symspace.floquet([KickedTopParams(j=1.5, kappa0=k) for k in self.KAPPAS])
+        stack = symspace.floquet(1.5, self.KAPPAS)
         sub = stack[2:5]
         assert sub.dim == 4 and np.array_equal(sub.matrix, stack.matrix[2:5])
         assert not sub.matrix.flags.writeable
         with pytest.raises(TypeError):
             stack[1]
         with pytest.raises(TypeError):
-            symspace.floquet(KickedTopParams(j=1.5, kappa0=0.3))[0:1]
+            symspace.floquet(1.5, 0.3)[0:1]
 
 
 def stepped_point_by_point(stack, starts, n):
@@ -498,7 +481,7 @@ class TestStackedTrajectory:
     def test_bit_identical_to_per_point_loop(self, two_j, count, rng):
         j = two_j / 2.0
         kappas = rng.uniform(0.05, 4.0 * math.pi, count)
-        stack = symspace.floquet([KickedTopParams(j=j, kappa0=k) for k in kappas])
+        stack = symspace.floquet(j, kappas)
         starts = np.array([random_symmetric_amps(rng, two_j + 1) for _ in range(count)])
         n = 40 if two_j < 200 else 5
         got = symspace.trajectory(stack, starts, n)
@@ -509,8 +492,7 @@ class TestStackedTrajectory:
     def test_chunks_of_points_are_bit_identical(self, two_j, rng):
         # one GEMV per point of each b-kick block: the points stepped with it never move a bit
         count, n = 5, 300
-        stack = symspace.floquet([KickedTopParams(j=two_j / 2.0, kappa0=k)
-                                  for k in rng.uniform(0.05, 4.0 * math.pi, count)])
+        stack = symspace.floquet(two_j / 2.0, rng.uniform(0.05, 4.0 * math.pi, count))
         starts = np.array([random_symmetric_amps(rng, two_j + 1) for _ in range(count)])
         whole = symspace.trajectory(stack, starts, n)
         for chunk in (1, 2):
@@ -523,7 +505,7 @@ class TestStackedTrajectory:
         dim = two_j + 1
         block = next(b for lo, b in symspace._KICK_BLOCKS if dim >= lo)
         assert block > 1 and cli.SWEEP_BLOCK_KICKS % block == 0
-        stack = symspace.floquet([KickedTopParams(j=two_j / 2.0, kappa0=k) for k in (0.4, 2.9)])
+        stack = symspace.floquet(two_j / 2.0, (0.4, 2.9))
         starts = np.array([random_symmetric_amps(rng, dim) for _ in range(2)])
         for n in (0, 1, block - 1, block, block + 1, 513):
             got = symspace.trajectory(stack, starts, n)
@@ -537,7 +519,7 @@ class TestStackedTrajectory:
             assert np.max(np.abs(got - np.array(kicked)[..., 0])) <= 1e-13
 
     def test_single_point_keeps_its_shape(self):
-        u = symspace.floquet(KickedTopParams(j=2.0, kappa0=1.3))
+        u = symspace.floquet(2.0, 1.3)
         psi = symspace.coherent_state(2.0, BlochPoint(0.5, 0.2))
         single = symspace.trajectory(u, psi, 9)
         assert single.shape == (10, 5)
@@ -545,7 +527,7 @@ class TestStackedTrajectory:
         assert np.array_equal(stacked[:, 0], single)
 
     def test_rejects_mismatched_inputs(self, rng):
-        stack = symspace.floquet([KickedTopParams(j=1.5, kappa0=k) for k in (0.2, 0.4)])
+        stack = symspace.floquet(1.5, (0.2, 0.4))
         starts = np.array([random_symmetric_amps(rng, 4) for _ in range(2)])
         psi = SymState(1.5, starts[0])
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -553,7 +535,7 @@ class TestStackedTrajectory:
         with pytest.raises(ValueError):
             symspace.trajectory(stack, starts[:, :3], 3)
         with pytest.raises(ValueError):
-            symspace.trajectory(symspace.floquet(KickedTopParams(j=1.5, kappa0=0.2)), starts, 3)
+            symspace.trajectory(symspace.floquet(1.5, 0.2), starts, 3)
         with pytest.raises(ValueError, match="not normalized"):
             symspace.trajectory(stack, starts * 1.001, 3)
         with pytest.raises(ValueError):
@@ -564,7 +546,7 @@ class TestStackedTrajectory:
 
 class TestFactoredRoute:
     def test_factored_form_is_checked(self):
-        u = symspace.floquet([KickedTopParams(j=1.5, kappa0=k) for k in (0.2, 0.4)])
+        u = symspace.floquet(1.5, (0.2, 0.4))
         assert u.base.dtype == float and u.phases.shape == (2, 4) and u.shape == (2, 4, 4)
         assert not u.base.flags.writeable and not u.phases.flags.writeable
         with pytest.raises(ValueError, match="not unitary"):
@@ -577,7 +559,7 @@ class TestFactoredRoute:
     @pytest.mark.parametrize("two_j", [100, 200])
     def test_routes_agree_over_a_thousand_kicks(self, two_j, monkeypatch):
         j = two_j / 2.0
-        stack = symspace.floquet([KickedTopParams(j=j, kappa0=k) for k in (1.1, 2.0 * math.pi, 11.0)])
+        stack = symspace.floquet(j, (1.1, 2.0 * math.pi, 11.0))
         starts = np.tile(symspace.coherent_state(j, BlochPoint(0.8, -1.3)).amps, (3, 1))
         monkeypatch.setattr(symspace, "_FACTORED_MIN_DIM", 10**9)
         dense = symspace.trajectory(stack, starts, 1000)

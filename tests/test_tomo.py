@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from kickedtop import measures, symspace, tomo
-from kickedtop.symspace import BlochPoint, KickedTopParams
+from kickedtop.symspace import BlochPoint
 from kickedtop.tomo import ReadoutModel
 
 from conftest import expectations_of
 
 
 def kicked_top_register_state(kappa0: float, steps: int, point=BlochPoint(0.0, 0.0)):
-    params = KickedTopParams(j=1.5, kappa0=kappa0)
-    u = symspace.floquet(params)
+    u = symspace.floquet(1.5, kappa0)
     psi = symspace.evolve(u, symspace.coherent_state(1.5, point), steps)
     vec = symspace.symmetric_to_qubits(psi)
     return np.outer(vec, vec.conj())
@@ -217,8 +216,7 @@ class TestPipelineMetrics:
         kappa0, steps = 1.2, 4
         rho = kicked_top_register_state(kappa0, steps)
         metrics = tomo.pipeline_metrics(rho, rho)
-        params = KickedTopParams(j=1.5, kappa0=kappa0)
-        u = symspace.floquet(params)
+        u = symspace.floquet(1.5, kappa0)
         psi = symspace.evolve(u, symspace.coherent_state(1.5, BlochPoint(0.0, 0.0)), steps)
         s_sym = measures.linear_entropy(measures.reduced_state(psi, 1))
         c_sym = measures.concurrence(measures.reduced_state(psi, 2))
