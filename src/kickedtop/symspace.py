@@ -42,12 +42,20 @@ QUBIT_EXPANSION_LIMIT = 14  # largest 2j for which full-register expansion is al
 # thread on a 2-core Xeon VM; the import alone is 29 MB.
 MAX_TWO_J = 4096
 # Smallest dimension 2j+1 that trajectory steps in factored form, D (R psi) with
-# R real, rather than by the dense complex matrix.  Per-kick time of one point,
-# best of nine 512-kick runs, one OpenBLAS 0.3.31 thread on a 2-core Xeon VM:
-#   2j+1     51    81   101   111   121   151   201
-#   dense   2.5   3.4   4.7   5.9   6.7   9.5  18.8 us
-#   real    3.6   4.3   4.9   5.4   6.0   7.3  11.0 us
-_FACTORED_MIN_DIM = 111
+# R real, rather than by the blocked dense kicks below.  Measured as a CLI call
+# uses it: a fresh floquet per call, so the power stack's build counts, one
+# point, the caches evicted before each call.  us per kick, median of 41
+# calls, the routes interleaved, one OpenBLAS 0.3.31 thread on a 2-core Xeon VM:
+#   2j+1              51    61    71    76    81    91   101   121   151
+#   300 kicks  dense 2.0   2.5   3.0   2.8   3.3   4.3   5.1   7.1  11.2
+#              real  2.3   2.5   2.9   3.0   3.2   3.3   3.6   4.4   5.9
+#   1000 kicks dense 1.4   1.8   2.4   2.3   2.9   3.8   4.2   5.9   8.8
+#              real  1.9   2.2   2.5   2.7   2.8   3.3   3.4   4.3   5.5
+# Whole CLI calls, dense time over factored: at 300 kicks 1.08 (a 3-point
+# sweep) and 1.17 (an evolve) at 2j = 74, 1.09 and 1.23 at 80; at 1000 kicks
+# 0.97 and 1.01 at 74, 0.99 and 1.03 at 80.  A 10-point sweep over 4000 kicks
+# took 0.79 times the dense time factored at 2j = 80.
+_FACTORED_MIN_DIM = 81
 # Below _FACTORED_MIN_DIM trajectory advances b kicks per BLAS call from the
 # power stack U, U^2, ..., U^b; b is that of the first (smallest 2j+1, b) pair
 # of _KICK_BLOCKS the dimension reaches.  ms per call, 2 points, 500 kicks,
@@ -63,8 +71,9 @@ _FACTORED_MIN_DIM = 111
 #     81    7.69  5.08  5.11
 #    101    8.80  6.36  6.90
 # For 1 and 3 points and for 300 kicks the chosen b is within 20% of the best.
-# b (2j+1) <= 512 = cli.SWEEP_BLOCK_KICKS, so a sweep chunk's power stacks
-# hold no more amplitudes than its block of states.
+# b (2j+1) is at most the kicks of a sweep block at that dimension
+# (cli._sweep_blocks), so a sweep chunk's power stacks hold no more amplitudes
+# than its block of states.
 _KICK_BLOCKS = ((71, 2), (41, 4), (12, 8), (2, 32))
 # Bytes of checked rotations that floquet keeps for the life of the process,
 # one per 2j, the least recently used dropped first.  8 MiB holds one
@@ -407,14 +416,16 @@ def evolve(u: UnitaryMatrix, psi0: SymState, n: int) -> SymState:
     return SymState(psi0.j, amps)
 
 
-def trajectory(u: UnitaryMatrix, psi0: SymState | np.ndarray, n: int) -> np.ndarray:
+def trajectory(u: UnitaryMatrix, psi0: SymState | np.ndarray, n: int,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Amplitudes of U^k psi0 for k = 0..n.
 
     One operator and a SymState give an (n+1, dim) array.  A stack of K
     operators (floquet of K parameter sets) and a (K, dim) array of start
     rows, one per operator and each normalized to _STATE_NORM_TOL, give
     (n+1, K, dim), a view of point-major storage: each point's rows are
-    contiguous.
+    contiguous.  That storage is `out` when given, a C-contiguous complex
+    (K, n+1, dim) array (K = 1 for a SymState), and a new array otherwise.
 
     Below _FACTORED_MIN_DIM each point advances b kicks per BLAS call (b from
     _KICK_BLOCKS): rows k+1..k+b are the (b dim, dim) stack U, U^2, ..., U^b,
@@ -434,17 +445,23 @@ def trajectory(u: UnitaryMatrix, psi0: SymState | np.ndarray, n: int) -> np.ndar
     if not np.all(np.abs((starts.real**2 + starts.imag**2).sum(axis=1) - 1.0) <= _STATE_NORM_TOL):
         raise ValueError("start state is not normalized")
     count, dim = rows
-    out = np.empty((count, n + 1, dim), dtype=complex)
+    if out is None:
+        out = np.empty((count, n + 1, dim), dtype=complex)
+    elif out.shape != (count, n + 1, dim) or out.dtype != complex or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous complex array of shape {(count, n + 1, dim)}")
     out[:, 0] = starts
     if u.dim >= _FACTORED_MIN_DIM:
         rotation, phases = u.base, u.phases.reshape(rows)
-        kicks = out.swapaxes(0, 1)
-        pairs = out.view(float).reshape(count, n + 1, dim, 2).swapaxes(0, 1)
-        for k in range(1, n + 1):
-            np.matmul(rotation, pairs[k - 1], out=pairs[k])
-            kicks[k] *= phases
+        pairs = out.view(float).reshape(count, n + 1, dim, 2)
+        if count == 1:  # np.dot has less call overhead than np.matmul, and the same bits
+            step, pairs, kicks, phases = np.dot, pairs[0], out[0], phases[0]
+        else:
+            step, pairs, kicks = np.matmul, pairs.swapaxes(0, 1), out.swapaxes(0, 1)
+        for source, target, row in zip(pairs[:-1], pairs[1:], kicks[1:]):
+            step(rotation, source, out=target)
+            row *= phases
     elif n:
-        block = min(n, next(b for lo, b in _KICK_BLOCKS if dim >= lo))
+        block = min(n, _kick_block(dim))
         powers = _powers_of(u, block).reshape(count, block * dim, dim)
         full = n - n % block
         if count == 1:  # np.dot has less call overhead than np.matmul
@@ -460,6 +477,14 @@ def trajectory(u: UnitaryMatrix, psi0: SymState | np.ndarray, n: int) -> np.ndar
             rest = np.matmul(powers[..., : (n - full) * dim, :], out[:, full, :, None])
             out[:, full + 1 :] = rest.reshape(count, n - full, dim)
     return out[0] if single else out.swapaxes(0, 1)
+
+
+def _kick_block(dim: int) -> int:
+    """Kicks trajectory advances per BLAS call at dimension dim: b of
+    _KICK_BLOCKS below _FACTORED_MIN_DIM, 1 (the factored kick) from it up."""
+    if dim >= _FACTORED_MIN_DIM:
+        return 1
+    return next(b for lo, b in _KICK_BLOCKS if dim >= lo)
 
 
 def _powers_of(u: UnitaryMatrix, block: int) -> np.ndarray:

@@ -656,7 +656,7 @@ class TestQubitEntropies:
 
     @pytest.mark.parametrize("two_j", [2, 3, 7, 20, 50, 200])
     def test_block_rows_read_as_in_a_longer_call(self, two_j):
-        # a 512-kick sweep block gives its rows the bits they have in one
+        # a sweep block of 512 kicks, a multiple of 4, gives its rows the bits they have in one
         # call over the whole trajectory
         u = symspace.floquet(two_j / 2.0, 2.1)
         states = symspace.trajectory(u, symspace.coherent_state(two_j / 2.0, BlochPoint(0.7, -2.0)), 999)
@@ -667,12 +667,13 @@ class TestQubitEntropies:
 def per_point_sweep(two_j, point, kappa0, kicks):
     """The per-point sweep algorithm: its own Floquet operator and its own
     explicit loop, the one trajectory gives it alone, with the entropies of
-    each 512-kick block summed."""
+    each block summed, blocks as long as cli._sweep_blocks makes them."""
     u = symspace.floquet(two_j / 2.0, kappa0)
     vec = symspace.coherent_state(two_j / 2.0, point).amps
+    block, _ = cli._sweep_blocks(two_j + 1)
     total = 0.0
-    for start in range(0, kicks, 512):
-        states = stepped_alone(u, vec, min(512, kicks - start))
+    for start in range(0, kicks, block):
+        states = stepped_alone(u, vec, min(block, kicks - start))
         total += measures.qubit_entropies(states[1:]).sum()
         vec = states[-1]
     return total / kicks
@@ -685,7 +686,7 @@ class TestSweepBlocks:
         "kicks", [1, cli.SWEEP_BLOCK_KICKS, 2 * cli.SWEEP_BLOCK_KICKS + 37]
     )
     def test_blocked_mean_equals_unblocked(self, kicks):
-        assert cli.SWEEP_BLOCK_KICKS == 512  # the block length of per_point_sweep
+        assert cli._sweep_blocks(5)[0] == cli.SWEEP_BLOCK_KICKS  # the horizons meet block edges
         point = BlochPoint(1.1, 0.4)
         u = symspace.floquet(2.0, 2.1)
         states = symspace.trajectory(u, symspace.coherent_state(2.0, point), kicks)
@@ -695,24 +696,42 @@ class TestSweepBlocks:
         reference = [per_point_sweep(4, point, k, kicks) for k in self.GRID]
         assert np.array_equal(averages, reference)
 
-    @pytest.mark.parametrize("two_j", [3, 4, 7, 20])
+    @pytest.mark.parametrize("two_j", [3, 4, 7, 20, 100, 200])
     def test_cell_is_one_trajectory_call(self, two_j):
-        # b divides SWEEP_BLOCK_KICKS, so restarting at kick 512 meets a block
+        # b divides the block length, so restarting at a block meets a block
         # edge of the one-call trajectory and moves no row
-        point, kicks = BlochPoint(0.7, -2.0), 2 * cli.SWEEP_BLOCK_KICKS + 37
+        block, _ = cli._sweep_blocks(two_j + 1)
+        point, kicks = BlochPoint(0.7, -2.0), 2 * block + 37
         averages = cli._sweep_averages(two_j, point, self.GRID[:2], kicks)
         for cell, kappa0 in zip(averages, self.GRID):
             u = symspace.floquet(two_j / 2.0, kappa0)
             states = symspace.trajectory(u, symspace.coherent_state(two_j / 2.0, point), kicks)
             total = 0.0
-            for first in range(0, kicks, cli.SWEEP_BLOCK_KICKS):
-                rows = states[first + 1 : first + 1 + cli.SWEEP_BLOCK_KICKS]
-                total += measures.qubit_entropies(rows).sum()
+            for first in range(0, kicks, block):
+                total += measures.qubit_entropies(states[first + 1 : first + 1 + block]).sum()
             assert cell == total / kicks
 
-    @pytest.mark.parametrize("two_j", [1, 3, 7, 8, 20, 24, 40, 50, 70, 89, 100, 109])
+    def test_block_rule_at_every_two_j(self):
+        # the longest block of whole lcm(4, b) steps within SWEEP_BLOCK_KICKS
+        # and the budget, so a chunk's block never holds more than
+        # SWEEP_BLOCK_AMPS amplitudes, nor its power stacks; 512 kicks up to
+        # 2j+1 = 64, where a sweep's cells keep the bits of 512-kick blocks
+        for dim in range(2, symspace.MAX_TWO_J + 2):
+            block, chunk = cli._sweep_blocks(dim)
+            b = symspace._kick_block(dim)
+            assert block % 4 == 0 and block % b == 0 and block <= cli.SWEEP_BLOCK_KICKS
+            assert chunk >= 1 and chunk * block * dim <= cli.SWEEP_BLOCK_AMPS
+            assert (chunk + 1) * block * dim > cli.SWEEP_BLOCK_AMPS
+            assert block + math.lcm(4, b) > min(cli.SWEEP_BLOCK_KICKS, cli.SWEEP_BLOCK_AMPS // dim)
+            assert b == 1 or b * dim <= block  # b = 1: the factored kick, no power stack
+            assert (block == cli.SWEEP_BLOCK_KICKS) == (dim <= 64)
+
+    @pytest.mark.parametrize("two_j", [
+        1, 3, 7, 8, 20, 24, 40, 50, 70, symspace._FACTORED_MIN_DIM - 6, symspace._FACTORED_MIN_DIM - 2,
+    ])
     def test_power_stacks_fit_the_chunk_budget(self, two_j, monkeypatch):
-        # a chunk's power stacks hold no more amplitudes than its block of states
+        # a chunk's power stacks hold no more amplitudes than its block of
+        # states, up to the largest 2j stepped in blocks
         sizes, build = [], symspace._kick_powers
 
         def recorded(u, block):
@@ -797,3 +816,22 @@ class TestSweepBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 922 * 1024
+
+    @pytest.mark.parametrize("args", [
+        (200, BlochPoint(1.1, 0.4), [1.3, 2.7, 7.9], 300),  # an operation of the large_spin benchmark
+        (1000, BlochPoint(0.7, -2.0), [1.3, 2.7], 100),
+    ])
+    def test_large_spin_blocks_stay_within_the_budget(self, args):
+        # The block of states takes at most 16 SWEEP_BLOCK_AMPS bytes, and
+        # qubit_entropies' squares and products of one point's block about as
+        # much again: peaks of 2.51 and 2.65 times 16 SWEEP_BLOCK_AMPS bytes
+        # (numpy 2.4.6).  A 512-kick block of one point held 301 x 201 and
+        # 101 x 1001 amplitudes here and peaked at 2164 and 3485 KiB.
+        cli._sweep_averages(*args)  # the rotation and band weights are cached from here on
+        tracemalloc.start()
+        try:
+            cli._sweep_averages(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 16 * cli.SWEEP_BLOCK_AMPS

@@ -526,6 +526,31 @@ class TestStackedTrajectory:
         stacked = symspace.trajectory(symspace.UnitaryMatrix(u.base, u.phases[None]), psi.amps[None], 9)
         assert np.array_equal(stacked[:, 0], single)
 
+    @pytest.mark.parametrize("two_j", [3, 20, 200])
+    def test_writes_into_the_given_storage(self, two_j, rng):
+        # the same rows, bit for bit, in the caller's array, which a sweep
+        # reuses for every block
+        dim, n = two_j + 1, 37
+        stack = symspace.floquet(two_j / 2.0, (0.4, 2.9))
+        starts = np.array([random_symmetric_amps(rng, dim) for _ in range(2)])
+        storage = np.full(2 * (n + 1) * dim + 5, np.nan, dtype=complex)
+        out = storage[: 2 * (n + 1) * dim].reshape(2, n + 1, dim)
+        got = symspace.trajectory(stack, starts, n, out=out)
+        assert np.shares_memory(got, storage)
+        assert np.array_equal(got, symspace.trajectory(stack, starts, n))
+        psi = SymState(two_j / 2.0, starts[0])
+        single = symspace.trajectory(stack[:1], psi, n, out=out[:1])
+        assert np.shares_memory(single, storage)
+        assert np.array_equal(single, symspace.trajectory(stack[:1], psi, n))
+
+    def test_rejects_storage_of_another_shape_or_type(self, rng):
+        stack = symspace.floquet(1.5, (0.2, 0.4))
+        starts = np.array([random_symmetric_amps(rng, 4) for _ in range(2)])
+        for out in (np.empty((2, 5, 4), dtype=complex), np.empty((2, 4, 4)),
+                    np.empty((2, 4, 8), dtype=complex)[:, :, ::2], np.empty((1, 4, 4), dtype=complex)):
+            with pytest.raises(ValueError, match="out must be"):
+                symspace.trajectory(stack, starts, 3, out=out)
+
     def test_rejects_mismatched_inputs(self, rng):
         stack = symspace.floquet(1.5, (0.2, 0.4))
         starts = np.array([random_symmetric_amps(rng, 4) for _ in range(2)])
