@@ -1,11 +1,18 @@
 """Command-line front end: evolve | sweep | tunnel | husimi | classical | tomo.
 
 Every command writes CSV (UTF-8, '.' decimal separator, full double precision)
-or JSON and is deterministic given its flags, so reruns are byte-identical.
+or JSON and is deterministic given its flags and the BLAS thread count
+(OPENBLAS_NUM_THREADS), so reruns with both the same are byte-identical: a
+large rotation's matrix products round by the threads that share them.
 evolve writes a closed-form column wherever a closed form exists, at any
 finite kappa0: the engine sees the closed forms' torsion (symspace.floquet).
 Flags may also be supplied through a JSON config file (--config); explicit
-flags win on conflict.  Exit codes: 0 success, 2 validation error, 3 I/O error.
+flags win on conflict.  Exit codes: 0 success, 2 validation error or failed
+allocation, 3 I/O error.
+
+Only symspace and measures, which every numeric command runs, are imported
+with this module; the other package modules are imported in the functions
+that use them, so a cold start loads and compiles only what its command runs.
 
 An output is written over the old file's bytes, then cut to the length
 written (_open_output), so an existing file is not truncated first; special
@@ -20,7 +27,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import os
 import stat
@@ -28,8 +34,7 @@ import sys
 
 import numpy as np
 
-from . import classical as cl
-from . import exact3, exact4, husimi, measures, symspace, tomo
+from . import measures, symspace
 
 NAMED_STATES = {
     "zero": (0.0, 0.0),
@@ -176,6 +181,8 @@ def _closed_entropy_series(
 ) -> np.ndarray | None:
     kicks = np.arange(n_max + 1)
     if two_j == 3:
+        from . import exact3
+
         if name == "zero":
             return exact3.entropy3_closed(exact3.STATE_ZERO, kicks, kappa0)
         if name == "plus_y":
@@ -184,6 +191,8 @@ def _closed_entropy_series(
         out[0] = 0.0  # a coherent state is a product state
         return out
     if two_j == 4 and name is not None:
+        from . import exact3, exact4
+
         state_id = exact3.STATE_ZERO if name == "zero" else exact3.STATE_PLUS_Y
         return exact4.entropy4_closed(state_id, kicks, kappa0)
     return None
@@ -193,19 +202,23 @@ def _closed_concurrence_series(
     two_j: int, name: str | None, kappa0: float, n_max: int
 ) -> np.ndarray | None:
     if two_j == 3 and name == "zero":
+        from . import exact3
+
         return exact3.concurrence3_000(np.arange(n_max + 1), kappa0)
     return None
 
 
 def _closed_avg_entropy(two_j: int, name: str | None, kappa0: float) -> float | None:
-    if name is None:
+    if name is None or two_j not in (3, 4):
         return None
+    from . import exact3
+
     state_id = exact3.STATE_ZERO if name == "zero" else exact3.STATE_PLUS_Y
     if two_j == 3:
         return exact3.avg_entropy3(state_id, kappa0).value
-    if two_j == 4:
-        return exact4.avg_entropy4(state_id, kappa0).value
-    return None
+    from . import exact4
+
+    return exact4.avg_entropy4(state_id, kappa0).value
 
 
 def _numeric_series(two_j: int, point, kappa0: float, n_max: int):
@@ -316,6 +329,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_tunnel(args) -> int:
+    import json
+
+    from . import exact4
+
     _require(args.kappa0 > 0, "--kappa0 must be > 0 for the tunneling analysis")
     report = exact4.tunneling(args.kappa0)
     _require(
@@ -359,12 +376,16 @@ def cmd_tunnel(args) -> int:
 
 
 def cmd_husimi(args) -> int:
+    from . import husimi
+
     _require(args.qubits >= 1, "--qubits must be >= 1")
     _require(args.n_theta >= 2 and args.n_phi >= 2, "grid must be at least 2x2")
     _require(args.kappa0 is None or math.isfinite(args.kappa0), "--kappa0 must be finite")
     _require(args.kappa0 is None or args.steps is not None, "--kappa0 requires --steps")
     j = args.qubits / 2.0
     if args.basis_state:
+        from . import exact3, exact4
+
         table = exact3.parity_basis_states3() if args.qubits == 3 else (
             exact4.parity_basis_states4() if args.qubits == 4 else None
         )
@@ -393,7 +414,10 @@ def cmd_husimi(args) -> int:
     return 0
 
 
-def _parse_seeds(spec: str) -> list[cl.ClassicalPoint]:
+def _parse_seeds(spec: str) -> list:
+    """The classical.ClassicalPoint seeds of a --seeds list."""
+    from . import classical as cl
+
     seeds = []
     for token in spec.split(";"):
         token = token.strip()
@@ -419,6 +443,8 @@ def _parse_seeds(spec: str) -> list[cl.ClassicalPoint]:
 
 
 def cmd_classical(args) -> int:
+    from . import classical as cl
+
     _require(args.steps >= 1, "--steps must be >= 1")
     seeds = _parse_seeds(args.seeds) if args.seeds else []
     if args.grid is not None:
@@ -459,6 +485,8 @@ def _theory_register_states(kappa0: float, point, steps: list[int]) -> np.ndarra
 
 
 def cmd_tomo(args) -> int:
+    from . import tomo
+
     _require(
         bool(args.populations) != bool(args.expectations),
         "give exactly one of --populations or --expectations",
@@ -594,12 +622,16 @@ def _config_value(key: str, value, kind: type):
                 pass
         elif isinstance(value, kind):
             return value
+    import json
+
     raise CliError(f"--config key {key!r} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
 
 
 def _apply_config(args) -> None:
     merged = dict(_DEFAULTS.get(args.command, {}))
     if args.config:
+        import json
+
         with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
@@ -635,6 +667,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the size asked for
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -10,6 +10,8 @@ live here rather than in the package.
 """
 
 import math
+import os
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -17,9 +19,15 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 import pytest
 
-from kickedtop import classical, exact3, measures, symspace
-from kickedtop.exact4 import SECTOR_MINUS, SECTOR_PLUS
-from kickedtop.tomo import PAULI_LABELS_3Q, pauli_product
+# The suite leaves no bytecode cache in src/, here or in the interpreters it
+# starts: a stale src/kickedtop/__pycache__ changes how long a cold start
+# takes, which the benchmark's setup_s measures.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
+from kickedtop import classical, exact3, measures, symspace  # noqa: E402
+from kickedtop.exact4 import SECTOR_MINUS, SECTOR_PLUS  # noqa: E402
+from kickedtop.tomo import PAULI_LABELS_3Q, pauli_product  # noqa: E402
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 

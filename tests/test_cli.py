@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -309,6 +310,42 @@ class TestNumpyOnlyRuntime:
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "0 []"
         assert out.read_text().startswith("n,S_numeric,S_closed,")
+
+    @pytest.mark.parametrize("argv,modules", [
+        (["evolve", "--qubits", "50", "--kappa0", "1.0", "--steps", "5"], set()),
+        (["evolve", "--qubits", "3", "--state", "zero", "--kappa0", "1.0", "--steps", "5"],
+         {"exact3", "cheby"}),
+        (["sweep", "--qubits", "7", "--kicks", "10", "--kappa0-list", "1.0"], set()),
+        (["sweep", "--qubits", "4", "--state", "plus_y", "--kicks", "10", "--kappa0-list", "1.0"],
+         {"exact3", "exact4", "cheby"}),
+        (["tunnel", "--kappa0", "0.5", "--times", "0,7"], {"exact3", "exact4", "cheby"}),
+        (["husimi", "--qubits", "3", "--n-theta", "3", "--n-phi", "3"], {"husimi"}),
+        (["classical", "--kappa0", "1.0", "--steps", "3"], {"classical"}),
+        (["tomo", "--populations", "{populations}", "--readout", "bundled"], {"tomo"}),
+    ], ids=["evolve_50", "evolve_3_zero", "sweep_7", "sweep_4_plus_y", "tunnel", "husimi",
+            "classical", "tomo"])
+    def test_a_command_loads_only_the_modules_it_runs(self, argv, modules, tmp_path):
+        # a cold start imports and compiles only what its command runs: cli,
+        # symspace and measures, and the command's own modules
+        populations = tmp_path / "populations.csv"
+        populations.write_text(POPULATIONS_HEADER + "\n0" + ",0.125" * 8 + "\n")
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "from kickedtop import cli\n"
+            "code = cli.main(sys.argv[2:] + ['--out', sys.argv[1]])\n"
+            "print(code, *sorted(set(sys.modules) - before))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(kickedtop.__file__).parents[1]))
+        argv = [arg.format(populations=populations) for arg in argv]
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out"), *argv],
+                              env=env, capture_output=True, text=True, check=True)
+        code, *added = proc.stdout.split()
+        assert code == "0"
+        loaded = {name.partition(".")[2] for name in added if name.split(".")[0] == "kickedtop"}
+        assert loaded == {"", "cli", "symspace", "measures"} | modules
+        if argv[0] in ("evolve", "sweep"):
+            assert not set(added) & {"logging", "csv", "json"}
 
 
 class TestEvolve:
@@ -1057,6 +1094,27 @@ class TestEdgeFlagFuzz:
             path = Path(tmp, "populations.csv")
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             check_edge_case(["tomo", f"--populations={path}", "--readout=bundled"])
+
+    @pytest.mark.parametrize("argv,limit", [
+        # 728 TiB of kappa0 grid: more than any address space holds
+        (["sweep", "--qubits", "3", "--kicks", "10", "--kappa0-start", "0", "--kappa0-stop", "1",
+          "--kappa0-steps", str(10**14)], None),
+        # 17.9 GiB of trajectory and 149 GiB of overlaps, under a 3 GiB limit
+        (["evolve", "--qubits", "3", "--kappa0", "1.0", "--steps", str(3 * 10**8)], 3 << 30),
+        (["husimi", "--qubits", "3", "--n-theta", str(10**5), "--n-phi", str(10**5)], 3 << 30),
+    ], ids=["sweep", "evolve", "husimi"])
+    def test_failed_allocation_exits_2(self, argv, limit, tmp_path):
+        # in a child process, whose address-space limit leaves this one's alone;
+        # one BLAS thread keeps OpenBLAS's per-thread buffers inside the limit
+        env = dict(os.environ, PYTHONPATH=str(Path(kickedtop.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "kickedtop", *argv, "--out", str(tmp_path / "out.csv")],
+            env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=limit and (lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: out of memory: Unable to allocate ")
 
     @given(
         kappa0=EDGE_FLOATS,

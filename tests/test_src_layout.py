@@ -130,6 +130,15 @@ def test_resolution_sees_aliases_and_ignores_strings(tmp_path):
         "cl.portrait([], 0.0, step)\n"
     )
     assert references(source, None) == {("exact3", "avg_entropy3"), ("classical", "portrait")}
+    # cli imports most command modules inside the functions that use them
+    source.write_text(
+        "def run(step):\n"
+        "    from . import tomo\n"
+        "    from . import classical as cl\n"
+        "    tomo.reconstruct({})\n"
+        "    return cl.portrait([], 0.0, step)\n"
+    )
+    assert references(source, None) == {("tomo", "reconstruct"), ("classical", "portrait")}
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
