@@ -36,14 +36,6 @@ class ClassicalPoint:
         if abs(r2 - 1.0) > _SPHERE_TOL:
             raise ValueError(f"point is off the unit sphere (|r|^2 = {r2!r})")
 
-    @classmethod
-    def from_angles(cls, theta: float, phi: float) -> "ClassicalPoint":
-        return cls(
-            math.sin(theta) * math.cos(phi),
-            math.sin(theta) * math.sin(phi),
-            math.cos(theta),
-        )
-
     def norm_error(self) -> float:
         return abs(self.x**2 + self.y**2 + self.z**2 - 1.0)
 
@@ -55,23 +47,32 @@ PERIOD4_POINT = ClassicalPoint(0.0, 0.0, 1.0)
 
 def portrait(seeds, kappa0: float, n: int) -> np.ndarray:
     """Phase-portrait table: rows (seed_index, iteration, X, Y, Z), exactly
-    len(seeds) * (n+1) rows including iteration 0.  All seeds are stepped
-    together and written straight into their rows; each sees the same
-    operations whatever the others are, so its orbit does not depend on the
-    seeds stepped with it."""
-    seeds = list(seeds)
-    if not seeds:
+    len(seeds) * (n+1) rows including iteration 0.  seeds are ClassicalPoints
+    or an (m, 3) array of points on the unit sphere (to _SPHERE_TOL).  The
+    table is allocated before any per-seed work, so a table too large fails
+    at once.  All seeds are stepped together and written straight into their
+    rows; each sees the same operations whatever the others are, so its
+    orbit does not depend on the seeds stepped with it."""
+    if not isinstance(seeds, np.ndarray):
+        seeds = list(seeds)
+    if len(seeds) == 0:
         raise ValueError("need at least one seed")
     if n < 1:
         raise ValueError("n must be >= 1")
     if not math.isfinite(kappa0):
         raise ValueError("kappa0 must be finite")
     rows = np.empty((len(seeds) * (n + 1), 5))
+    if isinstance(seeds, np.ndarray):
+        if (seeds.ndim != 2 or seeds.shape[1] != 3
+                or not np.all(np.abs(np.vecdot(seeds, seeds) - 1.0) <= _SPHERE_TOL)):
+            raise ValueError("seeds must be an (m, 3) array of points on the unit sphere")
+    else:
+        seeds = np.array([(p.x, p.y, p.z) for p in seeds])
     table = rows.reshape(len(seeds), n + 1, 5)
     table[:, :, 0] = np.arange(len(seeds))[:, None]
     table[:, :, 1] = np.arange(n + 1)
     out = table[:, :, 2:].transpose(1, 2, 0)  # out[i] = (X, Y, Z) of iteration i
-    x, y, z = np.array([(p.x, p.y, p.z) for p in seeds]).T
+    x, y, z = seeds.T
     out[0] = x, y, z
     for i in range(1, n + 1):
         c = np.cos(kappa0 * x)

@@ -20,6 +20,14 @@ files such as /dev/null or a FIFO are written to and never cut.  A command
 that fails partway leaves a prefix of its new text, but a run killed
 mid-write (SIGKILL, power loss) can leave the old file's tail after the new
 rows.
+
+A CSV is formatted TABLE_BLOCK_ROWS rows at a time (_write_table).  A table
+with enough "%.17g" cells, TABLE_PARALLEL_MIN_CELLS per process, is dealt
+out round-robin, block b to worker b mod w, where worker 0 is this process
+and the others are forked children that send their blocks' text back
+through pipes; w is at most the usable CPU count and the block count, and 1
+without os.fork or while another thread runs.  The blocks are written in
+order, so the bytes are the same for every w and every CPU count.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import math
 import os
 import stat
 import sys
+import threading
 
 import numpy as np
 
@@ -67,6 +76,12 @@ TABLE_BLOCK_ROWS = 4096
 # process on a 2-core Xeon VM), so from 1024 rows one integer column of five
 # repays them, and a shorter table keeps "%.17g" throughout.
 TABLE_TYPED_MIN_ROWS = 1024
+# _write_table gives each process at least this many "%.17g" cells of a
+# table (see _table_workers).  Two processes broke even at about 25 000 cells
+# (two blocks) and took 0.88, 0.69 and 0.61 of one process's time at 36 864,
+# 98 304 and 219 438 cells, the last a classical portrait of the figures
+# benchmark (median of 15, with 40 MB of heap, on a 2-core Xeon VM).
+TABLE_PARALLEL_MIN_CELLS = 20_000
 # "%.17g" writes a whole number below 1e16 in magnitude as its integer digits,
 # as "%d" of the value as an int64 does, -0.0 aside ("-0" against "0").
 _INTEGER_CELL_LIMIT = 1e16
@@ -118,19 +133,168 @@ def _write_table(path: str, columns: dict[str, np.ndarray]) -> None:
     - any other column: "%.17g" per cell.
     Rows are formatted TABLE_BLOCK_ROWS at a time with one % operation per
     block, so the formatted text held at once stays bounded in the row count.
+
+    A large table is formatted by w processes: w is at most the usable CPU
+    count, the block count and the "%.17g" cells over
+    TABLE_PARALLEL_MIN_CELLS (_table_workers).  Block b goes to worker
+    b mod w, worker 0 being this process and the others forked children,
+    each of which sends its blocks' text through its own pipe.  This process
+    writes its own blocks and copies the children's into the file in block
+    order (_blocks_in_order), so each process holds one block of text at a
+    time, no temporary file is written, and the bytes do not depend on w.
+    The column formats are chosen once, here, before any fork.
     """
     data = [np.asarray(col, dtype=float) for col in columns.values()]
     rows = len(data[0])
     typed = [_cell_format(col) if rows >= TABLE_TYPED_MIN_ROWS else _PLAIN_CELLS for col in data]
     row = ",".join(spec for spec, _ in typed) + "\n"
+
+    def block(start: int) -> str:
+        stop = min(rows, start + TABLE_BLOCK_ROWS)
+        cells = [None] * ((stop - start) * len(data))
+        for i, (col, (_, convert)) in enumerate(zip(data, typed)):
+            cells[i :: len(data)] = convert(col[start:stop])
+        return (row * (stop - start)) % tuple(cells)
+
+    starts = range(0, rows, TABLE_BLOCK_ROWS)
+    workers = _table_workers(len(starts), rows * sum(spec == "%.17g" for spec, _ in typed))
     with _open_output(path) as fh:
         fh.write(",".join(columns) + "\n")
-        for start in range(0, rows, TABLE_BLOCK_ROWS):
-            stop = min(rows, start + TABLE_BLOCK_ROWS)
-            cells = [None] * ((stop - start) * len(data))
-            for i, (col, (_, convert)) in enumerate(zip(data, typed)):
-                cells[i :: len(data)] = convert(col[start:stop])
-            fh.write((row * (stop - start)) % tuple(cells))
+        with contextlib.closing(_blocks_in_order(starts, block, workers)) as texts:
+            for text in texts:
+                fh.write(text)
+
+
+def _table_workers(blocks: int, plain_cells: int) -> int:
+    """Processes that format a table of this many blocks and "%.17g" cells:
+    at most one per usable CPU and per block, and each with at least
+    TABLE_PARALLEL_MIN_CELLS plain cells ("%d" and spliced cells are too
+    cheap to repay a fork).
+
+    One (no fork) where os.fork does not exist or while another Python thread
+    runs: a forked child would hold only the forking thread, and Python 3.12
+    warns of that.  The check sees threads of the threading module only, not
+    native ones such as BLAS worker threads; OpenBLAS registers a fork
+    handler for its own, and the children run no BLAS call."""
+    workers = min(blocks, plain_cells // TABLE_PARALLEL_MIN_CELLS)
+    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, workers)
+
+
+def _blocks_in_order(starts: range, block, workers: int):
+    """Yield block(start) for each start, in order, formatted by `workers`
+    processes: this one formats starts[0::workers], and a forked child k
+    formats starts[k::workers] and sends each text as an 8-byte length and
+    its UTF-8 bytes through its own pipe.  A child leaves only through
+    os._exit (status 2 after a MemoryError, 1 after any other failure), so
+    it never returns into the caller or flushes a buffer it inherited.
+
+    Every child is reaped before this returns or raises, and killed first
+    unless all its blocks arrived, also when the caller stops early or a
+    KeyboardInterrupt arrives.  A child whose pipe ends early, or that exits
+    nonzero, raises MemoryError for status 2 and OSError otherwise."""
+    pids, readers = [], []
+    failed, complete = None, False
+    elsewhere = _other_cpus() if workers > 1 else set()
+    try:
+        for k in range(1, workers):
+            reader, writer = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _table_child(starts[k::workers], block, writer, [reader, *readers], elsewhere)
+            os.close(writer)
+            pids.append(pid)
+            readers.append(reader)
+        for b, start in enumerate(starts):
+            k = b % workers
+            text = block(start) if k == 0 else _receive(readers[k - 1])
+            if text is None:
+                failed = k - 1
+                break
+            yield text
+        else:
+            complete = True
+    finally:
+        for reader in readers:
+            os.close(reader)
+        codes = [_reap(pid, kill=not complete) for pid in pids]
+    if failed is None:
+        failed = next((k for k, code in enumerate(codes) if code), None)
+    if failed is not None:
+        code = codes[failed]
+        if code == 2:
+            raise MemoryError("a table worker ran out of memory formatting its rows")
+        raise OSError(f"a table worker failed (exit status {code}) before sending its rows")
+
+
+def _other_cpus() -> set[int]:
+    """The usable CPUs other than the one this process runs on (field 39 of
+    Linux's /proc/self/stat), or an empty set where they are not known."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            cpu = int(fh.read().rpartition(b")")[2].split()[36])
+        return os.sched_getaffinity(0) - {cpu}
+    except (OSError, ValueError, IndexError, AttributeError):
+        return set()
+
+
+def _table_child(starts, block, writer: int, readers: list[int], cpus: set[int]) -> None:
+    """The body of a forked table worker: it never returns.  It moves itself
+    onto `cpus` if any: where the kernel does not balance load between CPUs
+    (a cpuset with sched_load_balance 0 does not), a child stays on the CPU
+    it was forked on, its parent's, and the two took turns on it."""
+    status = 1
+    try:
+        if cpus:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, cpus)
+        for reader in readers:
+            os.close(reader)
+        for start in starts:
+            text = block(start).encode()
+            _send(writer, len(text).to_bytes(8, "little"))
+            _send(writer, text)
+        status = 0
+    except MemoryError:
+        status = 2
+    finally:
+        os._exit(status)
+
+
+def _send(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(fd: int) -> str | None:
+    """The next block a child sent, or None if its pipe ended first."""
+    head = _read_exactly(fd, 8)
+    text = None if head is None else _read_exactly(fd, int.from_bytes(head, "little"))
+    return None if text is None else text.decode()
+
+
+def _read_exactly(fd: int, size: int) -> bytes | None:
+    parts = []
+    while size:
+        part = os.read(fd, size)
+        if not part:
+            return None
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def _reap(pid: int, kill: bool) -> int:
+    """The exit code of a child (minus the signal that ended it), after
+    killing it with SIGKILL if asked."""
+    if kill:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def _cell_format(col: np.ndarray):
@@ -442,25 +606,37 @@ def _parse_seeds(spec: str) -> list:
     return seeds
 
 
+def _grid_seeds(grid: int) -> np.ndarray:
+    """The (grid^2, 3) points (sin theta cos phi, sin theta sin phi,
+    cos theta) of the --grid seeds, theta-major: math.sin and math.cos are
+    taken once per angle and multiplied per point, so each point has the
+    bits of the same expressions evaluated with math per point."""
+    thetas = np.linspace(0.15, math.pi - 0.15, grid).tolist()
+    phis = np.linspace(-math.pi + 0.1, math.pi - 0.1, grid).tolist()
+    sin_theta = np.array([math.sin(t) for t in thetas])[:, None]
+    points = np.empty((grid, grid, 3))
+    points[:, :, 0] = sin_theta * np.array([math.cos(p) for p in phis])
+    points[:, :, 1] = sin_theta * np.array([math.sin(p) for p in phis])
+    points[:, :, 2] = np.array([math.cos(t) for t in thetas])[:, None]
+    return points.reshape(-1, 3)
+
+
 def cmd_classical(args) -> int:
     from . import classical as cl
 
     _require(args.steps >= 1, "--steps must be >= 1")
-    seeds = _parse_seeds(args.seeds) if args.seeds else []
+    named = _parse_seeds(args.seeds) if args.seeds else []
+    parts = [np.array([(p.x, p.y, p.z) for p in named]).reshape(-1, 3)]
     if args.grid is not None:
         _require(args.grid >= 1, "--grid must be >= 1")
-        thetas = np.linspace(0.15, math.pi - 0.15, args.grid)
-        phis = np.linspace(-math.pi + 0.1, math.pi - 0.1, args.grid)
-        for theta in thetas:
-            for phi in phis:
-                seeds.append(cl.ClassicalPoint.from_angles(theta, phi))
+        parts.append(_grid_seeds(args.grid))
     if args.random_seeds is not None:
         _require(args.random_seeds >= 1, "--random-seeds must be >= 1")
-        rng = np.random.default_rng(args.seed)
-        for vec in rng.standard_normal((args.random_seeds, 3)):
-            vec /= np.linalg.norm(vec)
-            seeds.append(cl.ClassicalPoint(*vec))
-    _require(bool(seeds), "no seeds given; use --seeds, --grid and/or --random-seeds")
+        vecs = np.random.default_rng(args.seed).standard_normal((args.random_seeds, 3))
+        # each row over its np.linalg.norm, bit for bit: both take the dot product
+        parts.append(vecs / np.sqrt(np.vecdot(vecs, vecs))[:, None])
+    seeds = np.concatenate(parts)
+    _require(len(seeds) > 0, "no seeds given; use --seeds, --grid and/or --random-seeds")
     rows = cl.portrait(seeds, args.kappa0, args.steps)
     _write_table(
         args.out,

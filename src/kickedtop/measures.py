@@ -112,8 +112,11 @@ def _band_sums(amps: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray, np.
     if two_j < keep:
         raise ValueError(f"cannot keep {keep} qubits of a {two_j}-qubit register")
     diagonal, root = _band_weights(two_j, keep)
-    # one product gives the diagonal bands and each row's squared norm
-    sums = (amps.real**2 + amps.imag**2) @ diagonal
+    # one product gives the diagonal bands and each row's squared norm; the
+    # squares take two real copies of the block, the sum is made in place
+    power = np.square(amps.real)
+    power += np.square(amps.imag)
+    sums = power @ diagonal
     drift = np.abs(sums[:, -1] - 1.0)
     bad = np.flatnonzero(~(drift <= _STATE_NORM_TOL))
     if bad.size:

@@ -276,6 +276,13 @@ def n_star_000(kappa0: float) -> NStar000:
     return NStar000(kappa0, estimate, refined, 2 * estimate)
 
 
+def point_from_angles(theta: float, phi: float) -> classical.ClassicalPoint:
+    """The point at polar angle theta and azimuth phi, one math call each."""
+    return classical.ClassicalPoint(
+        math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)
+    )
+
+
 def map_step(point: classical.ClassicalPoint, kappa0: float) -> classical.ClassicalPoint:
     """One iteration of the classical map, as a validated point."""
     x, y, z = point.x, point.y, point.z

@@ -38,6 +38,7 @@ from conftest import (
     haar_symmetric_sample,
     map_step,
     n_star_000,
+    point_from_angles,
     trajectory_array,
 )
 
@@ -269,7 +270,7 @@ def test_criterion_10_classical_map():
         orbit = trajectory_array(cl.PERIOD4_POINT, kappa0, 4)
         assert np.array_equal(orbit[4], orbit[0])
         assert np.array_equal(orbit[1], [1.0, 0.0, 0.0])
-    traj = trajectory_array(cl.ClassicalPoint.from_angles(1.0, 0.3), 2.5, 10**6)
+    traj = trajectory_array(point_from_angles(1.0, 0.3), 2.5, 10**6)
     drift = np.max(np.abs(np.einsum("ij,ij->i", traj, traj) - 1.0))
     assert drift <= 1e-9
     lo, hi = 1.9, 2.1

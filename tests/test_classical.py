@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from kickedtop import classical as cl
 
-from conftest import fixed_point_multiplier, map_step, tangent_matrix, trajectory_array
+from conftest import (
+    fixed_point_multiplier,
+    map_step,
+    point_from_angles,
+    tangent_matrix,
+    trajectory_array,
+)
 
 # Stroboscopic (full-step) point dispersions of 20 regular trajectories at
 # kappa0 = 0.5, 2000 iterations; regression reference frozen from a verified
@@ -93,7 +99,7 @@ class TestStep:
     )
     @settings(max_examples=150, deadline=None)
     def test_sphere_preserved(self, theta, phi, kappa0):
-        p = cl.ClassicalPoint.from_angles(theta, phi)
+        p = point_from_angles(theta, phi)
         assert map_step(p, kappa0).norm_error() < 1e-14
 
     def test_rejects_off_sphere(self):
@@ -101,7 +107,7 @@ class TestStep:
             cl.ClassicalPoint(0.5, 0.5, 0.5)
 
     def test_norm_drift_million_steps(self):
-        traj = trajectory_array(cl.ClassicalPoint.from_angles(1.0, 0.3), 2.5, 10**6)
+        traj = trajectory_array(point_from_angles(1.0, 0.3), 2.5, 10**6)
         drift = np.max(np.abs(np.einsum("ij,ij->i", traj, traj) - 1.0))
         assert drift < 1e-9
 
@@ -132,17 +138,30 @@ class TestPortrait:
     def test_empty_seed_list(self):
         with pytest.raises(ValueError):
             cl.portrait([], 0.7, 3)
+        with pytest.raises(ValueError):
+            cl.portrait(np.empty((0, 3)), 0.7, 3)
+
+    def test_array_seeds_match_points(self):
+        points = [cl.FIXED_POINT, cl.PERIOD4_POINT, point_from_angles(1.0, 0.7)]
+        coords = np.array([(p.x, p.y, p.z) for p in points])
+        assert cl.portrait(coords, 2.5, 40).tobytes() == cl.portrait(points, 2.5, 40).tobytes()
+
+    @pytest.mark.parametrize("coords", [[[0.5, 0.5, 0.5]], [[math.nan, 0.0, 1.0]], [[1.0, 0.0]],
+                                        [0.0, 0.0, 1.0]])
+    def test_array_seeds_off_the_sphere_rejected(self, coords):
+        with pytest.raises(ValueError):
+            cl.portrait(np.array(coords), 0.7, 3)
 
     def test_regular_regime_regression(self):
         got = []
         for theta, phi in _REGULAR_SEEDS:
-            traj = trajectory_array(cl.ClassicalPoint.from_angles(theta, phi), 0.5, 2000)
+            traj = trajectory_array(point_from_angles(theta, phi), 0.5, 2000)
             got.append(float(np.linalg.norm(np.std(traj, axis=0))))
         assert np.allclose(got, _REGULAR_DISPERSION_REF, atol=1e-5)
         assert max(got) < 1.0
 
     def test_lyapunov_contrast(self):
-        seed = cl.ClassicalPoint.from_angles(0.35, 0.4)  # near the polar island edge
+        seed = point_from_angles(0.35, 0.4)  # near the polar island edge
         chaotic = shadow_lyapunov(seed, 2.5)
         regular = shadow_lyapunov(seed, 0.5)
         assert chaotic > 0.1
@@ -152,7 +171,7 @@ class TestPortrait:
     def test_seeds_stepped_together_match_per_seed_scalar_loop(self, kappa0):
         # the figures' portrait: two named seeds plus a 12 x 12 angle grid
         seeds = [cl.FIXED_POINT, cl.PERIOD4_POINT] + [
-            cl.ClassicalPoint.from_angles(theta, phi)
+            point_from_angles(theta, phi)
             for theta in np.linspace(0.15, math.pi - 0.15, 12)
             for phi in np.linspace(-math.pi + 0.1, math.pi - 0.1, 12)
         ]
@@ -191,7 +210,7 @@ class TestPortrait:
 class TestTangentMap:
     def test_analytic_matches_finite_differences(self):
         for kappa0 in (0.5, 1.7, 2.5):
-            for point in (cl.FIXED_POINT, cl.ClassicalPoint.from_angles(1.0, 0.7)):
+            for point in (cl.FIXED_POINT, point_from_angles(1.0, 0.7)):
                 analytic = tangent_matrix(point, kappa0)
                 numeric = numeric_tangent(point, kappa0)
                 assert np.max(np.abs(analytic - numeric)) < 1e-5

@@ -20,7 +20,7 @@ from kickedtop import cli, symspace, tomo
 from kickedtop.cli import main
 from kickedtop.symspace import BlochPoint
 
-from conftest import expectations_of, per_cell_write_table
+from conftest import expectations_of, per_cell_write_table, point_from_angles
 
 
 def read_csv(path):
@@ -162,6 +162,150 @@ class TestWriteTable:
         column = np.array(pool)[np.array(picks, dtype=int) % len(pool)]
         with tempfile.TemporaryDirectory() as directory:
             assert_table_bytes_match(directory, {"few": column, "index": np.arange(column.size)})
+
+
+def mixed_table(rows):
+    """An integer, a spliced (few distinct values) and two plain columns."""
+    rng = np.random.default_rng(rows)
+    few = np.array([np.nan, -0.0, 0.1, 1e300])
+    return {"i": np.arange(rows), "few": few[rng.integers(0, few.size, rows)],
+            "x": rng.standard_normal(rows), "tiny": rng.random(rows) * 1e-300}
+
+
+# A table the size of the figures workload's classical portraits: 146 seeds
+# of 501 iterations, 219 438 "%.17g" cells in 18 blocks.
+PORTRAIT_ARGV = ["classical", "--kappa0", "2.5", "--steps", "500", "--seeds",
+                 "fixed_point;period4", "--grid", "12"]
+
+
+def assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set the number of processes that format each table."""
+    return lambda count: monkeypatch.setattr(cli, "_table_workers", lambda blocks, cells: count)
+
+
+class TestForkedTableWriter:
+    """A large table's blocks are dealt round-robin to forked workers; the
+    bytes do not depend on how many, and every worker is reaped."""
+
+    @pytest.mark.parametrize("offset", [(1, -1), (1, 1), (2, 0), (4, 3)],
+                             ids=["block-1", "block+1", "2blocks", "4blocks+3"])
+    def test_bytes_do_not_depend_on_the_worker_count(self, offset, tmp_path, workers):
+        blocks, extra = offset
+        columns = mixed_table(blocks * cli.TABLE_BLOCK_ROWS + extra)
+        reference, out = tmp_path / "reference.csv", tmp_path / "out.csv"
+        per_cell_write_table(str(reference), columns)
+        for count in (1, 2, 3, 4):
+            workers(count)
+            out.write_bytes(OLD_TEXT * 100)
+            cli._write_table(str(out), columns)
+            assert out.read_bytes() == reference.read_bytes(), count
+            assert_no_children_left()
+
+    def test_worker_count(self):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        portrait = 146 * 501 * 3
+        assert cli._table_workers(18, portrait) == min(cpus, portrait // cli.TABLE_PARALLEL_MIN_CELLS)
+        assert cli._table_workers(1, 10**9) == 1  # one block
+        assert cli._table_workers(100, 2 * cli.TABLE_PARALLEL_MIN_CELLS - 1) == 1
+        assert cli._table_workers(100, 10**9) == cpus
+
+    @pytest.mark.parametrize("argv", [
+        # every table of the sweep and large_spin workloads, and figures' Husimi grids,
+        # whose cheap spliced cells do not repay a fork
+        ["sweep", "--qubits", "20", "--kicks", "1000", "--kappa0-list", "1.1,2.2"],
+        ["sweep", "--qubits", "200", "--kicks", "300", "--kappa0-list", "1.1,2.2,3.3"],
+        ["evolve", "--qubits", "200", "--kappa0", "1.1", "--steps", "300"],
+        ["evolve", "--qubits", "4", "--kappa0", "1.1", "--state", "zero", "--steps", "1000"],
+        ["husimi", "--qubits", "4", "--state", "plus_y", "--n-theta", "101", "--n-phi", "201"],
+    ], ids=["sweep", "sweep_200", "evolve_200", "evolve_4", "husimi"])
+    def test_small_tables_never_fork(self, argv, tmp_path, monkeypatch):
+        def refuse():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+
+    def test_portrait_forks_where_cpus_allow(self, tmp_path, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        assert main([*PORTRAIT_ARGV, "--out", str(tmp_path / "out.csv")]) == 0
+        assert len(forks) == cli._table_workers(18, 146 * 501 * 3) - 1
+        assert_no_children_left()
+
+    def test_another_thread_keeps_one_process(self, tmp_path, monkeypatch):
+        # a forked child would hold only the forking thread (Python 3.12 warns)
+        import threading
+        import warnings
+
+        columns = mixed_table(4 * cli.TABLE_BLOCK_ROWS + 3)
+        reference, out = tmp_path / "reference.csv", tmp_path / "out.csv"
+        per_cell_write_table(str(reference), columns)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+                warnings.simplefilter("error")
+                patch.setattr(cli, "TABLE_PARALLEL_MIN_CELLS", 1)
+                patch.setattr(os, "fork", lambda: pytest.fail("forked beside a thread"))
+                assert cli._table_workers(5, 10**9) == 1
+                cli._write_table(str(out), columns)
+        finally:
+            stop.set()
+            thread.join()
+        assert out.read_bytes() == reference.read_bytes()
+        monkeypatch.setattr(cli, "TABLE_PARALLEL_MIN_CELLS", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cli._write_table(str(out), columns)
+        assert out.read_bytes() == reference.read_bytes()
+        assert_no_children_left()
+
+    @pytest.mark.parametrize("error,code,message", [
+        (MemoryError, 2, "error: out of memory: "),
+        (ValueError, 3, "i/o error: "),
+    ])
+    def test_failed_child_exits_cleanly(self, error, code, message, tmp_path, capsys, monkeypatch,
+                                        workers):
+        def fail(fd, data):
+            raise error("in the child")
+
+        workers(2)
+        monkeypatch.setattr(cli, "_send", fail)  # only the children send
+        assert main([*PORTRAIT_ARGV, "--out", str(tmp_path / "out.csv")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err
+        assert_no_children_left()
+
+    def test_full_device_exits_3_and_reaps(self, capsys, workers):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        workers(3)
+        assert main([*PORTRAIT_ARGV, "--out", "/dev/full"]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert_no_children_left()
+
+    def test_interrupt_kills_and_reaps(self, tmp_path, monkeypatch, workers):
+        def interrupt(fd):
+            raise KeyboardInterrupt
+
+        workers(4)
+        monkeypatch.setattr(cli, "_receive", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            cli._write_table(str(tmp_path / "out.csv"), mixed_table(8 * cli.TABLE_BLOCK_ROWS))
+        assert_no_children_left()
 
 
 # One CSV command and the JSON one: each writes through cli._open_output.
@@ -581,6 +725,14 @@ class TestClassical:
                      "--seeds", "0,0,1;0.6,0.8,0", "--grid", "3", "--out", str(out)]) == 0
         _, data = read_csv(out)
         assert data.shape == ((2 + 9) * 6, 5)
+
+    @pytest.mark.parametrize("grid", [1, 2, 12, 37])
+    def test_grid_seeds_are_the_per_point_angles(self, grid):
+        points = [point_from_angles(theta, phi)
+                  for theta in np.linspace(0.15, math.pi - 0.15, grid)
+                  for phi in np.linspace(-math.pi + 0.1, math.pi - 0.1, grid)]
+        expected = np.array([(p.x, p.y, p.z) for p in points])
+        assert cli._grid_seeds(grid).tobytes() == expected.tobytes()
 
     def test_no_seeds_exits_2(self, tmp_path):
         assert main(["classical", "--kappa0", "1.0", "--seeds", "",
@@ -1102,7 +1254,9 @@ class TestEdgeFlagFuzz:
         # 17.9 GiB of trajectory and 149 GiB of overlaps, under a 3 GiB limit
         (["evolve", "--qubits", "3", "--kappa0", "1.0", "--steps", str(3 * 10**8)], 3 << 30),
         (["husimi", "--qubits", "3", "--n-theta", str(10**5), "--n-phi", str(10**5)], 3 << 30),
-    ], ids=["sweep", "evolve", "husimi"])
+        # 336 GiB of portrait for 9e6 grid seeds, asked for before any seed is stepped
+        (["classical", "--kappa0", "1.0", "--steps", "1000", "--grid", "3000"], 3 << 30),
+    ], ids=["sweep", "evolve", "husimi", "classical"])
     def test_failed_allocation_exits_2(self, argv, limit, tmp_path):
         # in a child process, whose address-space limit leaves this one's alone;
         # one BLAS thread keeps OpenBLAS's per-thread buffers inside the limit
