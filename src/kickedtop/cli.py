@@ -276,15 +276,17 @@ def _receive(fd: int) -> str | None:
     return None if text is None else text.decode()
 
 
-def _read_exactly(fd: int, size: int) -> bytes | None:
-    parts = []
-    while size:
-        part = os.read(fd, size)
-        if not part:
+def _read_exactly(fd: int, size: int) -> bytearray | None:
+    """size bytes from fd, read straight into one buffer, or None if the pipe
+    ends first."""
+    data = bytearray(size)
+    view = memoryview(data)
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
             return None
-        parts.append(part)
-        size -= len(part)
-    return b"".join(parts)
+        view = view[got:]
+    return data
 
 
 def _reap(pid: int, kill: bool) -> int:
@@ -355,10 +357,9 @@ def _closed_entropy_series(
         out[0] = 0.0  # a coherent state is a product state
         return out
     if two_j == 4 and name is not None:
-        from . import exact3, exact4
+        from . import exact4
 
-        state_id = exact3.STATE_ZERO if name == "zero" else exact3.STATE_PLUS_Y
-        return exact4.entropy4_closed(state_id, kicks, kappa0)
+        return exact4.entropy4_closed(_closed_state_id(name), kicks, kappa0)
     return None
 
 
@@ -375,14 +376,21 @@ def _closed_concurrence_series(
 def _closed_avg_entropy(two_j: int, name: str | None, kappa0: float) -> float | None:
     if name is None or two_j not in (3, 4):
         return None
-    from . import exact3
-
-    state_id = exact3.STATE_ZERO if name == "zero" else exact3.STATE_PLUS_Y
     if two_j == 3:
-        return exact3.avg_entropy3(state_id, kappa0).value
+        from . import exact3
+
+        return exact3.avg_entropy3(_closed_state_id(name), kappa0).value
     from . import exact4
 
-    return exact4.avg_entropy4(state_id, kappa0).value
+    return exact4.avg_entropy4(_closed_state_id(name), kappa0).value
+
+
+def _closed_state_id(name: str) -> str:
+    """The exact3/exact4 state id of a named state."""
+    from . import exact3
+
+    # minus_y = R_z(pi) plus_y, R_z(pi) U R_z(pi)^dag = U P^dag, P local: plus_y's entanglement
+    return exact3.STATE_ZERO if name == "zero" else exact3.STATE_PLUS_Y
 
 
 def _numeric_series(two_j: int, point, kappa0: float, n_max: int):

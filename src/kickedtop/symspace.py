@@ -4,7 +4,9 @@ One kick period is a quarter turn, p = pi/2, about the y axis followed by a
 torsion exp(-i kappa0 Jz^2 / 2j); the Floquet operator of that period acts on
 the (2j+1)-dimensional symmetric subspace of 2j qubits.  floquet keeps it as
 its two factors: the rotation, which is real orthogonal in this basis, and the
-diagonal torsion phases, counted from the smallest m^2 (see floquet).  The
+diagonal torsion phases, counted from the smallest m^2 (see floquet).
+floquet is the one builder of a UnitaryMatrix: _checked_rotation and
+_unit_phases check the factors, and the operator only holds them.  The
 rotation comes from the exact spectrum of Jy, m = j, ..., -j: its eigenvectors
 by a three-term recurrence from the edge row to the middle, the other half by
 parity, then three half-size real GEMMs over the even and odd rows, with no
@@ -182,44 +184,23 @@ class UnitaryMatrix:
     """U = diag(phases) @ base: one dim x dim unitary, or a stack of K of them
     that share the base.
 
-    `base` is the real orthogonal rotation, checked once (R^T R = I to
+    `base` is the real orthogonal rotation of _checked_rotation (R^T R = I to
     _UNITARY_TOL in Frobenius norm); `phases` holds the unit-modulus torsion
-    diagonal, a (dim,) row for one operator or a (K, dim) stack of rows.  The
-    dense `matrix` is formed on each use, and a stack can be sliced.  floquet
-    and slicing put already checked, read-only factors together through
-    _of_checked, with no copy and no R^T R product.
-    trajectory keeps the power stack it builds on the operator it stepped, so
-    later calls with that operator (a sweep chunk's blocks) build none.
+    diagonal of _unit_phases, a (dim,) row for one operator or a (K, dim)
+    stack of rows.  Both are read-only.  floquet is the one builder, and
+    slicing a stack shares its factors; neither copies nor checks them again.
+    The dense `matrix` is formed on each use.  trajectory keeps the power
+    stack it builds on the operator it stepped, so later calls with that
+    operator (a sweep chunk's blocks) build none.
     """
 
     base: np.ndarray
     phases: np.ndarray
-    dim: int = field(init=False)
     _kick_stack: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        base = np.asarray(self.base, dtype=float)
-        if base.flags.writeable or not base.flags.owndata:
-            base = base.copy()  # a frozen array that owns its data is taken over as is
-        if base.ndim != 2 or base.shape[0] != base.shape[1]:
-            raise ValueError("the rotation must be a square matrix")
-        _check_orthogonal(base)
-        phases = _unit_phases(np.array(self.phases, dtype=complex), base.shape[0])
-        base.flags.writeable = False
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "dim", base.shape[0])
-
-    @classmethod
-    def _of_checked(cls, base: np.ndarray, phases: np.ndarray) -> UnitaryMatrix:
-        """diag(phases) @ base from factors that are already checked and
-        read-only: a rotation that passed _check_orthogonal and rows from
-        _unit_phases.  Neither is copied or checked again."""
-        u = object.__new__(cls)
-        object.__setattr__(u, "base", base)
-        object.__setattr__(u, "phases", phases)
-        object.__setattr__(u, "dim", base.shape[0])
-        return u
+    @property
+    def dim(self) -> int:
+        return self.base.shape[0]
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -237,14 +218,7 @@ class UnitaryMatrix:
         """Sub-stack of a stack; it shares the already checked rotation."""
         if self.phases.ndim != 2 or not isinstance(index, slice):
             raise TypeError("only a stack can be sliced, and only by a slice")
-        return UnitaryMatrix._of_checked(self.base, self.phases[index])
-
-
-def _check_orthogonal(base: np.ndarray) -> None:
-    """Raise unless R^T R = I to _UNITARY_TOL in Frobenius norm (a d^3 product)."""
-    defect = np.linalg.norm(base.T @ base - np.eye(len(base)))
-    if not defect <= _UNITARY_TOL:  # a NaN entry fails too
-        raise ValueError(f"matrix is not unitary (defect {defect:.2e})")
+        return UnitaryMatrix(self.base, self.phases[index])
 
 
 def _unit_phases(phases: np.ndarray, dim: int) -> np.ndarray:
@@ -295,12 +269,13 @@ def floquet(j: float, kappa0: float | list[float] | np.ndarray) -> UnitaryMatrix
     if not np.all(np.isfinite(phases)):
         raise ValueError(f"kappa0 is too large for 2j = {two_j}: its torsion phase overflows a double")
     rotation = _checked_rotation(two_j)
-    return UnitaryMatrix._of_checked(rotation, _unit_phases(np.exp(-1j * phases), two_j + 1))
+    return UnitaryMatrix(rotation, _unit_phases(np.exp(-1j * phases), two_j + 1))
 
 
 def _checked_rotation(two_j: int) -> np.ndarray:
     """The read-only rotation exp(-i p Jy) of floquet, built by _rotation and
-    checked by _check_orthogonal before its first use.  It is kept in
+    checked before its first use: R^T R = I to _UNITARY_TOL in Frobenius norm,
+    a d^3 product, or ValueError.  It is kept in
     _rotations under 2j when it fits in _ROTATION_CACHE_BYTES, and the least
     recently used are dropped until all that is kept fits again; a larger one
     is built per call and not kept."""
@@ -309,7 +284,9 @@ def _checked_rotation(two_j: int) -> np.ndarray:
         _rotations.move_to_end(two_j)
         return rotation
     rotation = _rotation(two_j)
-    _check_orthogonal(rotation)
+    defect = np.linalg.norm(rotation.T @ rotation - np.eye(len(rotation)))
+    if not defect <= _UNITARY_TOL:  # a NaN entry fails too
+        raise ValueError(f"matrix is not unitary (defect {defect:.2e})")
     rotation.flags.writeable = False
     if rotation.nbytes <= _ROTATION_CACHE_BYTES:
         _rotations[two_j] = rotation

@@ -588,6 +588,19 @@ class TestSweep:
         assert np.max(np.abs(data[:, 1] - data[:, 2])) < 5e-3
         assert np.allclose(data[:, 3], data[:, 1] / (1.0 / 3.0), atol=1e-12)
 
+    @pytest.mark.parametrize("qubits", [3, 4])
+    def test_minus_y_rows_match_plus_y(self, qubits, tmp_path):
+        tables = {}
+        for state in ("plus_y", "minus_y"):
+            out = tmp_path / f"{state}.csv"
+            assert main(["sweep", "--qubits", str(qubits), "--state", state, "--kicks", "600",
+                         "--kappa0-list", "0.7,2.5,5.1", "--out", str(out)]) == 0
+            header, tables[state] = read_csv(out)
+        cols = {name: i for i, name in enumerate(header)}
+        plus, minus = tables["plus_y"], tables["minus_y"]
+        assert np.array_equal(minus[:, cols["S_avg_closed"]], plus[:, cols["S_avg_closed"]])
+        assert np.max(np.abs(minus[:, cols["S_avg_numeric"]] - plus[:, cols["S_avg_numeric"]])) <= 1e-12
+
     def test_rerun_is_byte_identical(self, tmp_path):
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ["sweep", "--qubits", "4", "--state", "plus_y", "--kicks", "1100",

@@ -71,7 +71,7 @@ class TestNoRecurrence:
             call()
 
     @pytest.mark.parametrize("qubits", [3, 4])
-    @pytest.mark.parametrize("state", ["zero", "plus_y", "1.1,0.4"])
+    @pytest.mark.parametrize("state", ["zero", "plus_y", "minus_y", "1.1,0.4"])
     def test_evolve(self, qubits, state, no_recurrence, tmp_path):
         out = tmp_path / "evolve.csv"
         assert cli.main(["evolve", "--qubits", str(qubits), "--kappa0", "1.3", "--state", state,

@@ -419,3 +419,64 @@ def test_write_detection_sees_modes_and_ignores_strings(tmp_path):
         "sample.py:11: Path('z').write_bytes(b'')",
     ]
     assert file_writes(source, None)[1] == "sample.py:9: os.open(path, os.O_WRONLY)"
+
+
+# Every operator is built by symspace.floquet, from a rotation that
+# _checked_rotation checked and rows that _unit_phases checked; slicing a stack
+# shares those factors.  A UnitaryMatrix called anywhere else would hold
+# factors that nothing checked.
+OPERATOR_BUILDERS = {"floquet", "UnitaryMatrix.__getitem__"}
+
+
+def operator_builds(path: Path, allowed: set[str]) -> list[str]:
+    """'file:line: call' of each call UnitaryMatrix(...) or x.UnitaryMatrix(...)
+    in the file, outside the functions and methods named in allowed
+    ('function' or 'Class.method')."""
+    found = []
+
+    def visit(node, scope: str):
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+            if scope in allowed:
+                return
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "UnitaryMatrix":
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_operators_are_built_only_by_floquet():
+    for directory in ("src", "scripts", "bench", "tests"):
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            allowed = OPERATOR_BUILDERS if path == PACKAGE / "symspace.py" else set()
+            assert operator_builds(path, allowed) == []
+    assert len(operator_builds(PACKAGE / "symspace.py", set())) == 2  # the builders' own calls are seen
+
+
+def test_operator_build_detection_sees_scopes_and_ignores_strings(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        '"""mentions UnitaryMatrix(base, phases) only in words"""\n'
+        "from kickedtop import symspace\n"
+        "from kickedtop.symspace import UnitaryMatrix\n"
+        "def floquet(base, phases):\n"
+        "    return UnitaryMatrix(base, phases)\n"
+        "class UnitaryMatrix:\n"
+        "    def __getitem__(self, index):\n"
+        "        return UnitaryMatrix(self.base, self.phases[index])\n"
+        "    def copy(self):\n"
+        "        return UnitaryMatrix(self.base, self.phases)\n"
+        "def test_direct(u):\n"
+        "    return symspace.UnitaryMatrix(u.base, u.phases[None]), isinstance(u, UnitaryMatrix)\n"
+    )
+    assert operator_builds(source, OPERATOR_BUILDERS) == [
+        "sample.py:10: UnitaryMatrix(self.base, self.phases)",
+        "sample.py:12: symspace.UnitaryMatrix(u.base, u.phases[None])",
+    ]
+    assert len(operator_builds(source, set())) == 4

@@ -59,14 +59,6 @@ class TestParams:
         with pytest.raises(ValueError):
             state.amps[0] = 0.5  # frozen buffer
 
-    def test_unitary_validation(self):
-        with pytest.raises(ValueError):
-            symspace.UnitaryMatrix(np.array([[1.0, 0.0], [0.0, 1.1]]), np.ones(2))
-        with pytest.raises(ValueError):
-            symspace.UnitaryMatrix(np.ones((2, 3)), np.ones(3))
-        with pytest.raises(TypeError):
-            symspace.UnitaryMatrix(np.eye(2))  # the torsion phases are required
-
 
 class TestCoherentState:
     def test_north_pole_is_all_zeros(self):
@@ -429,34 +421,30 @@ class TestFloquetStack:
             with pytest.raises(ValueError, match="non-empty 1-D sequence"):
                 symspace.floquet(1.5, grid)
 
-    def test_every_matrix_of_a_stack_is_checked(self):
+    def test_every_matrix_of_a_stack_is_checked(self, monkeypatch):
+        checked, check = [], symspace._unit_phases
+        monkeypatch.setattr(symspace, "_unit_phases",
+                            lambda phases, dim: checked.append(phases.shape) or check(phases, dim))
         good = symspace.floquet(1.0, (0.4, 0.5, 0.6))
-        with pytest.raises(ValueError, match="modulus 1"):
-            symspace.UnitaryMatrix(good.base, good.phases * np.array([[1.0], [1.0], [1.01]]))
-        with pytest.raises(ValueError, match="modulus 1"):
-            symspace.UnitaryMatrix(good.base, np.where(np.eye(3, dtype=bool), np.nan, good.phases))
-        with pytest.raises(ValueError, match="not unitary"):
-            symspace.UnitaryMatrix(np.where(np.eye(3, dtype=bool), np.nan, good.base), good.phases)
+        assert checked == [(3, 3)] and good.shape == (3, 3, 3)
+
+    def test_unit_phases_refuses_bad_rows(self):
+        rows = symspace.floquet(1.0, (0.4, 0.5, 0.6)).phases.copy()
+        refused = {
+            "modulus 1": [rows * np.array([[1.0], [1.0], [1.01]]),
+                          np.where(np.eye(3, dtype=bool), np.nan, rows)],
+            "rows": [rows[:, :2], rows[None]],  # a (K, dim - 1) stack, a 3-D array
+        }
+        for message, bad in refused.items():
+            for phases in bad:
+                with pytest.raises(ValueError, match=message):
+                    symspace._unit_phases(phases, 3)
+        assert symspace._unit_phases(rows, 3) is rows and not rows.flags.writeable
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_an_overflowing_torsion_phase(self):
         with pytest.raises(ValueError, match="kappa0"):
             symspace.floquet(4.0, (1.0, 1e308))
-        with pytest.raises(ValueError):
-            symspace.UnitaryMatrix(np.ones((2, 3, 4)), np.ones(4))
-        with pytest.raises(ValueError):
-            symspace.UnitaryMatrix(np.ones((1, 1, 2, 2)), np.ones(2))
-
-    def test_copies_unless_handed_a_frozen_owner(self):
-        u = symspace.floquet(1.0, 0.4)
-        mine, phases = u.base.copy(), u.phases.copy()
-        copied = symspace.UnitaryMatrix(mine, phases)
-        assert copied.base is not mine and mine.flags.writeable  # the caller's array stays theirs
-        assert copied.phases is not phases and phases.flags.writeable
-        frozen = mine.copy()
-        frozen.flags.writeable = False
-        assert symspace.UnitaryMatrix(frozen, phases).base is frozen
-        assert symspace.UnitaryMatrix(frozen[None][0], phases).base is not frozen  # a view is copied
 
     def test_slices_share_the_checked_matrices(self):
         stack = symspace.floquet(1.5, self.KAPPAS)
@@ -523,7 +511,7 @@ class TestStackedTrajectory:
         psi = symspace.coherent_state(2.0, BlochPoint(0.5, 0.2))
         single = symspace.trajectory(u, psi, 9)
         assert single.shape == (10, 5)
-        stacked = symspace.trajectory(symspace.UnitaryMatrix(u.base, u.phases[None]), psi.amps[None], 9)
+        stacked = symspace.trajectory(symspace.floquet(2.0, [1.3]), psi.amps[None], 9)
         assert np.array_equal(stacked[:, 0], single)
 
     @pytest.mark.parametrize("two_j", [3, 20, 200])
@@ -574,12 +562,6 @@ class TestFactoredRoute:
         u = symspace.floquet(1.5, (0.2, 0.4))
         assert u.base.dtype == float and u.phases.shape == (2, 4) and u.shape == (2, 4, 4)
         assert not u.base.flags.writeable and not u.phases.flags.writeable
-        with pytest.raises(ValueError, match="not unitary"):
-            symspace.UnitaryMatrix(1.01 * u.base, u.phases)
-        with pytest.raises(ValueError, match="modulus 1"):
-            symspace.UnitaryMatrix(u.base, np.where(np.eye(2, 4, dtype=bool), np.nan, u.phases))
-        with pytest.raises(ValueError, match="rows"):
-            symspace.UnitaryMatrix(u.base, u.phases[:, :3])
 
     @pytest.mark.parametrize("two_j", [100, 200])
     def test_routes_agree_over_a_thousand_kicks(self, two_j, monkeypatch):
