@@ -52,18 +52,6 @@ NAMED_STATES = {
 }
 
 
-# A sweep steps a chunk of kappa0 points together in blocks of at most
-# SWEEP_BLOCK_KICKS kicks, and a chunk's block holds at most SWEEP_BLOCK_AMPS
-# amplitudes at every 2j (see _sweep_blocks), the chunk's power stacks in
-# symspace.trajectory no more, so the states held are bounded in --kicks and
-# the grid size.  512 kicks fit up to 2j+1 = 64; at 2j = 200 a block is 160
-# kicks (0.5 MB).  With 2^16 a 2j = 200 block of 300 kicks and its entropy
-# temporaries peaked at 2.1 MB, whose pages glibc returned after each
-# operation and faulted in again in the next: 4 840-5 172 minor faults per
-# pass of the large_spin benchmark's operations run back to back in one
-# process, 880-942 with 2^15.
-SWEEP_BLOCK_KICKS = 512
-SWEEP_BLOCK_AMPS = 2**15
 # Largest tunnel time: kick counts above 2**53 are not exact as doubles.
 MAX_TUNNEL_TIME = 2**53
 # Table rows formatted per % operation in _write_table; formatting a whole
@@ -349,10 +337,8 @@ def _closed_entropy_series(
     if two_j == 3:
         from . import exact3
 
-        if name == "zero":
-            return exact3.entropy3_closed(exact3.STATE_ZERO, kicks, kappa0)
-        if name == "plus_y":
-            return exact3.entropy3_closed(exact3.STATE_PLUS_Y, kicks, kappa0)
+        if name is not None:
+            return exact3.entropy3_closed(_closed_state_id(name), kicks, kappa0)
         out = exact3.general_entropy3(exact3.GeneralState3.from_bloch(point), kicks, kappa0)
         out[0] = 0.0  # a coherent state is a product state
         return out
@@ -393,17 +379,13 @@ def _closed_state_id(name: str) -> str:
     return exact3.STATE_ZERO if name == "zero" else exact3.STATE_PLUS_Y
 
 
-def _numeric_series(two_j: int, point, kappa0: float, n_max: int):
-    u = symspace.floquet(two_j / 2.0, kappa0)
-    psi0 = symspace.coherent_state(two_j / 2.0, point)
-    return measures.entanglement_series(u, psi0, n_max)
-
-
 def cmd_evolve(args) -> int:
     _require(args.qubits >= 1, "--qubits must be >= 1")
     _require(args.steps >= 1, "--steps must be >= 1")
     name, point = _parse_state(args.state)
-    entropies, concurrences = _numeric_series(args.qubits, point, args.kappa0, args.steps)
+    j = args.qubits / 2.0
+    u, psi0 = symspace.floquet(j, args.kappa0), symspace.coherent_state(j, point)
+    entropies, concurrences = measures.entanglement_series(u, psi0, args.steps)
     columns: dict[str, np.ndarray] = {
         "n": np.arange(args.steps + 1),
         "S_numeric": entropies,
@@ -426,53 +408,6 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def _sweep_blocks(dim: int) -> tuple[int, int]:
-    """(kicks per block, points per chunk) of a sweep at dimension dim.
-
-    A block is the largest multiple of lcm(4, b) kicks, b = symspace's kicks
-    per BLAS call, that is at most SWEEP_BLOCK_KICKS and keeps one point's
-    block within SWEEP_BLOCK_AMPS amplitudes; a chunk takes as many points as
-    fit in SWEEP_BLOCK_AMPS, at least one.  A multiple of b restarts each
-    block on a block edge of one trajectory call, and a multiple of 4 keeps
-    the bits of qubit_entropies' rows (its BLAS product can round the last
-    n mod 4 rows of an n-row call differently), so a cell is the same as
-    from one call over the whole trajectory."""
-    step = math.lcm(4, symspace._kick_block(dim))
-    block = max(step, min(SWEEP_BLOCK_KICKS, SWEEP_BLOCK_AMPS // dim) // step * step)
-    return block, max(1, SWEEP_BLOCK_AMPS // (block * dim))
-
-
-def _sweep_averages(two_j: int, point, grid: list[float], kicks: int) -> np.ndarray:
-    """Mean single-qubit linear entropy over kicks 1..kicks for each kappa0 of
-    the grid, from one floquet call: the grid shares one rotation.  Points are
-    stepped a chunk at a time, block by block in kick order, and each sum is
-    kept per point, so no cell depends on the chunk its point is stepped in.
-    Every block is written into one array, allocated once per sweep: a new
-    array per block let glibc return its pages after each block and fault
-    them in again in the next (30 points x 4000 kicks at 2j = 100: 80 813
-    minor faults, against 683).  The entropies are taken one qubit_entropies
-    call per point and block: one call over a chunk's points held temporaries
-    that pushed the heap past glibc's trim threshold, so its pages were
-    faulted in again every block."""
-    j = two_j / 2.0
-    psi = symspace.coherent_state(j, point)
-    u = symspace.floquet(j, grid)
-    block, per_chunk = _sweep_blocks(u.dim)
-    storage = np.empty(min(per_chunk, len(grid)) * (block + 1) * u.dim, dtype=complex)
-    totals = np.zeros(len(grid))
-    for lo in range(0, len(grid), per_chunk):
-        chunk = u[lo : lo + per_chunk]
-        amps = np.tile(psi.amps, (chunk.shape[0], 1))
-        for first_kick in range(0, kicks, block):
-            n = min(block, kicks - first_kick)
-            out = storage[: len(amps) * (n + 1) * u.dim].reshape(len(amps), n + 1, u.dim)
-            states = symspace.trajectory(chunk, amps, n, out=out)
-            for i in range(len(amps)):
-                totals[lo + i] += measures.qubit_entropies(states[1:, i]).sum()
-            amps = states[-1].copy()  # the next block overwrites the storage
-    return totals / kicks
-
-
 def cmd_sweep(args) -> int:
     _require(args.qubits >= 2, "--qubits must be >= 2")
     _require(args.kicks >= 1, "--kicks must be >= 1")
@@ -487,7 +422,9 @@ def cmd_sweep(args) -> int:
         _require(math.isfinite(args.kappa0_stop - args.kappa0_start),  # NaN, inf and overflow
                  "--kappa0-start and --kappa0-stop must be finite, a finite distance apart")
         grid = list(np.linspace(args.kappa0_start, args.kappa0_stop, args.kappa0_steps))
-    averages = _sweep_averages(args.qubits, point, grid, args.kicks)
+    j = args.qubits / 2.0
+    u, psi0 = symspace.floquet(j, grid), symspace.coherent_state(j, point)
+    averages = measures.mean_entropies(u, psi0, args.kicks)
     columns: dict[str, np.ndarray] = {
         "kappa0": np.array(grid),
         "S_avg_numeric": averages,

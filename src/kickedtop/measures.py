@@ -13,7 +13,9 @@ band sums, with no 2 x 2 matrix formed; the pair concurrence takes the
 bands of the pair state (entanglement_series()).  reduced_state() gives one
 state's matrix, and linear_entropy() and concurrences() take any stack of
 matrices, a tomography state say.  The brute-force register partial trace
-is kept to the test suite as an oracle.
+is kept to the test suite as an oracle.  A trajectory is read in blocks of
+kicks (_trajectory_blocks, symspace.trajectory's one caller): the series
+and the sweep's mean_entropies() hold one block, whatever the horizon.
 
 The Wootters concurrence (PRL 80, 2245 (1998)) has two routes that share one
 step: C = max(0, 2 s1 - sum s) from the singular values s of the complex
@@ -42,7 +44,7 @@ import math
 
 import numpy as np
 
-from .symspace import _STATE_NORM_TOL, SymState, UnitaryMatrix, _two_j, trajectory
+from .symspace import _STATE_NORM_TOL, SymState, UnitaryMatrix, _kick_block, trajectory
 
 # Eigenvalues in [-PSD_CLIP_TOL, 0) are treated as exact zeros: tomography and
 # round-off routinely produce tiny negatives.
@@ -64,6 +66,18 @@ _PATTERN_WEIGHT = np.array([0, 1, 1, 2])
 # sqrt of the triplet multiplicities 1, 2, 1: the triplet Gram is the pair
 # bands scaled by these on both sides.
 _TRIPLET_ROOT = np.sqrt([1.0, 2.0, 1.0])
+# Every trajectory is read in blocks of at most BLOCK_KICKS kicks, and a
+# chunk of points holds at most BLOCK_AMPS amplitudes per block at every 2j
+# (see _block_shape), the chunk's power stacks in symspace.trajectory no
+# more, so the states held are bounded in the horizon and the number of
+# points.  512 kicks fit up to 2j+1 = 64; at 2j = 200 a block is 160 kicks
+# (0.5 MB).  With 2^16 a 2j = 200 block of 300 kicks and its entropy
+# temporaries peaked at 2.1 MB, whose pages glibc returned after each
+# operation and faulted in again in the next: 4 840-5 172 minor faults per
+# pass of the large_spin benchmark's operations run back to back in one
+# process, 880-942 with 2^15.
+BLOCK_KICKS = 512
+BLOCK_AMPS = 2**15
 
 
 @functools.lru_cache(maxsize=32)
@@ -357,11 +371,60 @@ def entanglement_series(
        100   1.20 +y    0%     10.8      8.3 us    1.28
        200   0.78 +y    0%     12.7     10.1 us    1.26
     """
-    states = trajectory(u, psi0, n_max)
-    entropies = qubit_entropies(states)
-    if _two_j(psi0.j) < 2:
-        return entropies, np.full(n_max + 1, np.nan)
-    return entropies, _pair_concurrences(states)
+    entropies = np.empty(n_max + 1)
+    concurrences = np.full(n_max + 1, np.nan)
+    for _, first, states in _trajectory_blocks(u, psi0.amps[None], n_max):
+        # each block's last row starts the next, so the rows read tile 0..n_max
+        rows = states[:, 0] if first + len(states) > n_max else states[:-1, 0]
+        entropies[first : first + len(rows)] = qubit_entropies(rows)
+        if psi0.dim > 2:
+            concurrences[first : first + len(rows)] = _pair_concurrences(rows)
+    return entropies, concurrences
+
+
+def mean_entropies(u: UnitaryMatrix, psi0: SymState, kicks: int) -> np.ndarray:
+    """Mean single-qubit linear entropy over kicks 1..kicks of psi0 under each
+    operator of a stack (a kappa0 grid), one qubit_entropies call per point
+    and block: one call over a chunk's points held temporaries that pushed the
+    heap past glibc's trim threshold, so its pages faulted in every block."""
+    totals = np.zeros(u.shape[0])
+    for lo, _, states in _trajectory_blocks(u, np.tile(psi0.amps, (u.shape[0], 1)), kicks):
+        for i in range(states.shape[1]):
+            totals[lo + i] += qubit_entropies(states[1:, i]).sum()
+    return totals / kicks
+
+
+def _block_shape(dim: int) -> tuple[int, int]:
+    """(kicks per block, points per chunk) at dimension dim: the longest
+    multiple of lcm(4, b) kicks, b = trajectory's kicks per BLAS call, within
+    BLOCK_KICKS and BLOCK_AMPS amplitudes per point, and as many points as
+    fit in BLOCK_AMPS, at least one.  A multiple of b starts each block on a
+    block edge of one trajectory call, and of 4 keeps qubit_entropies' bits
+    (it can round the last n mod 4 rows of an n-row call differently)."""
+    step = math.lcm(4, _kick_block(dim))
+    block = max(step, min(BLOCK_KICKS, BLOCK_AMPS // dim) // step * step)
+    return block, max(1, BLOCK_AMPS // (block * dim))
+
+
+def _trajectory_blocks(u: UnitaryMatrix, starts: np.ndarray, kicks: int):
+    """Yield (lo, first, states), states the (n+1, points, dim) trajectory of
+    kicks first..first+n of start rows lo, lo+1, ... under u (one operator
+    and row, or a stack of K and K rows), in chunks and blocks of
+    _block_shape.  Each block overwrites the call's one storage array: a new
+    array per block let glibc return its pages and fault them in again (30
+    points x 4000 kicks at 2j = 100: 80 813 minor faults, against 683)."""
+    count, dim = starts.shape
+    block, per_chunk = _block_shape(dim)
+    storage = np.empty(min(per_chunk, count) * (min(block, kicks) + 1) * dim, dtype=complex)
+    for lo in range(0, count, per_chunk):
+        chunk = u[lo : lo + per_chunk] if len(u.shape) == 3 else u
+        amps = starts[lo : lo + per_chunk]
+        for first in range(0, max(kicks, 1), block):  # zero kicks: the start rows alone
+            n = min(block, kicks - first)
+            out = storage[: len(amps) * (n + 1) * dim].reshape(len(amps), n + 1, dim)
+            states = trajectory(chunk, amps, n, out=out)
+            yield lo, first, states
+            amps = states[-1].copy()  # the next block overwrites the storage
 
 
 def _pair_concurrences(amps: np.ndarray) -> np.ndarray:

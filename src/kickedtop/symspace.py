@@ -73,8 +73,8 @@ _FACTORED_MIN_DIM = 81
 #     81    7.69  5.08  5.11
 #    101    8.80  6.36  6.90
 # For 1 and 3 points and for 300 kicks the chosen b is within 20% of the best.
-# b (2j+1) is at most the kicks of a sweep block at that dimension
-# (cli._sweep_blocks), so a sweep chunk's power stacks hold no more amplitudes
+# b (2j+1) is at most the kicks of a trajectory block at that dimension
+# (measures._block_shape), so a chunk's power stacks hold no more amplitudes
 # than its block of states.
 _KICK_BLOCKS = ((71, 2), (41, 4), (12, 8), (2, 32))
 # Bytes of checked rotations that floquet keeps for the life of the process,
@@ -153,7 +153,7 @@ class BlochPoint:
             raise ValueError(f"phi0 must lie in [-pi, pi], got {self.phi0!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymState:
     """Normalized amplitude vector over the Dicke basis (m descending from j)."""
 
@@ -179,7 +179,7 @@ class SymState:
         return abs(np.vdot(self.amps, self.amps).real - 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryMatrix:
     """U = diag(phases) @ base: one dim x dim unitary, or a stack of K of them
     that share the base.
@@ -189,14 +189,14 @@ class UnitaryMatrix:
     diagonal of _unit_phases, a (dim,) row for one operator or a (K, dim)
     stack of rows.  Both are read-only.  floquet is the one builder, and
     slicing a stack shares its factors; neither copies nor checks them again.
-    The dense `matrix` is formed on each use.  trajectory keeps the power
-    stack it builds on the operator it stepped, so later calls with that
-    operator (a sweep chunk's blocks) build none.
+    The dense `matrix` is formed on each use; trajectory keeps the power
+    stack it builds on the operator it stepped, for a chunk's later blocks.
+    Operators and states compare and hash by identity (eq=False).
     """
 
     base: np.ndarray
     phases: np.ndarray
-    _kick_stack: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    _kick_stack: np.ndarray | None = field(init=False, default=None, repr=False)
 
     @property
     def dim(self) -> int:

@@ -216,6 +216,13 @@ def stepped_alone(u: symspace.UnitaryMatrix, vec: np.ndarray, n: int) -> np.ndar
     return np.array(rows)
 
 
+def sweep_means(two_j: int, point: symspace.BlochPoint, grid, kicks: int) -> np.ndarray:
+    """The sweep's mean entropies, as `kickedtop sweep` takes them: one floquet
+    call for the grid and one coherent start state."""
+    j = two_j / 2.0
+    return measures.mean_entropies(symspace.floquet(j, grid), symspace.coherent_state(j, point), kicks)
+
+
 def per_cell_write_table(path, columns):
     """Reference writer: one format(float(v), ".17g") call per cell."""
     names = list(columns)

@@ -570,6 +570,18 @@ class TestEvolve:
                      "--state", "up", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("kappa0", ["0.3", "2.9", "9.43477796076938"])
+    def test_minus_y_closed_column_is_plus_y_s(self, kappa0, tmp_path):
+        # one closed route per named state: minus_y takes plus_y's closed form
+        tables = {}
+        for state in ("plus_y", "minus_y"):
+            out = tmp_path / f"{state}.csv"
+            assert main(["evolve", "--qubits", "3", "--kappa0", kappa0, "--steps", "300",
+                         "--state", state, "--out", str(out)]) == 0
+            rows = [line.split(",") for line in out.read_text().splitlines()]
+            tables[state] = [row[rows[0].index("S_closed")] for row in rows]
+        assert tables["minus_y"] == tables["plus_y"]
+
     def test_deterministic_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["evolve", "--qubits", "4", "--kappa0", "2.5", "--steps", "30", "--state", "plus_y"]

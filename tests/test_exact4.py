@@ -10,7 +10,7 @@ from kickedtop import cli, exact3, exact4, measures, symspace
 from kickedtop.exact3 import STATE_PLUS_Y, STATE_ZERO
 from kickedtop.symspace import BlochPoint, SymState
 
-from conftest import register_floquet
+from conftest import register_floquet, sweep_means
 
 KAPPAS = [0.1, 0.4, 0.5, 0.8, 1.2, 2.5, 1.5 * math.pi]
 
@@ -373,7 +373,7 @@ class TestResonantAverages:
     def test_value_is_the_numeric_time_average(self, qubits, multiples, average, name, state_id):
         grid = [m * math.pi for m in multiples]
         point = BlochPoint(*cli.NAMED_STATES[name])
-        means = cli._sweep_averages(qubits, point, grid, 4000)
+        means = sweep_means(qubits, point, grid, 4000)
         for kappa0, mean in zip(grid, means):
             res = average(state_id, kappa0)
             assert res.resonant

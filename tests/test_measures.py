@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from kickedtop import cli, measures, symspace
+from kickedtop import measures, symspace
 from kickedtop.symspace import BlochPoint, SymState
 
 from conftest import (
@@ -17,6 +17,7 @@ from conftest import (
     register_reduced,
     stepped_alone,
     streaming_average,
+    sweep_means,
     time_average,
 )
 
@@ -667,10 +668,10 @@ class TestQubitEntropies:
 def per_point_sweep(two_j, point, kappa0, kicks):
     """The per-point sweep algorithm: its own Floquet operator and its own
     explicit loop, the one trajectory gives it alone, with the entropies of
-    each block summed, blocks as long as cli._sweep_blocks makes them."""
+    each block summed, blocks as long as measures._block_shape makes them."""
     u = symspace.floquet(two_j / 2.0, kappa0)
     vec = symspace.coherent_state(two_j / 2.0, point).amps
-    block, _ = cli._sweep_blocks(two_j + 1)
+    block, _ = measures._block_shape(two_j + 1)
     total = 0.0
     for start in range(0, kicks, block):
         states = stepped_alone(u, vec, min(block, kicks - start))
@@ -683,15 +684,15 @@ class TestSweepBlocks:
     GRID = [0.3, 2.1, 2.0 * math.pi, 3.0 * math.pi, 4.0 * math.pi, 11.0]
 
     @pytest.mark.parametrize(
-        "kicks", [1, cli.SWEEP_BLOCK_KICKS, 2 * cli.SWEEP_BLOCK_KICKS + 37]
+        "kicks", [1, measures.BLOCK_KICKS, 2 * measures.BLOCK_KICKS + 37]
     )
     def test_blocked_mean_equals_unblocked(self, kicks):
-        assert cli._sweep_blocks(5)[0] == cli.SWEEP_BLOCK_KICKS  # the horizons meet block edges
+        assert measures._block_shape(5)[0] == measures.BLOCK_KICKS  # the horizons meet block edges
         point = BlochPoint(1.1, 0.4)
         u = symspace.floquet(2.0, 2.1)
         states = symspace.trajectory(u, symspace.coherent_state(2.0, point), kicks)
         unblocked = float(np.mean(measures.linear_entropy(reduced_states(states[1:], 1))))
-        averages = cli._sweep_averages(4, point, self.GRID, kicks)
+        averages = sweep_means(4, point, self.GRID, kicks)
         assert averages[1] == pytest.approx(unblocked, abs=1e-12)
         reference = [per_point_sweep(4, point, k, kicks) for k in self.GRID]
         assert np.array_equal(averages, reference)
@@ -700,9 +701,9 @@ class TestSweepBlocks:
     def test_cell_is_one_trajectory_call(self, two_j):
         # b divides the block length, so restarting at a block meets a block
         # edge of the one-call trajectory and moves no row
-        block, _ = cli._sweep_blocks(two_j + 1)
+        block, _ = measures._block_shape(two_j + 1)
         point, kicks = BlochPoint(0.7, -2.0), 2 * block + 37
-        averages = cli._sweep_averages(two_j, point, self.GRID[:2], kicks)
+        averages = sweep_means(two_j, point, self.GRID[:2], kicks)
         for cell, kappa0 in zip(averages, self.GRID):
             u = symspace.floquet(two_j / 2.0, kappa0)
             states = symspace.trajectory(u, symspace.coherent_state(two_j / 2.0, point), kicks)
@@ -712,19 +713,19 @@ class TestSweepBlocks:
             assert cell == total / kicks
 
     def test_block_rule_at_every_two_j(self):
-        # the longest block of whole lcm(4, b) steps within SWEEP_BLOCK_KICKS
+        # the longest block of whole lcm(4, b) steps within BLOCK_KICKS
         # and the budget, so a chunk's block never holds more than
-        # SWEEP_BLOCK_AMPS amplitudes, nor its power stacks; 512 kicks up to
+        # BLOCK_AMPS amplitudes, nor its power stacks; 512 kicks up to
         # 2j+1 = 64, where a sweep's cells keep the bits of 512-kick blocks
         for dim in range(2, symspace.MAX_TWO_J + 2):
-            block, chunk = cli._sweep_blocks(dim)
+            block, chunk = measures._block_shape(dim)
             b = symspace._kick_block(dim)
-            assert block % 4 == 0 and block % b == 0 and block <= cli.SWEEP_BLOCK_KICKS
-            assert chunk >= 1 and chunk * block * dim <= cli.SWEEP_BLOCK_AMPS
-            assert (chunk + 1) * block * dim > cli.SWEEP_BLOCK_AMPS
-            assert block + math.lcm(4, b) > min(cli.SWEEP_BLOCK_KICKS, cli.SWEEP_BLOCK_AMPS // dim)
+            assert block % 4 == 0 and block % b == 0 and block <= measures.BLOCK_KICKS
+            assert chunk >= 1 and chunk * block * dim <= measures.BLOCK_AMPS
+            assert (chunk + 1) * block * dim > measures.BLOCK_AMPS
+            assert block + math.lcm(4, b) > min(measures.BLOCK_KICKS, measures.BLOCK_AMPS // dim)
             assert b == 1 or b * dim <= block  # b = 1: the factored kick, no power stack
-            assert (block == cli.SWEEP_BLOCK_KICKS) == (dim <= 64)
+            assert (block == measures.BLOCK_KICKS) == (dim <= 64)
 
     @pytest.mark.parametrize("two_j", [
         1, 3, 7, 8, 20, 24, 40, 50, 70, symspace._FACTORED_MIN_DIM - 6, symspace._FACTORED_MIN_DIM - 2,
@@ -740,19 +741,19 @@ class TestSweepBlocks:
             return powers
 
         monkeypatch.setattr(symspace, "_kick_powers", recorded)
-        cli._sweep_averages(two_j, BlochPoint(0.7, -2.0), list(np.linspace(0.3, 9.0, 40)), 600)
-        assert sizes and max(sizes) <= cli.SWEEP_BLOCK_AMPS
+        sweep_means(two_j, BlochPoint(0.7, -2.0), list(np.linspace(0.3, 9.0, 40)), 600)
+        assert sizes and max(sizes) <= measures.BLOCK_AMPS
 
     @pytest.mark.parametrize("two_j", [3, 7, 20, 50])
-    @pytest.mark.parametrize("kicks", [1, 600, 2 * cli.SWEEP_BLOCK_KICKS + 5])
+    @pytest.mark.parametrize("kicks", [1, 600, 2 * measures.BLOCK_KICKS + 5])
     def test_one_power_stack_per_chunk(self, two_j, kicks, monkeypatch):
         # every block of a chunk reuses the stack of its first, including a
         # last block shorter than b
         built, build = [], symspace._kick_powers
         monkeypatch.setattr(symspace, "_kick_powers", lambda u, block: built.append(block) or build(u, block))
         chunk = 2
-        monkeypatch.setattr(cli, "SWEEP_BLOCK_AMPS", chunk * cli.SWEEP_BLOCK_KICKS * (two_j + 1))
-        cli._sweep_averages(two_j, BlochPoint(0.7, -2.0), self.GRID[:5], kicks)
+        monkeypatch.setattr(measures, "BLOCK_AMPS", chunk * measures.BLOCK_KICKS * (two_j + 1))
+        sweep_means(two_j, BlochPoint(0.7, -2.0), self.GRID[:5], kicks)
         block = next(b for lo, b in symspace._KICK_BLOCKS if two_j + 1 >= lo)
         assert built == [min(kicks, block)] * 3
 
@@ -763,11 +764,11 @@ class TestSweepBlocks:
         # floquet call (one sweep's grid) change the grouping, never a cell
         dim = two_j + 1
         if chunk is not None:
-            monkeypatch.setattr(cli, "SWEEP_BLOCK_AMPS", chunk * cli.SWEEP_BLOCK_KICKS * dim)
+            monkeypatch.setattr(measures, "BLOCK_AMPS", chunk * measures.BLOCK_KICKS * dim)
         point, kicks = BlochPoint(0.7, -2.0), 600
         per_floquet = per_floquet or len(self.GRID)
         averages = np.concatenate([
-            cli._sweep_averages(two_j, point, self.GRID[lo : lo + per_floquet], kicks)
+            sweep_means(two_j, point, self.GRID[lo : lo + per_floquet], kicks)
             for lo in range(0, len(self.GRID), per_floquet)
         ])
         reference = [per_point_sweep(two_j, point, k, kicks) for k in self.GRID]
@@ -779,9 +780,9 @@ class TestSweepBlocks:
         # GEMM call, and numpy still makes one BLAS call per point
         two_j, grid = 200, [2.0 * math.pi, 3.0 * math.pi, 4.0 * math.pi, 11.0]
         assert two_j + 1 >= symspace._FACTORED_MIN_DIM
-        monkeypatch.setattr(cli, "SWEEP_BLOCK_AMPS", chunk * cli.SWEEP_BLOCK_KICKS * (two_j + 1))
+        monkeypatch.setattr(measures, "BLOCK_AMPS", chunk * measures.BLOCK_KICKS * (two_j + 1))
         point, kicks = BlochPoint(0.7, -2.0), 600
-        averages = cli._sweep_averages(two_j, point, grid, kicks)
+        averages = sweep_means(two_j, point, grid, kicks)
         reference = [per_point_sweep(two_j, point, k, kicks) for k in grid]
         assert np.array_equal(averages, reference)
 
@@ -793,7 +794,7 @@ class TestSweepBlocks:
         grid = list(np.linspace(0.5, 9.0, 30))
         tracemalloc.start()
         try:
-            cli._sweep_averages(dim - 1, BlochPoint(1.1, 0.4), grid, kicks)
+            sweep_means(dim - 1, BlochPoint(1.1, 0.4), grid, kicks)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -808,10 +809,10 @@ class TestSweepBlocks:
         # made the heap fault its pages in again every block: about 1300
         # minor faults per pass of the sweep benchmark, against under 10.
         args = (20, BlochPoint(1.1, 0.4), [1.3, 2.7], 1000)
-        cli._sweep_averages(*args)  # the rotation and band weights are cached from here on
+        sweep_means(*args)  # the rotation and band weights are cached from here on
         tracemalloc.start()
         try:
-            cli._sweep_averages(*args)
+            sweep_means(*args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -822,16 +823,73 @@ class TestSweepBlocks:
         (1000, BlochPoint(0.7, -2.0), [1.3, 2.7], 100),
     ])
     def test_large_spin_blocks_stay_within_the_budget(self, args):
-        # The block of states takes at most 16 SWEEP_BLOCK_AMPS bytes, and
+        # The block of states takes at most 16 BLOCK_AMPS bytes, and
         # qubit_entropies' squares and products of one point's block about as
-        # much again: peaks of 2.51 and 2.65 times 16 SWEEP_BLOCK_AMPS bytes
+        # much again: peaks of 2.51 and 2.65 times 16 BLOCK_AMPS bytes
         # (numpy 2.4.6).  A 512-kick block of one point held 301 x 201 and
         # 101 x 1001 amplitudes here and peaked at 2164 and 3485 KiB.
-        cli._sweep_averages(*args)  # the rotation and band weights are cached from here on
+        sweep_means(*args)  # the rotation and band weights are cached from here on
         tracemalloc.start()
         try:
-            cli._sweep_averages(*args)
+            sweep_means(*args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 16 * cli.SWEEP_BLOCK_AMPS
+        assert peak <= 3 * 16 * measures.BLOCK_AMPS
+
+
+class TestSeriesBlocks:
+    """entanglement_series reads its rows in the blocks the sweep reads: at
+    2j = 200 a block is 160 kicks, at 2j = 3 it is 512."""
+
+    @pytest.mark.parametrize("two_j, steps", [
+        (200, 0), (200, 159), (200, 160), (200, 161), (200, 321),
+        (3, 0), (3, 511), (3, 512), (3, 513), (3, 1025),
+    ])
+    def test_rows_across_block_edges_are_one_call_rows(self, two_j, steps):
+        u = symspace.floquet(two_j / 2.0, 1.3)
+        psi0 = symspace.coherent_state(two_j / 2.0, BlochPoint(1.1, 0.4))
+        entropies, concurrences = measures.entanglement_series(u, psi0, steps)
+        states = symspace.trajectory(u, psi0, steps)
+        assert np.array_equal(entropies, measures.qubit_entropies(states))
+        assert np.array_equal(concurrences, measures._pair_concurrences(states))
+
+    def test_rows_do_not_depend_on_the_horizon(self):
+        # one call over the whole trajectory rounds some rows past about 1300
+        # rows differently from the 160-row blocks; blocks give every horizon
+        # the same rows
+        u = symspace.floquet(100.0, 1.3)
+        psi0 = symspace.coherent_state(100.0, BlochPoint(1.1, 0.4))
+        short = measures.entanglement_series(u, psi0, 1000)
+        long = measures.entanglement_series(u, psi0, 20_000)
+        for rows, longer in zip(short, long):
+            assert np.array_equal(rows, longer[:1001])
+
+    def test_memory_beside_the_columns_does_not_grow(self):
+        # the trajectory is read in blocks, so beyond its two output columns
+        # a series holds the same at 2000 and at 20 000 kicks (one block of
+        # 161 x 201 amplitudes and its temporaries, about 1.3 MiB); a series
+        # that held its whole trajectory took 12.8 and 125.9 MiB
+        u = symspace.floquet(100.0, 1.3)
+        psi0 = symspace.coherent_state(100.0, BlochPoint(1.1, 0.4))
+        measures.entanglement_series(u, psi0, 10)  # the rotation and band weights are cached from here on
+        extra = []
+        for steps in (2000, 20_000):
+            tracemalloc.start()
+            try:
+                measures.entanglement_series(u, psi0, steps)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - 2 * 8 * (steps + 1))
+        assert extra[1] <= extra[0] + 64 * 1024
+        assert extra[1] <= 2 * 2**20
+
+    def test_builds_no_state_per_block(self, monkeypatch):
+        built = []
+        post_init = SymState.__post_init__
+        monkeypatch.setattr(SymState, "__post_init__", lambda psi: built.append(psi) or post_init(psi))
+        u = symspace.floquet(1.5, 1.3)
+        psi0 = symspace.coherent_state(1.5, BlochPoint(1.1, 0.4))
+        measures.entanglement_series(u, psi0, 1025)
+        assert len(built) == 1  # the start state alone

@@ -480,3 +480,57 @@ def test_operator_build_detection_sees_scopes_and_ignores_strings(tmp_path):
         "sample.py:12: symspace.UnitaryMatrix(u.base, u.phases[None])",
     ]
     assert len(operator_builds(source, set())) == 4
+
+
+# Every trajectory in src/ is read through measures._trajectory_blocks, the
+# one place that sets the block rule (multiples of lcm(4, b) kicks within a
+# budget of amplitudes), so a row has the same bits and the states held stay
+# bounded whichever reader asks: a second caller of symspace.trajectory would
+# be a second loop with its own rule.
+TRAJECTORY_READERS = {"_trajectory_blocks"}
+
+
+def trajectory_calls(path: Path, allowed: set[str]) -> list[str]:
+    """'file:line: call' of each call trajectory(...) or x.trajectory(...) in
+    the file, outside the functions named in allowed."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, FUNCTIONS) and node.name in allowed:
+            return
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "trajectory":
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")))
+    return found
+
+
+def test_trajectories_are_read_only_in_blocks():
+    for path in sorted(PACKAGE.glob("*.py")):
+        allowed = TRAJECTORY_READERS if path == PACKAGE / "measures.py" else set()
+        assert trajectory_calls(path, allowed) == []
+    assert len(trajectory_calls(PACKAGE / "measures.py", set())) == 1  # the generator's own call is seen
+
+
+def test_trajectory_call_detection_sees_aliases_and_ignores_strings(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        '"""mentions trajectory(u, psi0, n) only in words"""\n'
+        "from kickedtop import symspace as ss\n"
+        "from kickedtop.symspace import trajectory\n"
+        "def _trajectory_blocks(u, starts, n):\n"
+        "    yield trajectory(u, starts, n)\n"
+        "def series(u, psi0, n):\n"
+        "    return ss.trajectory(u, psi0, n), trajectory\n"
+        "rows = [trajectory(u, p, 3) for p in ()]\n"
+    )
+    assert trajectory_calls(source, TRAJECTORY_READERS) == [
+        "sample.py:7: ss.trajectory(u, psi0, n)",
+        "sample.py:8: trajectory(u, p, 3)",
+    ]
+    assert len(trajectory_calls(source, set())) == 3

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kickedtop import cli, exact3, measures, symspace
+from kickedtop import exact3, measures, symspace
 from kickedtop.exact4 import SECTOR_MINUS, SECTOR_PLUS
 from kickedtop.symspace import BlochPoint, SymState
 
@@ -446,6 +446,14 @@ class TestFloquetStack:
         with pytest.raises(ValueError, match="kappa0"):
             symspace.floquet(4.0, (1.0, 1e308))
 
+    def test_operators_and_states_compare_by_identity(self):
+        # their fields are arrays: a generated __eq__ would raise on them
+        u, psi = symspace.floquet(1.5, 0.3), symspace.coherent_state(1.5, BlochPoint(1.1, 0.4))
+        assert u == u and u != symspace.floquet(1.5, 0.3) and u != self.KAPPAS
+        assert psi == psi and psi != symspace.coherent_state(1.5, BlochPoint(1.1, 0.4))
+        assert len({u, symspace.floquet(1.5, 0.3), psi, psi}) == 3
+        assert hash(u) == hash(u) and hash(psi) == hash(psi)
+
     def test_slices_share_the_checked_matrices(self):
         stack = symspace.floquet(1.5, self.KAPPAS)
         sub = stack[2:5]
@@ -492,7 +500,7 @@ class TestStackedTrajectory:
     def test_every_horizon_around_a_block(self, two_j, rng):
         dim = two_j + 1
         block = next(b for lo, b in symspace._KICK_BLOCKS if dim >= lo)
-        assert block > 1 and cli.SWEEP_BLOCK_KICKS % block == 0
+        assert block > 1 and measures.BLOCK_KICKS % block == 0
         stack = symspace.floquet(two_j / 2.0, (0.4, 2.9))
         starts = np.array([random_symmetric_amps(rng, dim) for _ in range(2)])
         for n in (0, 1, block - 1, block, block + 1, 513):
