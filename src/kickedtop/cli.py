@@ -128,7 +128,7 @@ def _write_table(path: str, columns: dict[str, np.ndarray]) -> None:
     b mod w, worker 0 being this process and the others forked children,
     each of which sends its blocks' text through its own pipe.  This process
     writes its own blocks and copies the children's into the file in block
-    order (_blocks_in_order), so each process holds one block of text at a
+    order (_write_blocks), so each process holds one block of text at a
     time, no temporary file is written, and the bytes do not depend on w.
     The column formats are chosen once, here, before any fork.
     """
@@ -148,9 +148,7 @@ def _write_table(path: str, columns: dict[str, np.ndarray]) -> None:
     workers = _table_workers(len(starts), rows * sum(spec == "%.17g" for spec, _ in typed))
     with _open_output(path) as fh:
         fh.write(",".join(columns) + "\n")
-        with contextlib.closing(_blocks_in_order(starts, block, workers)) as texts:
-            for text in texts:
-                fh.write(text)
+        _write_blocks(fh, starts, block, workers)
 
 
 def _table_workers(blocks: int, plain_cells: int) -> int:
@@ -171,42 +169,42 @@ def _table_workers(blocks: int, plain_cells: int) -> int:
     return min(cpus or 1, workers)
 
 
-def _blocks_in_order(starts: range, block, workers: int):
-    """Yield block(start) for each start, in order, formatted by `workers`
-    processes: this one formats starts[0::workers], and a forked child k
-    formats starts[k::workers] and sends each text as an 8-byte length and
-    its UTF-8 bytes through its own pipe.  A child leaves only through
-    os._exit (status 2 after a MemoryError, 1 after any other failure), so
-    it never returns into the caller or flushes a buffer it inherited.
+def _write_blocks(fh, starts: range, block, workers: int) -> None:
+    """Write block(start) to fh for each start, in order, formatted by
+    `workers` processes: this one formats starts[0::workers], and a forked
+    child k formats starts[k::workers] and sends each text through its own
+    pipe (_send).  A child leaves only through os._exit (status 2 after a
+    MemoryError, 1 after any other failure), so it never returns into the
+    caller or flushes a buffer it inherited.
 
     Every child is reaped before this returns or raises, and killed first
-    unless all its blocks arrived, also when the caller stops early or a
+    unless all its blocks arrived, also when a write fails or a
     KeyboardInterrupt arrives.  A child whose pipe ends early, or that exits
     nonzero, raises MemoryError for status 2 and OSError otherwise."""
-    pids, readers = [], []
+    pids, pipes = [], []
     failed, complete = None, False
     elsewhere = _other_cpus() if workers > 1 else set()
     try:
         for k in range(1, workers):
             reader, writer = os.pipe()
+            pipes.append(os.fdopen(reader, "rb"))
             pid = os.fork()
             if pid == 0:
-                _table_child(starts[k::workers], block, writer, [reader, *readers], elsewhere)
+                _table_child(starts[k::workers], block, writer, pipes, elsewhere)
             os.close(writer)
             pids.append(pid)
-            readers.append(reader)
         for b, start in enumerate(starts):
             k = b % workers
-            text = block(start) if k == 0 else _receive(readers[k - 1])
+            text = block(start) if k == 0 else _receive(pipes[k - 1])
             if text is None:
                 failed = k - 1
                 break
-            yield text
+            fh.write(text)
         else:
             complete = True
     finally:
-        for reader in readers:
-            os.close(reader)
+        for pipe in pipes:
+            pipe.close()
         codes = [_reap(pid, kill=not complete) for pid in pids]
     if failed is None:
         failed = next((k for k, code in enumerate(codes) if code), None)
@@ -228,7 +226,7 @@ def _other_cpus() -> set[int]:
         return set()
 
 
-def _table_child(starts, block, writer: int, readers: list[int], cpus: set[int]) -> None:
+def _table_child(starts, block, writer: int, readers: list, cpus: set[int]) -> None:
     """The body of a forked table worker: it never returns.  It moves itself
     onto `cpus` if any: where the kernel does not balance load between CPUs
     (a cpuset with sched_load_balance 0 does not), a child stays on the CPU
@@ -239,11 +237,10 @@ def _table_child(starts, block, writer: int, readers: list[int], cpus: set[int])
             with contextlib.suppress(OSError):
                 os.sched_setaffinity(0, cpus)
         for reader in readers:
-            os.close(reader)
-        for start in starts:
-            text = block(start).encode()
-            _send(writer, len(text).to_bytes(8, "little"))
-            _send(writer, text)
+            reader.close()
+        with os.fdopen(writer, "wb") as pipe:
+            for start in starts:
+                _send(pipe, block(start).encode())
         status = 0
     except MemoryError:
         status = 2
@@ -251,30 +248,20 @@ def _table_child(starts, block, writer: int, readers: list[int], cpus: set[int])
         os._exit(status)
 
 
-def _send(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
+def _send(pipe, data: bytes) -> None:
+    """One block to the parent: its length as 8 bytes, then its bytes."""
+    pipe.write(len(data).to_bytes(8, "little"))
+    pipe.write(data)
 
 
-def _receive(fd: int) -> str | None:
+def _receive(pipe) -> str | None:
     """The next block a child sent, or None if its pipe ended first."""
-    head = _read_exactly(fd, 8)
-    text = None if head is None else _read_exactly(fd, int.from_bytes(head, "little"))
-    return None if text is None else text.decode()
-
-
-def _read_exactly(fd: int, size: int) -> bytearray | None:
-    """size bytes from fd, read straight into one buffer, or None if the pipe
-    ends first."""
-    data = bytearray(size)
-    view = memoryview(data)
-    while view:
-        got = os.readv(fd, [view])
-        if not got:
-            return None
-        view = view[got:]
-    return data
+    head = pipe.read(8)
+    if len(head) < 8:
+        return None
+    size = int.from_bytes(head, "little")
+    data = pipe.read(size)
+    return data.decode() if len(data) == size else None
 
 
 def _reap(pid: int, kill: bool) -> int:
@@ -331,7 +318,7 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _closed_entropy_series(
-    two_j: int, name: str | None, point: symspace.BlochPoint, kappa0: float, n_max: int
+    two_j: int, name: str | None, psi0: symspace.SymState, kappa0: float, n_max: int
 ) -> np.ndarray | None:
     kicks = np.arange(n_max + 1)
     if two_j == 3:
@@ -339,7 +326,7 @@ def _closed_entropy_series(
 
         if name is not None:
             return exact3.entropy3_closed(_closed_state_id(name), kicks, kappa0)
-        out = exact3.general_entropy3(exact3.GeneralState3.from_bloch(point), kicks, kappa0)
+        out = exact3.general_entropy3(psi0, kicks, kappa0)
         out[0] = 0.0  # a coherent state is a product state
         return out
     if two_j == 4 and name is not None:
@@ -390,7 +377,7 @@ def cmd_evolve(args) -> int:
         "n": np.arange(args.steps + 1),
         "S_numeric": entropies,
     }
-    s_closed = _closed_entropy_series(args.qubits, name, point, args.kappa0, args.steps)
+    s_closed = _closed_entropy_series(args.qubits, name, psi0, args.kappa0, args.steps)
     c_closed = _closed_concurrence_series(args.qubits, name, args.kappa0, args.steps)
     if s_closed is not None:
         columns["S_closed"] = s_closed
@@ -412,7 +399,7 @@ def cmd_sweep(args) -> int:
     _require(args.qubits >= 2, "--qubits must be >= 2")
     _require(args.kicks >= 1, "--kicks must be >= 1")
     name, point = _parse_state(args.state)
-    if args.kappa0_list:
+    if args.kappa0_list is not None:
         try:
             grid = [float(tok) for tok in args.kappa0_list.split(",")]
         except ValueError as exc:
@@ -448,7 +435,7 @@ def cmd_tunnel(args) -> int:
         math.isfinite(report.n_star) and math.isfinite(report.n_star_asymptotic),
         f"--kappa0 {args.kappa0!r} is too small: the tunneling time is not a finite number",
     )
-    if args.times:
+    if args.times is not None:
         try:
             times = [int(tok) for tok in args.times.split(",")]
         except ValueError as exc:
@@ -492,7 +479,7 @@ def cmd_husimi(args) -> int:
     _require(args.kappa0 is None or math.isfinite(args.kappa0), "--kappa0 must be finite")
     _require(args.kappa0 is None or args.steps is not None, "--kappa0 requires --steps")
     j = args.qubits / 2.0
-    if args.basis_state:
+    if args.basis_state is not None:
         from . import exact3, exact4
 
         table = exact3.parity_basis_states3() if args.qubits == 3 else (

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import cheby
-from .symspace import BlochPoint
+from .symspace import SymState
 
 STATE_ZERO = "zero_state"  # coherent state at theta0 = 0: |000>
 STATE_PLUS_Y = "plus_y_state"  # coherent state at (pi/2, -pi/2): tensor |+>_y
@@ -139,69 +138,47 @@ def avg_entropy3(state_id: str, kappa0: float) -> AvgEntropy:
     return AvgEntropy(s * (8.0 - 5.0 * s) / (4.0 - s) ** 2, False)
 
 
-@dataclass(frozen=True)
-class GeneralState3:
-    """Three-qubit symmetric state in the parity basis (phi1+, phi2+, phi1-, phi2-)."""
-
-    a1: complex
-    a2: complex
-    b1: complex
-    b2: complex
-
-    def __post_init__(self):
-        norm2 = abs(self.a1) ** 2 + abs(self.a2) ** 2 + abs(self.b1) ** 2 + abs(self.b2) ** 2
-        if abs(norm2 - 1.0) > 1e-10:
-            raise ValueError("parity-basis coefficients are not normalized")
-
-    @classmethod
-    def from_bloch(cls, point: BlochPoint) -> "GeneralState3":
-        """Parity-basis coefficients of the coherent state at (theta0, phi0)."""
-        c = math.cos(point.theta0 / 2.0)
-        s = math.sin(point.theta0 / 2.0)
-        z = cmath.exp(-1j * point.phi0) * s
-        dicke = np.array(
-            [c**3, math.sqrt(3.0) * c * c * z, math.sqrt(3.0) * c * z * z, z**3]
-        )
-        return cls.from_dicke(dicke)
-
-    @classmethod
-    def from_dicke(cls, amps: np.ndarray) -> "GeneralState3":
-        """Change of basis from Dicke amplitudes (|000>, W, Wbar, |111>)."""
-        amps = np.asarray(amps, dtype=complex)
-        if amps.shape != (4,):
-            raise ValueError("expected 4 Dicke amplitudes")
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        a1 = (amps[0] + 1j * amps[3]) * inv_sqrt2
-        b1 = (amps[0] - 1j * amps[3]) * inv_sqrt2
-        a2 = (amps[1] - 1j * amps[2]) * inv_sqrt2
-        b2 = (amps[1] + 1j * amps[2]) * inv_sqrt2
-        return cls(a1, a2, b1, b2)
+def _parity_coordinates(psi: SymState) -> tuple:
+    """(a1, a2, b1, b2): the amplitudes of a 3-qubit state on the parity basis
+    (phi1+, phi2+, phi1-, phi2-) of parity_basis_states3.  A state of any
+    other 2j is refused."""
+    if psi.dim != 4:
+        raise ValueError(f"expected a 3-qubit (2j = 3) state, got 2j = {psi.dim - 1}")
+    basis = parity_basis_states3()
+    return tuple(np.vdot(basis[name], psi.amps)
+                 for name in ("phi1_plus", "phi2_plus", "phi1_minus", "phi2_minus"))
 
 
-def evolve_general3(state: GeneralState3, n, kappa0: float) -> tuple:
-    """Parity-basis coefficients (a1, a2, b1, b2) after n kicks, up to a
-    global phase: complex numbers for an int n, complex arrays for an array.
+def evolve_general3(psi: SymState, n, kappa0: float) -> tuple:
+    """Parity-basis coefficients (a1, a2, b1, b2) of any 3-qubit SymState psi,
+    such as coherent_state(1.5, point), after n kicks, up to a global phase:
+    complex numbers for an int n, complex arrays for an array.  A state of
+    any other 2j raises ValueError.  The norm is SymState's check, to 1e-7;
+    an engine state is normalised to rounding.
 
     The negative-parity pair picks up the relative phase (-i)^n against the
     positive-parity pair (the two block phases differ by (-1)^n e^{i n pi/2}).
     """
+    a1, a2, b1, b2 = _parity_coordinates(psi)
     kicks = _kick_array(n, kappa0)
     alpha, beta = block_alpha_beta(kappa0 / 3.0, kicks)
     rel = _MINUS_I_POWERS[kicks % 4]
     coefficients = (
-        state.a1 * alpha - state.a2 * beta.conjugate(),
-        state.a1 * beta + state.a2 * alpha.conjugate(),
-        rel * (state.b1 * alpha + state.b2 * beta.conjugate()),
-        rel * (state.b2 * alpha.conjugate() - state.b1 * beta),
+        a1 * alpha - a2 * beta.conjugate(),
+        a1 * beta + a2 * alpha.conjugate(),
+        rel * (b1 * alpha + b2 * beta.conjugate()),
+        rel * (b2 * alpha.conjugate() - b1 * beta),
     )
     return tuple(_like_kicks(c, n) for c in coefficients)
 
 
-def general_entropy3(state: GeneralState3, n, kappa0: float) -> float | np.ndarray:
-    """Single-qubit linear entropy of an arbitrary symmetric 3-qubit state
-    after n kicks: S = 2 [r (1 - r) - |s|^2] with the reduced matrix entries
-    r, s assembled from the evolved parity-basis coefficients."""
-    a1n, a2n, b1n, b2n = evolve_general3(state, _kick_array(n, kappa0), kappa0)
+def general_entropy3(psi: SymState, n, kappa0: float) -> float | np.ndarray:
+    """Single-qubit linear entropy of any 3-qubit SymState psi, such as
+    coherent_state(1.5, point), after n kicks: S = 2 [r (1 - r) - |s|^2] with
+    the reduced matrix entries r, s assembled from the evolved parity-basis
+    coefficients of evolve_general3.  A state of any other 2j raises
+    ValueError."""
+    a1n, a2n, b1n, b2n = evolve_general3(psi, _kick_array(n, kappa0), kappa0)
     r = 0.5 + (a1n * b1n.conjugate() + a2n * b2n.conjugate() / 3.0).real
     s = (
         (a1n * b2n.conjugate() + b1n * a2n.conjugate()).real / math.sqrt(3.0)

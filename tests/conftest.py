@@ -4,9 +4,11 @@ These deliberately avoid the Dicke-basis code paths in the package: the
 register Floquet operator is assembled from explicit Pauli strings, so it
 provides an independent check of symspace/measures/exact modules.  The
 helpers after it (averages, register projection, parity, Pauli tables, the
-3-qubit block powers and paper constants, the single-seed classical map and
-its tangent, the Haar ensemble sampler) are used only by the tests, so they
-live here rather than in the package.
+3-qubit block powers, parity-basis states and paper constants, the
+single-seed classical map and its tangent, the Haar ensemble sampler, the
+40-digit coherent-state and rotation references) are used only by the tests,
+so they live here rather than in the package.  Test modules import shared
+helpers from here only, never from one another.
 """
 
 import math
@@ -16,6 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -248,6 +251,14 @@ def block_power3(kappa0: float, n, sector: str) -> np.ndarray:
     return np.asarray(phase)[..., None, None] * np.moveaxis(np.array(block), (0, 1), (-2, -1))
 
 
+def parity_state3(coefficients) -> symspace.SymState:
+    """The 3-qubit SymState with parity-basis coefficients (a1, a2, b1, b2) on
+    (phi1+, phi2+, phi1-, phi2-) of exact3.parity_basis_states3."""
+    basis = exact3.parity_basis_states3()
+    names = ("phi1_plus", "phi2_plus", "phi1_minus", "phi2_minus")
+    return symspace.SymState(1.5, sum(c * basis[name] for c, name in zip(coefficients, names)))
+
+
 def avg_entropy_3pi2(point: symspace.BlochPoint) -> float:
     """Time-averaged 3-qubit linear entropy of any initial coherent state at
     kappa0 = 3pi/2; takes values in [7/24, 1/3]."""
@@ -349,3 +360,59 @@ def haar_symmetric_sample(j: float, count: int, seed: int) -> float:
     psi = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
     return float(np.mean(measures.linear_entropy(reduced_states(psi, 1))))
+
+
+def mp_coherent_state(two_j: int, theta: float, phi: float) -> list:
+    """<k|theta, phi> for k = 0..2j at the double angles, to 40 digits:
+    sqrt(C(2j, k)) c^(2j-k) (s e^(-i phi))^k with exact integer binomials."""
+    with mpmath.workdps(40):
+        half = mpmath.mpf(theta) / 2
+        c, z = mpmath.cos(half), mpmath.sin(half) * mpmath.expj(-mpmath.mpf(phi))
+        c_powers, z_powers = [mpmath.mpf(1)], [mpmath.mpc(1)]
+        for _ in range(two_j):
+            c_powers.append(c_powers[-1] * c)
+            z_powers.append(z_powers[-1] * z)
+        amps, binomial = [], 1
+        for k in range(two_j + 1):
+            amps.append(mpmath.sqrt(binomial) * c_powers[two_j - k] * z_powers[k])
+            binomial = binomial * (two_j - k) // (k + 1)
+        return amps
+
+
+def mp_generator_band(two_j: int) -> np.ndarray:
+    """G[i+1, i] = -G[i, i+1] of the real tridiagonal G = -i Jy = -(J+ - J-)/2,
+    exp(-i p Jy) = exp(p G)."""
+    return np.array([mpmath.sqrt((i + 1) * (two_j - i)) / 2 for i in range(two_j)], dtype=object)
+
+
+def mp_rotation(two_j: int) -> mpmath.matrix:
+    """exp(-i p Jy) at the double p = pi/2, to 40 digits.
+
+    At p = pi/2 exactly, Wigner's sum gives entry (a, b), m' = j - a and
+    m = j - b, as 2^-j sqrt((j+m')! (j-m')! / ((j+m)! (j-m)!)) times the
+    integer sum_k (-1)^(k - m + m') C(j+m, k) C(j-m, j-m'-k).  The double p is
+    pi/2 - delta, delta = 6.1e-17, so R(p) = R(pi/2) exp(-delta G), here to
+    second order in delta G (the next term is below 1e-39 up to 2j = 4096).
+    Integer work in place of 40-digit matrix products: 0.1 s at 2j = 50,
+    where the 40-digit exponential took 4.4 s."""
+    with mpmath.workdps(40):
+        fact = [math.factorial(i) for i in range(two_j + 1)]
+        exact = np.empty((two_j + 1, two_j + 1), dtype=object)
+        for a in range(two_j + 1):
+            for b in range(two_j + 1):
+                total = 0
+                for k in range(max(0, a - b), min(two_j - b, a) + 1):
+                    term = math.comb(two_j - b, k) * math.comb(b, a - k)
+                    total += -term if (k + b - a) % 2 else term
+                scale = mpmath.mpf(fact[two_j - a] * fact[a]) / (fact[two_j - b] * fact[b])
+                exact[a, b] = mpmath.sqrt(scale) * total / mpmath.mpf(2) ** (mpmath.mpf(two_j) / 2)
+        delta, band = mpmath.pi / 2 - mpmath.mpf(math.pi / 2), mp_generator_band(two_j)
+
+        def times_gen(x):  # x G, with G tridiagonal
+            out = np.zeros(x.shape, dtype=object)
+            out[:, :-1] += x[:, 1:] * band
+            out[:, 1:] -= x[:, :-1] * band
+            return out
+
+        first = times_gen(exact)
+        return mpmath.matrix((exact - delta * first + delta**2 / 2 * times_gen(first)).tolist())

@@ -1019,6 +1019,24 @@ class TestEdgeInputs:
         assert capsys.readouterr().err == f"error: {flag} must be >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,key,message", [
+        (["tunnel", "--kappa0", "1"], "times", "bad --times ''"),
+        (["sweep", "--qubits", "3", "--kicks", "5"], "kappa0_list", "bad --kappa0-list ''"),
+        (["husimi", "--qubits", "3", "--n-theta", "3", "--n-phi", "3"], "basis_state",
+         "unknown basis state ''; choose from ['phi1_minus', 'phi1_plus', 'phi2_minus', 'phi2_plus']"),
+    ], ids=["times", "kappa0_list", "basis_state"])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_empty_flag_value(self, argv, key, message, via_config, tmp_path, capsys):
+        # an empty value is a bad value, from a flag or from --config; it used to
+        # select the default: the 257-time horizon, the 45-point kappa0 range or
+        # the zero coherent state
+        out, config = tmp_path / "out.csv", tmp_path / "config.json"
+        config.write_text(json.dumps({key: ""}))
+        given = ["--config", str(config)] if via_config else [f"--{key.replace('_', '-')}="]
+        assert main([*argv, *given, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,config,message", [
         (["evolve", "--kappa0", "1"], {"steps": "10"}, "'steps' must be an integer, got \"10\""),
         (["sweep", "--kappa0-list", "1"], {"kicks": 10.5}, "'kicks' must be an integer, got 10.5"),

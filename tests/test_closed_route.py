@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from kickedtop import cheby, cli, exact3, exact4, symspace
-from kickedtop.exact3 import STATE_PLUS_Y, STATE_ZERO, GeneralState3
+from kickedtop.exact3 import STATE_PLUS_Y, STATE_ZERO
 from kickedtop.symspace import BlochPoint
 
+from conftest import mp_generator_band, mp_rotation, parity_state3
+
 KAPPAS = [0.0, 0.3, 1.3, 2.7, 1.5 * math.pi, 2.0 * math.pi, 3.0 * math.pi, 4.4, -2.0]
-GENERAL = GeneralState3.from_bloch(BlochPoint(1.1, 0.4))
+GENERAL = symspace.coherent_state(1.5, BlochPoint(1.1, 0.4))
 
 
 def read_columns(path):
@@ -143,7 +145,7 @@ class TestScalarMatchesSeries:
         for n in (0, 1, 17, 30):
             coefficients = exact3.evolve_general3(GENERAL, n, 1.3)
             assert coefficients == tuple(c[n] for c in stacked)
-            evolved = GeneralState3(*coefficients)
+            evolved = parity_state3(coefficients)
             assert exact3.general_entropy3(evolved, 0, 0.0) == pytest.approx(series[n], abs=1e-14)
 
 
@@ -181,6 +183,14 @@ class TestRejectedInputs:
         for call in calls:
             with pytest.raises(ValueError, match="n must be an int or an int array"):
                 call()
+
+    @pytest.mark.parametrize("two_j", [1, 2, 4, 7])
+    def test_state_of_other_two_j(self, two_j):
+        psi = symspace.coherent_state(two_j / 2.0, BlochPoint(1.1, 0.4))
+        for closed in (exact3.evolve_general3, exact3.general_entropy3):
+            for n in (3, np.arange(4)):
+                with pytest.raises(ValueError, match=f"3-qubit \\(2j = 3\\) state, got 2j = {two_j}"):
+                    closed(psi, n, 1.3)
 
     @pytest.mark.parametrize("times", [[2.7], [0, 1.5], [2.0]], ids=str)
     def test_non_integral_times(self, times):
@@ -253,45 +263,6 @@ class TestLongHorizonAccuracy:
         numeric_error = np.max(np.abs(columns["S_numeric"][ns] - reference))
         assert closed_error <= 2e-12
         assert numeric_error <= LOOP_ERROR_BOUND + steps * np.finfo(float).eps / 4
-
-
-def mp_generator_band(two_j: int) -> np.ndarray:
-    """G[i+1, i] = -G[i, i+1] of the real tridiagonal G = -i Jy = -(J+ - J-)/2,
-    exp(-i p Jy) = exp(p G)."""
-    return np.array([mpmath.sqrt((i + 1) * (two_j - i)) / 2 for i in range(two_j)], dtype=object)
-
-
-def mp_rotation(two_j: int) -> mpmath.matrix:
-    """exp(-i p Jy) at the double p = pi/2, to 40 digits.
-
-    At p = pi/2 exactly, Wigner's sum gives entry (a, b), m' = j - a and
-    m = j - b, as 2^-j sqrt((j+m')! (j-m')! / ((j+m)! (j-m)!)) times the
-    integer sum_k (-1)^(k - m + m') C(j+m, k) C(j-m, j-m'-k).  The double p is
-    pi/2 - delta, delta = 6.1e-17, so R(p) = R(pi/2) exp(-delta G), here to
-    second order in delta G (the next term is below 1e-39 up to 2j = 4096).
-    Integer work in place of 40-digit matrix products: 0.1 s at 2j = 50,
-    where the 40-digit exponential took 4.4 s."""
-    with mpmath.workdps(40):
-        fact = [math.factorial(i) for i in range(two_j + 1)]
-        exact = np.empty((two_j + 1, two_j + 1), dtype=object)
-        for a in range(two_j + 1):
-            for b in range(two_j + 1):
-                total = 0
-                for k in range(max(0, a - b), min(two_j - b, a) + 1):
-                    term = math.comb(two_j - b, k) * math.comb(b, a - k)
-                    total += -term if (k + b - a) % 2 else term
-                scale = mpmath.mpf(fact[two_j - a] * fact[a]) / (fact[two_j - b] * fact[b])
-                exact[a, b] = mpmath.sqrt(scale) * total / mpmath.mpf(2) ** (mpmath.mpf(two_j) / 2)
-        delta, band = mpmath.pi / 2 - mpmath.mpf(math.pi / 2), mp_generator_band(two_j)
-
-        def times_gen(x):  # x G, with G tridiagonal
-            out = np.zeros(x.shape, dtype=object)
-            out[:, :-1] += x[:, 1:] * band
-            out[:, 1:] -= x[:, :-1] * band
-            return out
-
-        first = times_gen(exact)
-        return mpmath.matrix((exact - delta * first + delta**2 / 2 * times_gen(first)).tolist())
 
 
 def test_rotation_reference_is_the_exponential():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kickedtop import cheby, exact3, measures, symspace
-from kickedtop.exact3 import STATE_PLUS_Y, STATE_ZERO, GeneralState3
+from kickedtop.exact3 import STATE_PLUS_Y, STATE_ZERO
 from kickedtop.exact4 import SECTOR_MINUS, SECTOR_PLUS
 from kickedtop.symspace import BlochPoint, SymState
 
@@ -16,25 +16,12 @@ from conftest import (
     block_power3,
     collective_ops,
     n_star_000,
+    parity_state3,
     random_symmetric_amps,
 )
 
 KAPPAS = [0.1, 0.4, 0.5, 0.8, 1.2, 2.5, 1.5 * math.pi]
 SECTORS = {"+": SECTOR_PLUS, "-": SECTOR_MINUS}
-
-
-def to_dicke(state: GeneralState3) -> np.ndarray:
-    """Dicke amplitudes (|000>, W, Wbar, |111>) of parity-basis coefficients,
-    the inverse of GeneralState3.from_dicke."""
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return np.array(
-        [
-            (state.a1 + state.b1) * inv_sqrt2,
-            (state.a2 + state.b2) * inv_sqrt2,
-            1j * (state.a2 - state.b2) * inv_sqrt2,
-            -1j * (state.a1 - state.b1) * inv_sqrt2,
-        ]
-    )
 
 
 def unitarity_defect(stack: np.ndarray) -> float:
@@ -381,7 +368,7 @@ class TestNStar:
 
 class TestGeneralState:
     def test_zero_state_coefficients_reproduce_closed_form(self):
-        state = GeneralState3(1.0 / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0), 0.0)
+        state = parity_state3((1.0 / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0), 0.0))
         for kappa0 in (0.5, 1.2, 2.5):
             for n in range(1, 41):
                 assert exact3.general_entropy3(state, n, kappa0) == pytest.approx(
@@ -389,24 +376,24 @@ class TestGeneralState:
                 )
 
     def test_plus_y_coefficients_reproduce_closed_form(self):
-        state = GeneralState3(0.5, math.sqrt(3.0) * 1j / 2.0, 0.0, 0.0)
+        state = parity_state3((0.5, math.sqrt(3.0) * 1j / 2.0, 0.0, 0.0))
         for kappa0 in (0.5, 1.2, 2.5):
             for n in range(1, 41):
                 assert exact3.general_entropy3(state, n, kappa0) == pytest.approx(
                     exact3.entropy3_closed(STATE_PLUS_Y, n, kappa0), abs=1e-12
                 )
 
-    def test_from_bloch_matches_coherent_state(self):
-        point = BlochPoint(1.1, -0.7)
-        gen = GeneralState3.from_bloch(point)
-        assert np.allclose(
-            to_dicke(gen), symspace.coherent_state(1.5, point).amps, atol=1e-14
-        )
+    def test_parity_basis_vectors_are_unit_coordinates(self):
+        basis = exact3.parity_basis_states3()
+        names = ("phi1_plus", "phi2_plus", "phi1_minus", "phi2_minus")
+        for k, name in enumerate(names):
+            coordinates = exact3._parity_coordinates(SymState(1.5, basis[name]))
+            assert abs(coordinates[k] - 1.0) <= 1e-15
+            assert all(c == 0.0 for i, c in enumerate(coordinates) if i != k)
 
     def test_rotation_period_four_at_zero_torsion(self, rng):
-        amps = random_symmetric_amps(rng, 4)
-        state = GeneralState3.from_dicke(amps)
-        s0 = measures.linear_entropy(measures.reduced_state(SymState(1.5, amps), 1))
+        state = SymState(1.5, random_symmetric_amps(rng, 4))
+        s0 = measures.linear_entropy(measures.reduced_state(state, 1))
         for n in (4, 8, 12):
             assert exact3.general_entropy3(state, n, 0.0) == pytest.approx(s0, abs=1e-12)
 
@@ -414,20 +401,19 @@ class TestGeneralState:
         for kappa0 in (0.5, 1.2, 2.5):
             u = symspace.floquet(1.5, kappa0)
             for _ in range(5):
-                amps = random_symmetric_amps(rng, 4)
-                state = GeneralState3.from_dicke(amps)
-                psi = SymState(1.5, amps)
+                psi = SymState(1.5, random_symmetric_amps(rng, 4))
                 for n in (1, 2, 3, 7, 12):
                     numeric = measures.linear_entropy(
                         measures.reduced_state(symspace.evolve(u, psi, n), 1)
                     )
-                    assert exact3.general_entropy3(state, n, kappa0) == pytest.approx(
+                    assert exact3.general_entropy3(psi, n, kappa0) == pytest.approx(
                         numeric, abs=1e-10
                     )
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            GeneralState3(1.0, 1.0, 0.0, 0.0)
+        # the norm check is SymState's: no unnormalised state reaches the closed form
+        with pytest.raises(ValueError, match="not normalized"):
+            exact3.general_entropy3(SymState(1.5, [1.0, 1.0, 0.0, 0.0]), 3, 1.3)
 
 
 class TestLocalUnitaryStructure:

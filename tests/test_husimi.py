@@ -7,7 +7,7 @@ import pytest
 from kickedtop import exact3, exact4, husimi, symspace
 from kickedtop.symspace import BlochPoint, SymState
 
-from test_symspace import mp_coherent_state
+from conftest import mp_coherent_state
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
 

@@ -421,17 +421,10 @@ def test_write_detection_sees_modes_and_ignores_strings(tmp_path):
     assert file_writes(source, None)[1] == "sample.py:9: os.open(path, os.O_WRONLY)"
 
 
-# Every operator is built by symspace.floquet, from a rotation that
-# _checked_rotation checked and rows that _unit_phases checked; slicing a stack
-# shares those factors.  A UnitaryMatrix called anywhere else would hold
-# factors that nothing checked.
-OPERATOR_BUILDERS = {"floquet", "UnitaryMatrix.__getitem__"}
-
-
-def operator_builds(path: Path, allowed: set[str]) -> list[str]:
-    """'file:line: call' of each call UnitaryMatrix(...) or x.UnitaryMatrix(...)
-    in the file, outside the functions and methods named in allowed
-    ('function' or 'Class.method')."""
+def calls_outside(path: Path, name: str, allowed: set[str]) -> list[str]:
+    """'file:line: call' of each call name(...) or x.name(...) in the file,
+    outside the functions, classes and methods whose qualified names
+    ('function', 'Class.method') are in allowed."""
     found = []
 
     def visit(node, scope: str):
@@ -441,8 +434,8 @@ def operator_builds(path: Path, allowed: set[str]) -> list[str]:
                 return
         if isinstance(node, ast.Call):
             func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name == "UnitaryMatrix":
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called == name:
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -451,12 +444,20 @@ def operator_builds(path: Path, allowed: set[str]) -> list[str]:
     return found
 
 
+# Every operator is built by symspace.floquet, from a rotation that
+# _checked_rotation checked and rows that _unit_phases checked; slicing a stack
+# shares those factors.  A UnitaryMatrix called anywhere else would hold
+# factors that nothing checked.
+OPERATOR_BUILDERS = {"floquet", "UnitaryMatrix.__getitem__"}
+
+
 def test_operators_are_built_only_by_floquet():
     for directory in ("src", "scripts", "bench", "tests"):
         for path in sorted((ROOT / directory).rglob("*.py")):
             allowed = OPERATOR_BUILDERS if path == PACKAGE / "symspace.py" else set()
-            assert operator_builds(path, allowed) == []
-    assert len(operator_builds(PACKAGE / "symspace.py", set())) == 2  # the builders' own calls are seen
+            assert calls_outside(path, "UnitaryMatrix", allowed) == []
+    # the builders' own calls are seen
+    assert len(calls_outside(PACKAGE / "symspace.py", "UnitaryMatrix", set())) == 2
 
 
 def test_operator_build_detection_sees_scopes_and_ignores_strings(tmp_path):
@@ -475,11 +476,11 @@ def test_operator_build_detection_sees_scopes_and_ignores_strings(tmp_path):
         "def test_direct(u):\n"
         "    return symspace.UnitaryMatrix(u.base, u.phases[None]), isinstance(u, UnitaryMatrix)\n"
     )
-    assert operator_builds(source, OPERATOR_BUILDERS) == [
+    assert calls_outside(source, "UnitaryMatrix", OPERATOR_BUILDERS) == [
         "sample.py:10: UnitaryMatrix(self.base, self.phases)",
         "sample.py:12: symspace.UnitaryMatrix(u.base, u.phases[None])",
     ]
-    assert len(operator_builds(source, set())) == 4
+    assert len(calls_outside(source, "UnitaryMatrix", set())) == 4
 
 
 # Every trajectory in src/ is read through measures._trajectory_blocks, the
@@ -490,31 +491,12 @@ def test_operator_build_detection_sees_scopes_and_ignores_strings(tmp_path):
 TRAJECTORY_READERS = {"_trajectory_blocks"}
 
 
-def trajectory_calls(path: Path, allowed: set[str]) -> list[str]:
-    """'file:line: call' of each call trajectory(...) or x.trajectory(...) in
-    the file, outside the functions named in allowed."""
-    found = []
-
-    def visit(node):
-        if isinstance(node, FUNCTIONS) and node.name in allowed:
-            return
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name == "trajectory":
-                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
-        for child in ast.iter_child_nodes(node):
-            visit(child)
-
-    visit(ast.parse(path.read_text(encoding="utf-8")))
-    return found
-
-
 def test_trajectories_are_read_only_in_blocks():
     for path in sorted(PACKAGE.glob("*.py")):
         allowed = TRAJECTORY_READERS if path == PACKAGE / "measures.py" else set()
-        assert trajectory_calls(path, allowed) == []
-    assert len(trajectory_calls(PACKAGE / "measures.py", set())) == 1  # the generator's own call is seen
+        assert calls_outside(path, "trajectory", allowed) == []
+    # the generator's own call is seen
+    assert len(calls_outside(PACKAGE / "measures.py", "trajectory", set())) == 1
 
 
 def test_trajectory_call_detection_sees_aliases_and_ignores_strings(tmp_path):
@@ -529,8 +511,64 @@ def test_trajectory_call_detection_sees_aliases_and_ignores_strings(tmp_path):
         "    return ss.trajectory(u, psi0, n), trajectory\n"
         "rows = [trajectory(u, p, 3) for p in ()]\n"
     )
-    assert trajectory_calls(source, TRAJECTORY_READERS) == [
+    assert calls_outside(source, "trajectory", TRAJECTORY_READERS) == [
         "sample.py:7: ss.trajectory(u, psi0, n)",
         "sample.py:8: trajectory(u, p, 3)",
     ]
-    assert len(trajectory_calls(source, set())) == 3
+    assert len(calls_outside(source, "trajectory", set())) == 3
+
+
+# A test module imports shared helpers from conftest only: an import of one
+# test module by another makes one module's collection error stop every
+# module that imports it.
+def imports_of_test_modules(path: Path) -> list[str]:
+    """'file:line: statement' of each import of a test module (test_*), by
+    its own name or from a package, in the file."""
+
+    def is_test(dotted: str) -> bool:
+        return any(part.startswith("test_") for part in dotted.split("."))
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            hit = any(is_test(alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            package = node.level or node.module == "tests"
+            hit = is_test(node.module or "") or (
+                package and any(is_test(alias.name) for alias in node.names))
+        else:
+            continue
+        if hit:
+            found.append((node.lineno, f"{path.name}:{node.lineno}: {ast.unparse(node)}"))
+    return [line for _, line in sorted(found)]
+
+
+def test_test_modules_import_only_conftest():
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        assert imports_of_test_modules(path) == []
+
+
+def test_test_module_import_detection_ignores_strings_and_aliases(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        '"""from test_symspace import mp_coherent_state, in words only"""\n'
+        "import test_cli\n"
+        "import numpy as np, tests.test_exact3 as t3\n"
+        "from conftest import mp_rotation\n"
+        "from test_symspace import mp_coherent_state\n"
+        "from tests import test_husimi\n"
+        "from . import conftest, test_tomo\n"
+        "def helper():\n"
+        "    from .test_measures import sweep_means\n"
+        "text = 'import test_cli'\n"
+        "from kickedtop import measures as test_measures\n"
+        "from hypothesis import given\n"
+    )
+    assert imports_of_test_modules(source) == [
+        "sample.py:2: import test_cli",
+        "sample.py:3: import numpy as np, tests.test_exact3 as t3",
+        "sample.py:5: from test_symspace import mp_coherent_state",
+        "sample.py:6: from tests import test_husimi",
+        "sample.py:7: from . import conftest, test_tomo",
+        "sample.py:9: from .test_measures import sweep_means",
+    ]

@@ -14,13 +14,14 @@ from conftest import (
     block_power3,
     collective_ops,
     eigh_rotation,
+    mp_coherent_state,
+    mp_rotation,
     stepped_alone,
     parity_op,
     qubits_to_symmetric,
     random_symmetric_amps,
     register_floquet,
 )
-from test_closed_route import mp_rotation
 
 JS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.5, 10.0]
 
@@ -110,23 +111,6 @@ class TestCoherentState:
                      lambda j: SymState(j, np.eye(1, limit + 2)[0])):
             with pytest.raises(ValueError, match=f"too large: the limit is 2j <= {limit}"):
                 make((limit + 1) / 2.0)
-
-
-def mp_coherent_state(two_j: int, theta: float, phi: float) -> list:
-    """<k|theta, phi> for k = 0..2j at the double angles, to 40 digits:
-    sqrt(C(2j, k)) c^(2j-k) (s e^(-i phi))^k with exact integer binomials."""
-    with mpmath.workdps(40):
-        half = mpmath.mpf(theta) / 2
-        c, z = mpmath.cos(half), mpmath.sin(half) * mpmath.expj(-mpmath.mpf(phi))
-        c_powers, z_powers = [mpmath.mpf(1)], [mpmath.mpc(1)]
-        for _ in range(two_j):
-            c_powers.append(c_powers[-1] * c)
-            z_powers.append(z_powers[-1] * z)
-        amps, binomial = [], 1
-        for k in range(two_j + 1):
-            amps.append(mpmath.sqrt(binomial) * c_powers[two_j - k] * z_powers[k])
-            binomial = binomial * (two_j - k) // (k + 1)
-        return amps
 
 
 class TestCoherentAccuracy:
